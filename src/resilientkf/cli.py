@@ -146,12 +146,10 @@ def cmd_worstcase(args):
                     fc = FilterConfig(kind="kf")
                 elif kind == "c":
                     # budgeted comparators under a budgeted adversary
-                    fc = FilterConfig(kind="urkf" if name == "urkf" else "prkf",
-                                      c=val)
+                    fc = FilterConfig(kind="prkf", c=val)
                 else:
                     # fixed-theta comparators under a fixed-theta adversary
-                    fc = FilterConfig(kind="ursf" if name in ("urkf", "ursf")
-                                      else "prsf", theta=val)
+                    fc = FilterConfig(kind="prsf", theta=val)
                 gains = covariance_schedule(model, fc, fwd.cov_pred[0], N)[0]
             if args.channel:
                 Pis = error_cov_recursion(model, gains, fwd, bwd)
@@ -295,8 +293,6 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="resilientkf",
         description="Robust linear-Gaussian state estimation toolkit")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker threads for internal linear algebra")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="compute tolerance bounds")
@@ -355,8 +351,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except (ModelError, BenchError) as e:

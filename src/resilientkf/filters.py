@@ -4,13 +4,17 @@ Five estimators behind a single step contract:
 
 - KF: the standard Kalman filter.
 - U-RKF (update-resilient): after the measurement update, the filtered
-  covariance is inflated by solving the distortion budget gamma(P_filt,
-  theta) = c for theta each step; the inflated covariance drives the next
-  prediction.
+  covariance is inflated to V = (P_filt^{-1} - theta I)^{-1}, with theta
+  solving the distortion budget gamma(P_filt, theta) = c each step (a
+  safeguarded Newton solve on the eigenvalues of P_filt); the inflated
+  covariance drives the next prediction.
 - P-RKF (prediction-resilient): the same budget machinery applied to the
   predicted covariance before the update.
 - U-RSF / P-RSF: the corresponding fixed-theta (risk-sensitive) variants
   where theta is a constant instead of a per-step budget solve.
+
+The inflation is computed from one eigendecomposition of the covariance,
+with no explicit inverse.
 """
 
 import numpy as np
@@ -22,7 +26,6 @@ from .numerics import (
     chol_solve,
     check_sympd,
     solve_budget,
-    spectral_extrema,
     sym,
 )
 
@@ -87,19 +90,18 @@ class FilterStep:
 def _inflate(P, theta):
     """Distorted covariance (P^{-1} - theta I)^{-1}.
 
-    The inverse itself is the returned object, so it is formed explicitly
-    (from a Cholesky solve of the information form).
+    From one eigendecomposition P = U diag(lambda) U^T as
+    U diag(lambda / (1 - theta lambda)) U^T, with no explicit inverse.
     """
-    n = P.shape[0]
     if theta == 0.0:
         return sym(P)
-    _, smax = spectral_extrema(P)
+    lams, U = np.linalg.eigh(check_sympd(P))
+    smax = lams[-1]
     if theta * smax >= 1.0:
         raise FilterError(
             f"distortion infeasible: theta={theta:.6g} with sigma_max(P)={smax:.6g}"
         )
-    info = np.linalg.inv(check_sympd(P)) - theta * np.eye(n)
-    return check_sympd(np.linalg.inv(sym(info)))
+    return check_sympd((U * (lams / (1.0 - theta * lams))) @ U.T)
 
 
 def _update(model, mean, P, y):

@@ -6,16 +6,18 @@ square roots, spectral extrema, and a small dense discrete Lyapunov solver.
 All functions are pure and operate on plain numpy arrays.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 SYM_TOL = 1e-10
 
 # gamma switches to its power series below this |theta * lambda|; the series
-# is cut after x^_GAMMA_SERIES_TERMS, whose first omitted term is below
-# 1e-18 of the leading x^2 / 2 there.
+# is cut after x^9, whose first omitted term is below 1e-18 of the leading
+# x^2 / 2 there.  Coefficients 1 - 1/k for k = 9..2, in Horner order.
 _GAMMA_SERIES_X = 1e-3
-_GAMMA_SERIES_TERMS = 8
+_GAMMA_SERIES_COEFS = tuple(1.0 - 1.0 / k for k in range(9, 1, -1))
 
 
 class NumericsError(ValueError):
@@ -74,18 +76,39 @@ def spd_sqrt(P):
     return np.linalg.cholesky(P)
 
 
+def _gamma_terms(lams, theta):
+    """gamma and its theta-derivative from the eigenvalues ``lams`` (floats).
+
+    1/2 sum_i [x_i/(1 - x_i) + log1p(-x_i)] and 1/2 sum_i lambda_i x_i /
+    (1 - x_i)^2 with x_i = theta lambda_i.  The O(x) parts of the two terms
+    of gamma cancel, so for small x the summand is taken from its series
+    sum_{k>=2} (1 - 1/k) x^k, which keeps full relative accuracy as
+    theta -> 0.  Plain floats: for the few eigenvalues of a state covariance
+    this is several times cheaper than numpy calls on tiny arrays.
+    """
+    g = dg = 0.0
+    for lam in lams:
+        x = theta * lam
+        r = x / (1.0 - x)
+        if abs(x) < _GAMMA_SERIES_X:
+            s = 0.0
+            for ck in _GAMMA_SERIES_COEFS:
+                s = s * x + ck
+            g += s * x * x
+        else:
+            g += r + math.log1p(-x)
+        dg += lam * r / (1.0 - x)
+    return 0.5 * g, 0.5 * dg
+
+
 def gamma(P, theta):
     """Kullback-Leibler cost of distorting a Gaussian covariance P by theta.
 
     gamma(P, theta) = 1/2 (ln det(I - theta P) + tr((I - theta P)^{-1} - I)).
     Defined for theta * sigma_max(P) < 1; nonnegative, zero at theta = 0, and
-    strictly increasing in theta on its domain.
-
-    Evaluated on the eigenvalues lambda_i of P as
-    1/2 sum_i [x_i/(1 - x_i) + log1p(-x_i)] with x_i = theta lambda_i.  The
-    O(x) parts of the two terms cancel, so for small x the sum is taken from
-    its series sum_{k>=2} (1 - 1/k) x^k, which keeps full relative accuracy
-    as theta -> 0 (gamma ~ theta^2 tr(P^2) / 4).
+    strictly increasing and convex in theta on its domain.  Evaluated on the
+    eigenvalues of P (see ``_gamma_terms``), so gamma ~ theta^2 tr(P^2) / 4
+    keeps full relative accuracy as theta -> 0.
     """
     P = check_sympd(P)
     theta = float(theta)
@@ -93,18 +116,10 @@ def gamma(P, theta):
         raise NumericsError("theta must be nonnegative")
     if theta == 0.0:
         return 0.0
-    x = theta * np.linalg.eigvalsh(P)
-    if x[-1] >= 1.0:
+    lams = np.linalg.eigvalsh(P).tolist()
+    if theta * lams[-1] >= 1.0:
         raise NumericsError("theta * sigma_max(P) >= 1: outside the domain of gamma")
-    small = np.abs(x) < _GAMMA_SERIES_X
-    xs = x[small]
-    series = np.zeros_like(xs)
-    for k in range(_GAMMA_SERIES_TERMS + 1, 1, -1):
-        series = series * xs + (1.0 - 1.0 / k)
-    xl = x[~small]
-    val = 0.5 * (float(np.sum(series * xs * xs))
-                 + float(np.sum(xl / (1.0 - xl) + np.log1p(-xl))))
-    return max(val, 0.0)
+    return max(_gamma_terms(lams, theta)[0], 0.0)
 
 
 @dataclass
@@ -117,36 +132,61 @@ class BudgetSolveResult:
 
 
 def solve_budget(P, c, tol=1e-12, max_iter=200):
-    """Find theta with gamma(P, theta) = c by bisection.
+    """Find theta with gamma(P, theta) = c by a safeguarded Newton solve.
 
-    gamma is strictly increasing in theta and blows up at 1/sigma_max(P), so
-    bisection over (0, (1 - 1e-9)/sigma_max(P)) is globally safe.  The
-    stopping budget tolerance is relative to c so that tiny budgets are
-    resolved as sharply as large ones; 200 halvings otherwise take the
-    bracket to machine precision.
+    One eigendecomposition of P serves every iteration, each of which is
+    O(n) scalar work.  gamma is increasing and convex in theta and blows up
+    at 1/sigma_max(P), so Newton started right of the root descends to it
+    monotonically.  The start is the smaller of two points right of the
+    root: 2 sqrt(c / tr(P^2)), as gamma >= theta^2 tr(P^2) / 4 (close for
+    small c), and an upper bound on where the sigma_max term of gamma alone
+    reaches c (close for large c).  The bracket (0, (1 - 1e-9)/sigma_max(P))
+    is kept: a step that rounds to no move goes one ulp, and a step that
+    leaves the bracket bisects it.
+
+    Returns once |gamma - c| <= tol * c, or once no float lies strictly
+    inside the bracket, with its end nearer c (near the pole one ulp of
+    theta can move gamma by more than tol * c).  Raises NumericsError when
+    c is unreachable inside the bracket, or when neither happens within
+    max_iter iterations.
     """
     P = check_sympd(P)
     c = float(c)
     if c <= 0:
         raise NumericsError("budget c must be positive")
-    _, smax = spectral_extrema(P)
+    lams = np.linalg.eigvalsh(P).tolist()
+    smax = lams[-1]
     lo, hi = 0.0, (1.0 - 1e-9) / smax
-    if gamma(P, hi) < c:
+    g_lo, g_hi = 0.0, _gamma_terms(lams, hi)[0]
+    if g_hi < c:
         raise NumericsError("budget c unreachable below the domain boundary")
-    it = 0
+    # the sigma_max term reaches c where u - 1 - ln u = 2c, u = 1/(1 - theta
+    # sigma_max); that root lies below v + ln(2v) with v = 2c + 1
+    v = 2.0 * c + 1.0
+    u = v + math.log(2.0 * v)
+    theta = min(hi, 2.0 * math.sqrt(c / math.fsum(lam * lam for lam in lams)),
+                (1.0 - 1.0 / u) / smax)
+    g = g_hi
     for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        g = gamma(P, mid)
+        g, dg = _gamma_terms(lams, theta)
         if abs(g - c) <= tol * c:
-            return BudgetSolveResult(theta=mid, achieved_budget=g, iterations=it)
+            return BudgetSolveResult(theta=theta, achieved_budget=g, iterations=it)
         if g < c:
-            lo = mid
+            lo, g_lo = theta, g
         else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * hi:
-            break
-    mid = 0.5 * (lo + hi)
-    return BudgetSolveResult(theta=mid, achieved_budget=gamma(P, mid), iterations=it)
+            hi, g_hi = theta, g
+        nxt = theta - (g - c) / dg
+        if nxt == theta:
+            nxt = math.nextafter(theta, lo if g > c else hi)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                theta, g = (lo, g_lo) if c - g_lo < g_hi - c else (hi, g_hi)
+                return BudgetSolveResult(theta=theta, achieved_budget=g, iterations=it)
+        theta = nxt
+    raise NumericsError(
+        f"budget solve did not converge in {max_iter} iterations: c={c:.6g}, "
+        f"sigma_max={smax:.6g}, |gamma - c|/c={abs(g - c) / c:.3g}")
 
 
 def gaussian_kl(mean0, cov0, mean1, cov1):

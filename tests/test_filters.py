@@ -4,13 +4,14 @@ import pytest
 from resilientkf.filters import (
     FilterConfig,
     FilterError,
+    _inflate,
     covariance_schedule,
     kf_step,
     run_filter,
     step,
 )
 from resilientkf.model import GaussianBelief, simulate_nominal
-from resilientkf.numerics import gamma
+from resilientkf.numerics import NumericsError, gamma
 
 
 def _run(model, kind, ys, init, **kw):
@@ -129,3 +130,34 @@ def test_step_dispatch(model_a):
                FilterConfig(kind="prsf", theta=0.01)):
         s = step(model_a, fc, belief, y)
         assert np.isfinite(s.mean_pred).all()
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e6])
+@pytest.mark.parametrize("x", [1e-9, 0.5, 0.999])
+def test_inflate_matches_information_form(cond, x):
+    # (P^{-1} - theta I)^{-1}, taken as (I - theta P)^{-1} P: the explicit
+    # double inverse is itself 1.4e-9 off a 50-digit evaluation at cond 1e6
+    # and x = 0.999, while cond(I - theta P) <= 1e3 keeps this form near eps
+    n = 5
+    U, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))
+    lams = np.geomspace(1.0, 1.0 / cond, n) if cond > 1 else np.full(n, 2.0)
+    P = (U * lams) @ U.T
+    P = 0.5 * (P + P.T)
+    theta = x / np.linalg.eigvalsh(P)[-1]
+    ref = np.linalg.solve(np.eye(n) - theta * P, P)
+    ref = 0.5 * (ref + ref.T)
+    V = _inflate(P, theta)
+    assert np.abs(V - ref).max() <= 1e-10 * np.abs(ref).max()
+    if cond == 1.0:
+        old = np.linalg.inv(np.linalg.inv(P) - theta * np.eye(n))
+        assert np.abs(V - old).max() <= 1e-10 * np.abs(old).max()
+
+
+def test_inflate_rejects_infeasible_and_indefinite():
+    P = np.diag([2.0, 0.5])
+    with pytest.raises(FilterError):
+        _inflate(P, 0.5)      # theta * sigma_max = 1
+    with pytest.raises(FilterError):
+        _inflate(P, 0.75)
+    with pytest.raises(NumericsError):
+        _inflate(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from resilientkf.numerics import (
     spectral_extrema,
     sym,
 )
+from resilientkf.stability import c_max
 
 
 def test_gamma_scalar_oracle():
@@ -76,6 +79,53 @@ def test_solve_budget_roundtrip_relative():
         if c <= 1e-8:
             # independent of gamma: the theta found really spends c
             assert abs(_gamma_series(P, res.theta) - c) <= 1e-10 * c, c
+
+
+def _solver_matrices(model_a):
+    # model A's P_bar_{20|20} and a seeded 9 x 9 SPD matrix
+    B = np.random.default_rng(11).standard_normal((9, 9))
+    return {"pbar_a": c_max(model_a).pbar_qq, "random9": B @ B.T / 9 + 0.1 * np.eye(9)}
+
+
+def _one_ulp_bracket(P, theta, c):
+    """gamma(P, .) crosses c within one ulp either side of theta."""
+    return (gamma(P, math.nextafter(theta, 0.0)) < c
+            < gamma(P, math.nextafter(theta, math.inf)))
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-14, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e4])
+def test_solve_budget_newton_iterations(model_a, c):
+    # iteration counts, not wall time, which is too noisy to gate on.  At
+    # c = 1e4 one ulp of theta moves gamma by 2e-12 c to 4e-12 c, so 1e-12 c
+    # is met only where the float grid allows; otherwise the solve must end
+    # on a one-ulp bracket of the root.
+    for name, P in _solver_matrices(model_a).items():
+        res = solve_budget(P, c)
+        assert res.iterations <= 15, (name, res.iterations)
+        g = gamma(P, res.theta)
+        assert res.achieved_budget == g, name
+        if c < 1e4:
+            assert abs(g - c) <= 1e-12 * c, name
+        else:
+            assert abs(g - c) <= 1e-12 * c or _one_ulp_bracket(P, res.theta, c), name
+
+
+def test_solve_budget_bracket_collapse():
+    # near the pole one ulp of theta moves gamma by more than 2 tol c, so
+    # the solve returns the better end of a one-ulp bracket around the root
+    P, c = np.array([[3.0]]), 1e4
+    res = solve_budget(P, c)
+    below = gamma(P, math.nextafter(res.theta, 0.0))
+    above = gamma(P, math.nextafter(res.theta, math.inf))
+    assert above - below > 2 * 1e-12 * c
+    assert _one_ulp_bracket(P, res.theta, c)
+    assert abs(res.achieved_budget - c) <= min(c - below, above - c)
+
+
+def test_solve_budget_raises_on_non_convergence(model_a):
+    P = _solver_matrices(model_a)["pbar_a"]
+    with pytest.raises(NumericsError, match="did not converge.*sigma_max"):
+        solve_budget(P, 0.1, max_iter=1)
 
 
 def test_solve_budget_rejects_bad_budget():
