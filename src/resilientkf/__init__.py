@@ -27,16 +27,12 @@ from .numerics import (
 from .filters import (
     FilterConfig,
     FilterStep,
-    kf_step,
-    urkf_step,
-    prkf_step,
-    ursf_step,
-    prsf_step,
-    run_filter,
+    Schedule,
     covariance_schedule,
+    mean_pass,
+    run_filter,
 )
 from .least_favorable import (
-    ForwardPass,
     BackwardPass,
     LeastFavorableModel,
     forward_gains,

@@ -12,13 +12,8 @@ import json
 import numpy as np
 from dataclasses import dataclass, field
 
-from .model import (
-    GaussianBelief,
-    MsdParams,
-    msd_discretize,
-    validate,
-)
-from .filters import FilterConfig, covariance_schedule, run_filter
+from .model import MsdParams, msd_discretize, validate
+from .filters import FilterConfig, covariance_schedule, mean_pass, run_filter
 
 SCENARIO_KINDS = ("drift", "uniform", "deadzone", "outlier", "nominal")
 
@@ -127,7 +122,6 @@ class MseReport:
     horizon: int
     seed: int
     config_digest: str
-    failed_trials: int = 0
 
     def to_dict(self):
         return {
@@ -136,7 +130,6 @@ class MseReport:
             "horizon": self.horizon,
             "seed": self.seed,
             "config_digest": self.config_digest,
-            "failed_trials": self.failed_trials,
             "time_averaged": self.time_averaged,
             "mse_t": {k: v.tolist() for k, v in self.mse_t.items()},
         }
@@ -157,38 +150,28 @@ def run_monte_carlo(cfg, scenario):
     M, N = cfg.trials, cfg.horizon
     rng = np.random.default_rng(cfg.seed)
     P0 = cfg.init_cov_scale * np.eye(n)
-    schedules = {}
-    for name, fc in cfg.filters.items():
-        gains, _, _, _, _ = covariance_schedule(nominal, fc, P0, N - 1)
-        schedules[name] = gains
+    schedules = {name: covariance_schedule(nominal, fc, P0, N - 1).gains
+                 for name, fc in cfg.filters.items()}
 
-    # plant trajectories
-    Lp = np.linalg.cholesky(P0)
-    x = rng.standard_normal((M, n)) @ Lp.T
-    X = np.zeros((M, N, n))
+    # plant trajectories; only the displacement is measured and scored
     if scenario.kind == "nominal":
         # control case: the plant is exactly the nominal design model
-        Lq = np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
-        for t in range(N):
-            X[:, t] = x
-            x = x @ nominal.A.T + rng.standard_normal((M, n)) @ Lq.T
+        A, Lw = nominal.A, np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
     else:
-        Lf = actual.noise_chol()
-        for t in range(N):
-            X[:, t] = x
-            x = x @ actual.A.T + rng.standard_normal((M, n)) @ Lf.T
-    Y = sample_measurement(scenario, X[:, :, 0], rng)
+        A, Lw = actual.A, actual.noise_chol()
+    x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
+    pos = np.zeros((M, N))
+    for t in range(N):
+        pos[:, t] = x[:, 0]
+        x = x @ A.T + rng.standard_normal((M, n)) @ Lw.T
+    Y = sample_measurement(scenario, pos, rng)
 
     mse_t = {}
     for name, gains in schedules.items():
-        xh = np.zeros((M, n))
-        err = np.zeros(N)
-        for t in range(N):
-            innov = Y[:, t] - xh @ nominal.C.T[:, 0]
-            xf = xh + innov[:, None] * gains[t][:, 0][None, :]
-            err[t] = np.mean((xf[:, 0] - X[:, t, 0]) ** 2)
-            xh = xf @ nominal.A.T
-        mse_t[name] = err
+        # Y.T[:, :, None] steps through time as (trials, 1) views
+        means = mean_pass(nominal, gains, np.zeros((M, n)), Y.T[:, :, None])
+        mse_t[name] = np.array([np.mean((x_f[:, 0] - pos[:, t]) ** 2)
+                                for t, (x_f, _) in enumerate(means)])
     return MseReport(
         scenario=scenario.kind,
         mse_t=mse_t,

@@ -12,13 +12,15 @@ Subcommands:
 Every artifact is written atomically (temp file + rename) and accompanied
 by a ``<name>.manifest.json`` recording the command, configuration hash,
 seed, and outputs, so reruns are verifiable.  Exit codes: 0 success,
-2 validation error, 3 numerical failure, 4 I/O error.
+2 validation error (including non-finite or out-of-range inputs and unknown
+filter names), 3 numerical failure, 4 I/O error.
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -34,7 +36,13 @@ from .model import (
     load_model,
 )
 from .numerics import NumericsError
-from .filters import FilterConfig, FilterError, run_filter, covariance_schedule
+from .filters import (
+    ConfigError,
+    FilterConfig,
+    FilterError,
+    covariance_schedule,
+    run_filter,
+)
 from .least_favorable import (
     SynthesisError,
     assemble_lf,
@@ -45,7 +53,7 @@ from .least_favorable import (
     worst_case_error_cov,
 )
 from .stability import StabilityError, c_max, theta_max, ThetaSearchConfig
-from .bench import BenchError, McConfig, MseReport, Scenario, run_monte_carlo
+from .bench import BenchError, McConfig, Scenario, run_monte_carlo
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -120,6 +128,13 @@ def cmd_bounds(args):
     return EXIT_OK
 
 
+# worstcase --filters name -> the family whose gains it is evaluated with:
+# the plain filter, the update side (the adversary's own schedule) or the
+# prediction side; the budget kind picks the budgeted or fixed-theta member
+_WORSTCASE_FAMILY = {"kf": "kf", "urkf": "update", "ursf": "update",
+                     "prkf": "prediction", "prsf": "prediction"}
+
+
 def cmd_worstcase(args):
     model = load_model(args.model)
     budgets = []
@@ -130,27 +145,28 @@ def cmd_worstcase(args):
     if not budgets:
         raise ModelError("worstcase requires at least one --c or --theta")
     filters = [f.strip() for f in args.filters.split(",") if f.strip()]
+    unknown = [f for f in filters if f not in _WORSTCASE_FAMILY]
+    if unknown:
+        raise ModelError(f"unknown --filters name(s): {', '.join(unknown)}; "
+                         f"expected {', '.join(_WORSTCASE_FAMILY)}")
     N = args.horizon
-    P0 = None
+    if N < 0:
+        raise ModelError(f"--horizon must be nonnegative, got {N}")
+    # the comparator configs per budget; building them validates the budget
+    configs = [{"kf": FilterConfig(kind="kf"),
+                "prediction": FilterConfig(kind="prkf" if kind == "c" else "prsf",
+                                           **{kind: val})}
+               for kind, val in budgets]
     rows = []
     header = ["budget_kind", "budget", "t", "theta"] + [f"var_{f}" for f in filters]
-    for kind, val in budgets:
-        fwd = forward_gains(model, {kind: val}, N, P0)
+    for (kind, val), comparators in zip(budgets, configs):
+        fwd = forward_gains(model, {kind: val}, N)
         bwd = backward_pass(fwd, model) if args.channel else None
         series = []
         for name in filters:
-            if name in ("urkf", "ursf"):
-                gains = fwd.gains
-            else:
-                if name == "kf":
-                    fc = FilterConfig(kind="kf")
-                elif kind == "c":
-                    # budgeted comparators under a budgeted adversary
-                    fc = FilterConfig(kind="prkf", c=val)
-                else:
-                    # fixed-theta comparators under a fixed-theta adversary
-                    fc = FilterConfig(kind="prsf", theta=val)
-                gains = covariance_schedule(model, fc, fwd.cov_pred[0], N)[0]
+            family = _WORSTCASE_FAMILY[name]
+            gains = (fwd.gains if family == "update" else covariance_schedule(
+                model, comparators[family], fwd.cov_pred[0], N).gains)
             if args.channel:
                 Pis = error_cov_recursion(model, gains, fwd, bwd)
             else:
@@ -183,9 +199,12 @@ def cmd_filter(args):
                 raise ModelError(
                     f"data line {i + 1}: expected {model.m} columns, got {len(row)}")
             try:
-                ys.append([float(v) for v in row])
+                y = [float(v) for v in row]
             except ValueError:
                 raise ModelError(f"data line {i + 1}: non-numeric value")
+            if not all(map(math.isfinite, y)):
+                raise ModelError(f"data line {i + 1}: non-finite value")
+            ys.append(y)
     steps = run_filter(model, fc, init, np.asarray(ys))
     header = (["t", "theta"]
               + [f"gain_{i}_{j}" for i in range(model.n) for j in range(model.m)]
@@ -246,6 +265,10 @@ def cmd_lf(args):
         raise ModelError("lf takes either --c or --theta, not both")
     if args.c is None and args.theta is None:
         raise ModelError("lf requires --c or --theta")
+    # the adversary's config, built only to validate the budget
+    FilterConfig(kind="urkf" if args.c is not None else "ursf", **budget)
+    if args.horizon < 0 or args.trajectories < 1:
+        raise ModelError("lf requires --horizon >= 0 and --trajectories >= 1")
     fwd = forward_gains(model, budget, args.horizon)
     bwd = backward_pass(fwd, model)
     lf = assemble_lf(fwd, bwd, model)
@@ -353,7 +376,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, BenchError) as e:
+    except (ModelError, BenchError, ConfigError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericsError, FilterError, SynthesisError, StabilityError) as e:

@@ -1,21 +1,29 @@
-"""One-step and whole-horizon filter implementations.
+"""The five estimators as one covariance schedule followed by a mean pass.
 
-Five estimators behind a single step contract:
+All five run the same data-free recursion: a measurement update, an
+inflation V = (P^{-1} - theta I)^{-1} and a prediction.  They differ only in
+where the inflation acts and where theta comes from:
 
-- KF: the standard Kalman filter.
-- U-RKF (update-resilient): after the measurement update, the filtered
-  covariance is inflated to V = (P_filt^{-1} - theta I)^{-1}, with theta
-  solving the distortion budget gamma(P_filt, theta) = c each step (a
-  safeguarded Newton solve on the eigenvalues of P_filt); the inflated
-  covariance drives the next prediction.
+- KF: the standard Kalman filter (theta = 0).
+- U-RKF (update-resilient): the filtered covariance is inflated after the
+  update, with theta solving the distortion budget gamma(P_filt, theta) = c
+  each step (a safeguarded Newton solve on the eigenvalues of P_filt); the
+  inflated covariance drives the next prediction.
 - P-RKF (prediction-resilient): the same budget machinery applied to the
   predicted covariance before the update.
 - U-RSF / P-RSF: the corresponding fixed-theta (risk-sensitive) variants
   where theta is a constant instead of a per-step budget solve.
 
-The inflation is computed from one eigendecomposition of the covariance,
-with no explicit inverse.
+``covariance_schedule`` runs that recursion once and returns its gains,
+thetas and covariances.  The gains do not depend on the data, so
+``mean_pass`` then folds them over the observations, vectorised over any
+leading (e.g. trial) axes; ``run_filter`` is the two in sequence.  The
+inflation is computed from one eigendecomposition of the covariance, with
+no explicit inverse.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 from dataclasses import dataclass
@@ -36,13 +44,18 @@ class FilterError(RuntimeError):
     """Raised when a filter step cannot be completed."""
 
 
+class ConfigError(FilterError):
+    """Raised when a filter configuration is invalid."""
+
+
 @dataclass
 class FilterConfig:
     """Configuration for one estimator.
 
     ``kind`` is one of 'kf', 'urkf', 'prkf', 'ursf', 'prsf'.  The budgeted
-    kinds (urkf, prkf) require ``c``; the fixed-parameter kinds (ursf,
-    prsf) require ``theta``.
+    kinds (urkf, prkf) require a positive finite ``c``; the fixed-parameter
+    kinds (ursf, prsf) a nonnegative finite ``theta``.  An invalid
+    configuration raises ConfigError.
     """
 
     kind: str
@@ -53,20 +66,22 @@ class FilterConfig:
     def __post_init__(self):
         self.kind = self.kind.lower().replace("-", "")
         if self.kind not in FILTER_KINDS:
-            raise FilterError(f"unknown filter kind {self.kind!r}")
+            raise ConfigError(f"unknown filter kind {self.kind!r}")
         if self.kind in ("urkf", "prkf"):
-            if self.c is None or self.c <= 0:
-                raise FilterError(f"{self.kind} requires a positive tolerance c")
+            if self.c is None or not (math.isfinite(self.c) and self.c > 0):
+                raise ConfigError(
+                    f"{self.kind} requires a positive finite tolerance c")
             if self.theta is not None:
-                raise FilterError(f"{self.kind} takes c, not theta")
+                raise ConfigError(f"{self.kind} takes c, not theta")
         elif self.kind in ("ursf", "prsf"):
-            if self.theta is None or self.theta < 0:
-                raise FilterError(f"{self.kind} requires a nonnegative theta")
+            if self.theta is None or not (math.isfinite(self.theta)
+                                          and self.theta >= 0):
+                raise ConfigError(
+                    f"{self.kind} requires a nonnegative finite theta")
             if self.c is not None:
-                raise FilterError(f"{self.kind} takes theta, not c")
-        else:
-            if self.c is not None or self.theta is not None:
-                raise FilterError("kf takes neither c nor theta")
+                raise ConfigError(f"{self.kind} takes theta, not c")
+        elif self.c is not None or self.theta is not None:
+            raise ConfigError("kf takes neither c nor theta")
 
     @classmethod
     def from_dict(cls, d):
@@ -104,155 +119,91 @@ def _inflate(P, theta):
     return check_sympd((U * (lams / (1.0 - theta * lams))) @ U.T)
 
 
-def _update(model, mean, P, y):
-    """Standard measurement update from predicted belief (mean, P)."""
-    C, R = model.C, model.R
-    S = sym(C @ P @ C.T + R)
-    try:
-        check_sympd(S)
-    except NumericsError:
-        raise FilterError("innovation covariance is not positive definite")
-    L = chol_solve(S, C @ P).T
-    innov = y - C @ mean
-    mean_filt = mean + L @ innov
-    cov_filt = sym(P - L @ C @ P)
-    return L, mean_filt, cov_filt
+class Schedule(NamedTuple):
+    """Gain/covariance schedule of one filter over t = 0..N.
 
-
-def kf_step(model, belief, y):
-    """Standard Kalman filter step (predict after update)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    L, mean_filt, cov_filt = _update(model, belief.mean, belief.cov, y)
-    mean_pred = model.A @ mean_filt
-    cov_pred = sym(model.A @ cov_filt @ model.A.T + model.Q)
-    return FilterStep(gain=L, theta=0.0, mean_filt=mean_filt,
-                      cov_filt=cov_filt, cov_distorted=cov_filt,
-                      mean_pred=mean_pred, cov_pred=cov_pred)
-
-
-def urkf_step(model, belief, y, c, solver_tol=1e-12):
-    """Update-resilient step: budgeted inflation of the filtered covariance."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    L, mean_filt, cov_filt = _update(model, belief.mean, belief.cov, y)
-    theta = solve_budget(cov_filt, c, tol=solver_tol).theta
-    V = _inflate(cov_filt, theta)
-    mean_pred = model.A @ mean_filt
-    cov_pred = sym(model.A @ V @ model.A.T + model.Q)
-    return FilterStep(gain=L, theta=theta, mean_filt=mean_filt,
-                      cov_filt=cov_filt, cov_distorted=V,
-                      mean_pred=mean_pred, cov_pred=cov_pred)
-
-
-def ursf_step(model, belief, y, theta):
-    """Fixed-theta variant of the update-resilient step."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    L, mean_filt, cov_filt = _update(model, belief.mean, belief.cov, y)
-    V = _inflate(cov_filt, theta)
-    mean_pred = model.A @ mean_filt
-    cov_pred = sym(model.A @ V @ model.A.T + model.Q)
-    return FilterStep(gain=L, theta=theta, mean_filt=mean_filt,
-                      cov_filt=cov_filt, cov_distorted=V,
-                      mean_pred=mean_pred, cov_pred=cov_pred)
-
-
-def prkf_step(model, belief, y, c, solver_tol=1e-12):
-    """Prediction-resilient step: budgeted inflation of the predicted
-    covariance, then a standard update and prediction."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    theta = solve_budget(belief.cov, c, tol=solver_tol).theta
-    Vp = _inflate(belief.cov, theta)
-    L, mean_filt, cov_filt = _update(model, belief.mean, Vp, y)
-    mean_pred = model.A @ mean_filt
-    cov_pred = sym(model.A @ cov_filt @ model.A.T + model.Q)
-    return FilterStep(gain=L, theta=theta, mean_filt=mean_filt,
-                      cov_filt=cov_filt, cov_distorted=cov_filt,
-                      mean_pred=mean_pred, cov_pred=cov_pred)
-
-
-def prsf_step(model, belief, y, theta):
-    """Fixed-theta variant of the prediction-resilient step."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    Vp = _inflate(belief.cov, theta)
-    L, mean_filt, cov_filt = _update(model, belief.mean, Vp, y)
-    mean_pred = model.A @ mean_filt
-    cov_pred = sym(model.A @ cov_filt @ model.A.T + model.Q)
-    return FilterStep(gain=L, theta=theta, mean_filt=mean_filt,
-                      cov_filt=cov_filt, cov_distorted=cov_filt,
-                      mean_pred=mean_pred, cov_pred=cov_pred)
-
-
-def step(model, config, belief, y):
-    """Dispatch one step of the configured filter kind."""
-    k = config.kind
-    if k == "kf":
-        return kf_step(model, belief, y)
-    if k == "urkf":
-        return urkf_step(model, belief, y, config.c, config.solver_tol)
-    if k == "prkf":
-        return prkf_step(model, belief, y, config.c, config.solver_tol)
-    if k == "ursf":
-        return ursf_step(model, belief, y, config.theta)
-    if k == "prsf":
-        return prsf_step(model, belief, y, config.theta)
-    raise FilterError(f"unknown filter kind {k!r}")
-
-
-def run_filter(model, config, init, ys):
-    """Fold the configured filter step over an observation sequence.
-
-    Returns the list of FilterStep outputs.  Any step failure is re-raised
-    annotated with the offending time index.
+    ``gains[t]`` is the filter gain, ``thetas[t]`` the distortion strength,
+    ``cov_filt[t]`` the filtered covariance before distortion and
+    ``cov_distorted[t]`` the covariance that drives the prediction (the
+    inflated one for urkf/ursf, else ``cov_filt[t]``).  ``cov_pred[t]`` is
+    the prediction entering step t; it has N + 2 entries, the last being the
+    prediction after step N.
     """
-    from .model import GaussianBelief
 
-    validate(model)
-    steps = []
-    belief = GaussianBelief(mean=init.mean, cov=init.cov)
-    for t, y in enumerate(ys):
-        try:
-            st = step(model, config, belief, y)
-        except (FilterError, NumericsError) as e:
-            raise FilterError(f"filter step failed at t={t}: {e}") from e
-        steps.append(st)
-        belief = GaussianBelief(mean=st.mean_pred, cov=st.cov_pred)
-    return steps
+    gains: list
+    thetas: list
+    cov_filt: list
+    cov_distorted: list
+    cov_pred: list
+
+    @property
+    def horizon(self):
+        return len(self.gains) - 1
 
 
 def covariance_schedule(model, config, P0, N):
-    """Data-free gain/covariance recursion over N + 1 steps.
+    """Data-free update, inflation and prediction recursion over N + 1 steps.
 
-    The gains and covariances of these filters do not depend on the data,
-    so Monte-Carlo benchmarks can precompute them once per configuration.
-    Returns (gains, thetas, cov_filt, cov_distorted, cov_pred) as lists
-    indexed by t = 0..N, where cov_pred[t] is the prediction entering step t.
+    The covariances and gains of these filters do not depend on the data.
+    The prediction-side kinds (prkf, prsf) inflate the predicted covariance
+    before the update, the others the filtered covariance after it; theta
+    is the budget solve when ``config.c`` is set, else ``config.theta``
+    (0 for kf).  A failure at step t is raised as FilterError naming t.
     """
-    n = model.n
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    pre = config.kind in ("prkf", "prsf")
+
+    def inflate(P):
+        if config.c is not None:
+            theta = solve_budget(P, config.c, tol=config.solver_tol).theta
+        else:
+            theta = 0.0 if config.theta is None else config.theta
+        return theta, _inflate(P, theta)
+
     P = check_sympd(P0)
-    gains, thetas, filts, dists, preds = [], [], [], [], []
+    out = Schedule([], [], [], [], [P])
     for t in range(N + 1):
-        preds.append(P.copy())
-        if config.kind in ("prkf", "prsf"):
-            theta = (solve_budget(P, config.c, tol=config.solver_tol).theta
-                     if config.kind == "prkf" else config.theta)
-            Pw = _inflate(P, theta)
-        else:
-            Pw = P
-        S = sym(model.C @ Pw @ model.C.T + model.R)
-        L = chol_solve(S, model.C @ Pw).T
-        Ptt = sym(Pw - L @ model.C @ Pw)
-        if config.kind == "urkf":
-            theta = solve_budget(Ptt, config.c, tol=config.solver_tol).theta
-        elif config.kind == "ursf":
-            theta = config.theta
-        elif config.kind == "kf":
-            theta = 0.0
-        if config.kind in ("urkf", "ursf"):
-            V = _inflate(Ptt, theta)
-        else:
-            V = Ptt
-        gains.append(L)
-        thetas.append(theta)
-        filts.append(Ptt)
-        dists.append(V)
-        P = sym(model.A @ V @ model.A.T + model.Q)
-    return gains, thetas, filts, dists, preds
+        try:
+            if pre:
+                theta, P = inflate(P)
+            S = sym(C @ P @ C.T + R)
+            L = chol_solve(S, C @ P).T
+            Pf = sym(P - L @ C @ P)
+            theta, V = (theta, Pf) if pre else inflate(Pf)
+        except (FilterError, NumericsError) as e:
+            raise FilterError(f"filter step failed at t={t}: {e}") from e
+        P = sym(A @ V @ A.T + Q)
+        for seq, value in zip(out, (L, theta, Pf, V, P)):
+            seq.append(value)
+    return out
+
+
+def mean_pass(model, gains, x0, ys):
+    """Yield the filtered and predicted means (x_f, x_p) of each step.
+
+    Folds the gain schedule over the observations ``ys`` from the prior
+    mean ``x0``.  Both may carry leading axes (e.g. one row per trial):
+    ``x0`` has shape (..., n) and each ``ys[t]`` shape (..., m).
+    """
+    A, C = model.A, model.C
+    x = x0
+    for L, y in zip(gains, ys):
+        x_f = x + (y - x @ C.T) @ L.T
+        x = x_f @ A.T
+        yield x_f, x
+
+
+def run_filter(model, config, init, ys):
+    """Run the configured filter over an observation sequence.
+
+    The covariance schedule, then the mean pass; returns one FilterStep per
+    observation.  A failing step raises FilterError naming its time index.
+    """
+    validate(model)
+    sched = covariance_schedule(model, config, init.cov, len(ys) - 1)
+    return [FilterStep(gain=sched.gains[t], theta=sched.thetas[t],
+                       mean_filt=x_f, cov_filt=sched.cov_filt[t],
+                       cov_distorted=sched.cov_distorted[t],
+                       mean_pred=x_p, cov_pred=sched.cov_pred[t + 1])
+            for t, (x_f, x_p) in enumerate(
+                mean_pass(model, sched.gains, init.mean, ys))]

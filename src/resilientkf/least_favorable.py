@@ -34,17 +34,9 @@ whose top-left n x n block is the evaluated estimator's error covariance.
 import numpy as np
 from dataclasses import dataclass
 
-from .model import validate, GaussianBelief, Trajectory
-from .numerics import (
-    NumericsError,
-    check_sympd,
-    chol_solve,
-    solve_budget,
-    spd_sqrt,
-    spectral_extrema,
-    sym,
-)
-from .filters import FilterError, _inflate
+from .model import validate
+from .numerics import check_sympd, spd_sqrt, spectral_extrema, sym
+from .filters import FilterConfig, FilterError, covariance_schedule
 
 
 class SynthesisError(RuntimeError):
@@ -55,60 +47,26 @@ class SynthesisError(RuntimeError):
 # Forward pass
 
 
-@dataclass
-class ForwardPass:
-    """Gain/budget schedule of the update-resilient filter over t = 0..N.
-
-    ``gains[t]`` is the filter gain, ``thetas[t]`` the distortion strength,
-    ``cov_pred``/``cov_filt``/``cov_distorted`` the predicted, filtered, and
-    inflated covariances.  Covariances are data-independent, so no
-    observations are needed.
-    """
-
-    gains: list
-    thetas: list
-    cov_pred: list
-    cov_filt: list
-    cov_distorted: list
-
-    @property
-    def horizon(self):
-        return len(self.gains) - 1
-
-
 def forward_gains(model, budget, N, P0=None, solver_tol=1e-12):
-    """Run the covariance-only forward recursion of the robust filter.
+    """Covariance schedule of the update-resilient filter over t = 0..N.
 
-    ``budget`` is either {"c": tolerance} for the per-step budget solve or
-    {"theta": value} for the fixed-parameter variant.
+    ``budget`` is either {"c": tolerance} for the per-step budget solve
+    (urkf) or {"theta": value} for the fixed-parameter variant (ursf).  An
+    invalid budget or a failing step raises SynthesisError.
     """
     validate(model)
-    n = model.n
-    P = check_sympd(P0 if P0 is not None else np.eye(n))
-    use_c = "c" in budget
-    if use_c and budget["c"] <= 0:
-        raise SynthesisError("tolerance c must be positive")
-    if not use_c and "theta" not in budget:
-        raise SynthesisError("budget must specify either c or theta")
-    gains, thetas, preds, filts, dists = [], [], [], [], []
-    for t in range(N + 1):
-        preds.append(P.copy())
-        S = sym(model.C @ P @ model.C.T + model.R)
-        L = chol_solve(S, model.C @ P).T
-        Ptt = sym(P - L @ model.C @ P)
-        try:
-            theta = (solve_budget(Ptt, budget["c"], tol=solver_tol).theta
-                     if use_c else float(budget["theta"]))
-            V = _inflate(Ptt, theta)
-        except (NumericsError, FilterError) as e:
-            raise SynthesisError(f"budget solve failed at t={t}: {e}") from e
-        gains.append(L)
-        thetas.append(theta)
-        filts.append(Ptt)
-        dists.append(V)
-        P = sym(model.A @ V @ model.A.T + model.Q)
-    return ForwardPass(gains=gains, thetas=thetas, cov_pred=preds,
-                       cov_filt=filts, cov_distorted=dists)
+    try:
+        if "c" in budget:
+            config = FilterConfig(kind="urkf", c=budget["c"],
+                                  solver_tol=solver_tol)
+        elif "theta" in budget:
+            config = FilterConfig(kind="ursf", theta=float(budget["theta"]))
+        else:
+            raise SynthesisError("budget must specify either c or theta")
+        return covariance_schedule(
+            model, config, P0 if P0 is not None else np.eye(model.n), N)
+    except FilterError as e:
+        raise SynthesisError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -388,47 +346,37 @@ def error_cov_recursion(model, eval_gains, fwd, bwd, P0=None):
 
         Pi_{t+1} = Gam_t Pi_t Gam_t^T + X_t Xi X_t^T
 
-    with Gam_t assembled from Del' = A - L'CA, Del = A - LCA, Lam' =
-    I - L'F - L'C, Lam = I - LF - LC, and X_t carrying the fresh noises.
-    The top-left n x n block of Pi_t is the evaluated estimator's filtered
-    error covariance.  Initialization Pi_{-1} = blockdiag(0, 0, P0) places
-    the initial estimation error in the noise slot, consistent with
-    ``simulate_lf``.
+    Gam_t and X_t are ``assemble_lf``'s Abar_t and Bbar_t with the top n
+    rows, which there propagate the state, replaced by the evaluated
+    estimator's error rows [A - L'CA, -L'FA, I - L'F - L'C] and
+    [0, -L' Ups]; the bottom 2n rows (the robust filter's error and the
+    fresh process noise) are shared.  The top-left n x n block of Pi_t is
+    the evaluated estimator's filtered error covariance.  Initialization
+    Pi_{-1} = blockdiag(0, 0, P0) places the initial estimation error in
+    the noise slot, consistent with ``simulate_lf``.
     """
-    n, m = model.n, model.m
+    n = model.n
     N = fwd.horizon
     if len(eval_gains) != N + 1:
         raise SynthesisError("gain schedule length does not match the horizon")
     P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
-    A, C, Q = model.A, model.C, model.Q
+    lf = assemble_lf(fwd, bwd, model)
+    A, C = model.A, model.C
     I = np.eye(n)
-    Xi = np.block([
-        [Q, np.zeros((n, m))],
-        [np.zeros((m, n)), np.eye(m)],
-    ])
     Pi = np.zeros((3 * n, 3 * n))
     Pi[2 * n:, 2 * n:] = P0
     out = []
     for t in range(N + 1):
-        L = fwd.gains[t]
         Lp = eval_gains[t]
-        F = bwd.r_half @ bwd.F[t]
-        Ups = bwd.r_half @ bwd.Ups[t]
-        Delp = A - Lp @ C @ A
-        Del = A - L @ C @ A
-        Lamp = I - Lp @ F - Lp @ C
-        Lam = I - L @ F - L @ C
-        Gam = np.zeros((3 * n, 3 * n))
-        Gam[:n, :n] = Delp
+        F, Ups = lf.Cbar[t][:, 2 * n:], lf.Dbar[t][:, n:]
+        Gam = lf.Abar[t].copy()
+        Gam[:n, :n] = A - Lp @ C @ A
         Gam[:n, n:2 * n] = -Lp @ F @ A
-        Gam[:n, 2 * n:] = Lamp
-        Gam[n:2 * n, n:2 * n] = Del - L @ F @ A
-        Gam[n:2 * n, 2 * n:] = Lam
-        X = np.zeros((3 * n, n + m))
+        Gam[:n, 2 * n:] = I - Lp @ F - Lp @ C
+        X = lf.Bbar[t].copy()
+        X[:n, :n] = 0.0
         X[:n, n:] = -Lp @ Ups
-        X[n:2 * n, n:] = -L @ Ups
-        X[2 * n:, :n] = I
-        Pi = sym(Gam @ Pi @ Gam.T + X @ Xi @ X.T)
+        Pi = sym(Gam @ Pi @ Gam.T + X @ lf.Xi @ X.T)
         out.append(Pi)
     return out
 

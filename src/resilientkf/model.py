@@ -8,7 +8,7 @@ benchmark), and nominal-model simulation.
 
 import json
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.linalg import expm
 
@@ -55,6 +55,9 @@ class GaussianBelief:
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        self.cov = np.asarray(self.cov, dtype=float)
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):
+            raise ModelError("belief mean and covariance must be finite")
         self.cov = check_sympd(self.cov)
         if self.mean.shape[0] != self.cov.shape[0]:
             raise ModelError("belief mean/covariance dimension mismatch")
@@ -88,10 +91,14 @@ def is_observable(A, C):
 def validate(model):
     """Validate a LinearGaussianModel; returns the model on success.
 
-    Requires Q > 0 and R > 0 and consistent dimensions.  Observability of
-    (A, C) is diagnosed but not fatal (the convergence bounds require it;
-    plain filtering does not).  Q > 0 implies reachability of (A, Q).
+    Requires finite A, C, Q, R, Q > 0, R > 0 and consistent dimensions.
+    Observability of (A, C) is not required here (plain filtering does not
+    need it); the convergence bounds check it.  Q > 0 implies reachability
+    of (A, Q).
     """
+    for name in ("A", "C", "Q", "R"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ModelError(f"{name} has non-finite entries")
     n = model.A.shape[0]
     if model.A.shape != (n, n):
         raise ModelError(f"A must be square, got {model.A.shape}")
@@ -112,7 +119,6 @@ def validate(model):
         raise ModelError("Q dimension mismatch")
     if model.R.shape != (m, m):
         raise ModelError("R dimension mismatch")
-    model.observable = is_observable(model.A, model.C)
     return model
 
 

@@ -59,7 +59,10 @@ def chol_solve(P, B):
     """Solve P X = B for symmetric positive-definite P via Cholesky."""
     from scipy.linalg import cho_factor, cho_solve as _cho_solve
 
-    c = cho_factor(sym(P), lower=True)
+    try:
+        c = cho_factor(sym(P), lower=True)
+    except np.linalg.LinAlgError:
+        raise NumericsError("matrix is not positive definite")
     return _cho_solve(c, np.asarray(B, dtype=float))
 
 
@@ -152,8 +155,8 @@ def solve_budget(P, c, tol=1e-12, max_iter=200):
     """
     P = check_sympd(P)
     c = float(c)
-    if c <= 0:
-        raise NumericsError("budget c must be positive")
+    if not 0 < c < math.inf:
+        raise NumericsError("budget c must be positive and finite")
     lams = np.linalg.eigvalsh(P).tolist()
     smax = lams[-1]
     lo, hi = 0.0, (1.0 - 1e-9) / smax

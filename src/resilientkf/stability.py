@@ -171,16 +171,11 @@ def phi_max(model, k, tol=1e-6):
 
 def pbar_filtered(model, q):
     """Filtered covariance floor after q undistorted Riccati steps from
-    P_bar_0 = Q: returns (P_bar_q^{-1} + C^T R^{-1} C)^{-1}."""
+    P_bar_0 = Q: the Kalman filter's filtered covariance at step q."""
     validate(model)
     if q < 0:
         raise StabilityError("q must be nonnegative")
-    A, C, Q = model.A, model.C, model.Q
-    CRC = sym(C.T @ chol_solve(model.R, C))
-    P = Q.copy()
-    for _ in range(q):
-        P = sym(A @ np.linalg.inv(sym(np.linalg.inv(check_sympd(P)) + CRC)) @ A.T + Q)
-    return check_sympd(np.linalg.inv(sym(np.linalg.inv(check_sympd(P)) + CRC)))
+    return covariance_schedule(model, FilterConfig(kind="kf"), model.Q, q).cov_filt[q]
 
 
 @dataclass

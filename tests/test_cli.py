@@ -173,3 +173,52 @@ def test_risk_sensitive_worstcase(tmp_path):
          ("var_kf", "var_prsf", "var_ursf")}
     assert float(last[i["var_ursf"]]) < float(last[i["var_prsf"]]) \
         < float(last[i["var_kf"]])
+
+
+# invalid invocations; {name} stands for an input file the test writes
+BAD_INPUTS = {
+    "unknown_filter_name":
+        "worstcase --model {model} --c 0.1 --filters kf,prkf,bogus",
+    "worstcase_negative_c": "worstcase --model {model} --c -1",
+    "worstcase_negative_theta": "worstcase --model {model} --theta -0.1",
+    "worstcase_infinite_theta": "worstcase --model {model} --theta inf",
+    "worstcase_nan_c": "worstcase --model {model} --c nan",
+    "worstcase_negative_horizon":
+        "worstcase --model {model} --c 0.1 --horizon -3",
+    "bench_nan_c": "bench --trials 5 --horizon 5 --c nan --scenarios drift",
+    "lf_negative_theta": "lf build --model {model} --theta -0.1",
+    "lf_negative_horizon": "lf build --model {model} --c 0.05 --horizon -1",
+    "lf_negative_trajectories":
+        "lf simulate --model {model} --c 0.05 --trajectories -2",
+    "config_nan_theta":
+        "filter --model {model} --config {nan_config} --data {data}",
+    "model_nan_entry":
+        "filter --model {nan_model} --config {config} --data {data}",
+    "data_nan_row": "filter --model {model} --config {config} --data {nan_data}",
+    "data_inf_row": "filter --model {model} --config {config} --data {inf_data}",
+    "init_nan_mean": ("filter --model {model} --config {config} --data {data} "
+                      "--init {nan_init}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_validation_error(case, model_file, tmp_path):
+    files = {
+        "config": '{"kind": "kf"}',
+        "nan_config": '{"kind": "ursf", "theta": NaN}',
+        "nan_model": json.dumps(dict(MODEL_A, A=[[0.1, float("nan")],
+                                                 [0.0, 0.6]])),
+        "data": "0.1\n0.2\n",
+        "nan_data": "0.1\nnan\n",
+        "inf_data": "0.1\ninf\n",
+        "nan_init": '{"mean": [0.0, NaN], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
+    }
+    paths = {"model": model_file}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    out = str(tmp_path / "out")
+    argv = [w.format(**paths) for w in BAD_INPUTS[case].split()]
+    assert main(argv + ["--out", out]) == 2
+    assert not any(os.path.exists(out + ext)
+                   for ext in ("", ".json", ".csv", ".manifest.json"))

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import random_observable_model
 from resilientkf.filters import (
     FilterConfig,
     FilterError,
     _inflate,
     covariance_schedule,
-    kf_step,
     run_filter,
-    step,
 )
 from resilientkf.model import GaussianBelief, simulate_nominal
-from resilientkf.numerics import NumericsError, gamma
+from resilientkf.numerics import NumericsError, gamma, solve_budget
 
 
 def _run(model, kind, ys, init, **kw):
@@ -116,7 +115,8 @@ def test_infeasible_theta_raises(model_a):
 
 def test_kf_step_shapes(model_a):
     belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    s = kf_step(model_a, belief, np.array([0.5]))
+    (s,) = run_filter(model_a, FilterConfig(kind="kf"), belief,
+                      np.array([[0.5]]))
     assert s.gain.shape == (2, 1)
     assert s.cov_pred.shape == (2, 2)
     assert s.theta == 0.0
@@ -125,11 +125,58 @@ def test_kf_step_shapes(model_a):
 
 def test_step_dispatch(model_a):
     belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    y = np.array([0.1])
+    ys = np.array([[0.1]])
     for fc in (FilterConfig(kind="kf"), FilterConfig(kind="urkf", c=0.1),
                FilterConfig(kind="prsf", theta=0.01)):
-        s = step(model_a, fc, belief, y)
+        (s,) = run_filter(model_a, fc, belief, ys)
         assert np.isfinite(s.mean_pred).all()
+
+
+def _reference_step(model, kind, value, mean, P, y):
+    """One step written out in full: optional inflation of the prediction,
+    update, optional inflation of the filtered covariance, prediction."""
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    n = model.n
+
+    def inflate(P):
+        theta = (solve_budget(P, value).theta if kind in ("urkf", "prkf")
+                 else value)
+        return theta, np.linalg.solve(np.eye(n) - theta * P, P)
+
+    theta = 0.0
+    if kind in ("prkf", "prsf"):
+        theta, P = inflate(P)
+    L = np.linalg.solve(C @ P @ C.T + R, C @ P).T
+    mean_filt = mean + L @ (y - C @ mean)
+    P_filt = P - L @ C @ P
+    V = P_filt
+    if kind in ("urkf", "ursf"):
+        theta, V = inflate(P_filt)
+    return L, theta, mean_filt, P_filt, V, A @ mean_filt, A @ V @ A.T + Q
+
+
+def test_run_filter_matches_reference_loop(model_b):
+    models = [model_b, random_observable_model(np.random.default_rng(11),
+                                               nmax=6, mmax=3)]
+    for model in models:
+        n = model.n
+        init = GaussianBelief(mean=0.1 * np.ones(n), cov=0.3 * np.eye(n))
+        ys = simulate_nominal(model, init, 25, seed=5).observations
+        for kind, value in (("kf", None), ("urkf", 0.05), ("prkf", 0.05),
+                            ("ursf", 0.002), ("prsf", 0.002)):
+            kw = {} if value is None else {
+                ("c" if kind.endswith("kf") else "theta"): value}
+            steps = run_filter(model, FilterConfig(kind=kind, **kw), init, ys)
+            assert len(steps) == len(ys)
+            mean, P = init.mean, init.cov
+            for s, y in zip(steps, ys):
+                ref = _reference_step(model, kind, value, mean, P, y)
+                got = (s.gain, s.theta, s.mean_filt, s.cov_filt,
+                       s.cov_distorted, s.mean_pred, s.cov_pred)
+                for g, r in zip(got, ref):
+                    assert np.shape(g) == np.shape(r)
+                    assert np.abs(g - r).max() <= 1e-12 * (1 + np.abs(r).max())
+                mean, P = ref[5], ref[6]
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e6])

@@ -9,6 +9,7 @@ from resilientkf.model import (
     ModelError,
     MsdParams,
     _continuous_matrices,
+    is_observable,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -23,7 +24,8 @@ from resilientkf.model import (
 
 def test_validate_accepts_good_model(model_a):
     m = validate(model_a)
-    assert m.observable
+    assert m is model_a
+    assert is_observable(m.A, m.C)
 
 
 def test_validate_rejects_bad_shapes():
