@@ -52,7 +52,7 @@ from .least_favorable import (
     simulate_lf,
     worst_case_error_cov,
 )
-from .stability import StabilityError, c_max, theta_max, ThetaSearchConfig
+from .stability import StabilityError, c_max, theta_max
 from .bench import BenchError, McConfig, Scenario, run_monte_carlo
 
 EXIT_OK = 0
@@ -118,8 +118,7 @@ def cmd_bounds(args):
     if args.mode == "cmax":
         report = c_max(model, k=args.k, q=args.q)
     else:
-        cfg = ThetaSearchConfig()
-        report = theta_max(model, k=args.k, config=cfg)
+        report = theta_max(model, k=args.k)
     _atomic_write(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     _write_manifest(args.out, "bounds",
                     {"model": args.model, "mode": args.mode,
@@ -152,25 +151,32 @@ def cmd_worstcase(args):
     N = args.horizon
     if N < 0:
         raise ModelError(f"--horizon must be nonnegative, got {N}")
-    # the comparator configs per budget; building them validates the budget
-    configs = [{"kf": FilterConfig(kind="kf"),
-                "prediction": FilterConfig(kind="prkf" if kind == "c" else "prsf",
-                                           **{kind: val})}
-               for kind, val in budgets]
+    # the prediction-side comparator per budget; building it validates the
+    # budget
+    predictions = [FilterConfig(kind="prkf" if kind == "c" else "prsf",
+                                **{kind: val}) for kind, val in budgets]
+    families = {_WORSTCASE_FAMILY[name] for name in filters}
+    P0 = np.eye(model.n)
+    # the kf schedule does not depend on the budget
+    kf_gains = (covariance_schedule(model, FilterConfig(kind="kf"), P0, N).gains
+                if "kf" in families else None)
     rows = []
     header = ["budget_kind", "budget", "t", "theta"] + [f"var_{f}" for f in filters]
-    for (kind, val), comparators in zip(budgets, configs):
-        fwd = forward_gains(model, {kind: val}, N)
-        bwd = backward_pass(fwd, model) if args.channel else None
+    for (kind, val), prediction in zip(budgets, predictions):
+        fwd = forward_gains(model, {kind: val}, N, P0)
+        gains = {"kf": kf_gains, "update": fwd.gains}
+        if "prediction" in families:
+            gains["prediction"] = covariance_schedule(
+                model, prediction, P0, N).gains
+        lf = (assemble_lf(fwd, backward_pass(fwd, model), model)
+              if args.channel else None)
         series = []
         for name in filters:
-            family = _WORSTCASE_FAMILY[name]
-            gains = (fwd.gains if family == "update" else covariance_schedule(
-                model, comparators[family], fwd.cov_pred[0], N).gains)
+            family_gains = gains[_WORSTCASE_FAMILY[name]]
             if args.channel:
-                Pis = error_cov_recursion(model, gains, fwd, bwd)
+                Pis = error_cov_recursion(model, family_gains, fwd, lf)
             else:
-                Pis = worst_case_error_cov(model, gains, fwd)
+                Pis = worst_case_error_cov(model, family_gains, fwd)
             series.append([float(np.trace(Pi[:model.n, :model.n]))
                            for Pi in Pis])
         for t in range(N + 1):
@@ -239,11 +245,13 @@ def cmd_bench(args):
     cfg = McConfig(trials=args.trials, horizon=args.horizon,
                    seed=args.seed, filters=filters)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
+    # building every scenario first validates the names before any write
+    runs = [Scenario(kind=kind) for kind in scenarios]
     outputs = []
     os.makedirs(args.out, exist_ok=True)
-    for kind in scenarios:
-        rep = run_monte_carlo(cfg, Scenario(kind=kind))
-        base = os.path.join(args.out, f"bench_{kind}")
+    for scenario in runs:
+        rep = run_monte_carlo(cfg, scenario)
+        base = os.path.join(args.out, f"bench_{scenario.kind}")
         names = sorted(rep.mse_t)
         rows = [[t] + [rep.mse_t[nm][t] for nm in names]
                 for t in range(rep.horizon)]

@@ -338,7 +338,7 @@ def simulate_lf(lf, init, seed, n_traj=1):
     return etas, etas[:, :, :n], Y
 
 
-def error_cov_recursion(model, eval_gains, fwd, bwd, P0=None):
+def error_cov_recursion(model, eval_gains, fwd, lf, P0=None):
     """Error covariance of a gain schedule under the hostile channel model.
 
     Lyapunov recursion on the 3n x 3n covariance of [e'_t; e_t; w_t]
@@ -353,14 +353,15 @@ def error_cov_recursion(model, eval_gains, fwd, bwd, P0=None):
     fresh process noise) are shared.  The top-left n x n block of Pi_t is
     the evaluated estimator's filtered error covariance.  Initialization
     Pi_{-1} = blockdiag(0, 0, P0) places the initial estimation error in
-    the noise slot, consistent with ``simulate_lf``.
+    the noise slot, consistent with ``simulate_lf``.  ``lf`` is the channel
+    model ``assemble_lf`` built from ``fwd``; it depends only on the budget,
+    so one model serves every evaluated schedule.
     """
     n = model.n
     N = fwd.horizon
     if len(eval_gains) != N + 1:
         raise SynthesisError("gain schedule length does not match the horizon")
     P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
-    lf = assemble_lf(fwd, bwd, model)
     A, C = model.A, model.C
     I = np.eye(n)
     Pi = np.zeros((3 * n, 3 * n))

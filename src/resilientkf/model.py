@@ -58,7 +58,10 @@ class GaussianBelief:
         self.cov = np.asarray(self.cov, dtype=float)
         if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):
             raise ModelError("belief mean and covariance must be finite")
-        self.cov = check_sympd(self.cov)
+        try:
+            self.cov = check_sympd(self.cov)
+        except NumericsError as e:
+            raise ModelError(f"belief covariance: {e}") from e
         if self.mean.shape[0] != self.cov.shape[0]:
             raise ModelError("belief mean/covariance dimension mismatch")
 

@@ -11,8 +11,8 @@ Two certified bounds:
   risk-sensitive variant's covariance recursion stays bounded, obtained as
   min(beta, phi_k) where beta comes from a Lyapunov-certified contraction
   argument maximized over an observer gain G, a mixing weight alpha, and a
-  contraction margin rho by deterministic grid search with refinement.
-  Certificates with an ill-conditioned Sigma are excluded, and the winner
+  contraction margin rho by deterministic grid search with refinement,
+  pruned by a bound that never drops the grid's winner.  Certificates with an ill-conditioned Sigma are excluded, and the winner
   is re-verified with ``prop6_guard`` before it is reported.
 """
 
@@ -272,58 +272,136 @@ class ThetaSearchConfig:
     refine_rounds: int = 3
 
 
+# Cells per chunk of the theta_max grid sweep, so the sweep's memory stays
+# bounded at any n*m.
+BETA_CHUNK = 4096
+# Every RHO_STRIDE-th rho point (and the last) is evaluated for every cell;
+# the points between two of them only where the gap's bound can still win.
+RHO_STRIDE = 7
+
+
+def _beta_weight(rho):
+    """The weight a(rho) = (rho^2 - 1)/rho^2 of Sigma^{-1} in beta."""
+    return (rho ** 2 - 1.0) / rho ** 2
+
+
+def _lambda_min(a, Sinv, alpha, CRC):
+    """lambda_min(a Sinv + (1 - alpha^2) CRC), batched over cells."""
+    M = (a[:, None, None] * Sinv
+         + (1.0 - alpha ** 2)[:, None, None] * CRC[None])
+    return np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+
+
+def _beta_cells(s, F, V, alpha, logr, CRC):
+    """beta at rho = r^{-s} for a batch of cells with closed-loop matrices F,
+    noise terms V, weights alpha and log spectral radii logr.
+
+    Returns (beta, Sinv, good, rho): rho for every cell, and beta and
+    Sigma^{-1} for the cells whose Sigma passes the filters (``good``): a
+    Kronecker system with |det| >= 1e-12, Sigma positive definite and
+    cond Sigma <= SIGMA_COND_MAX."""
+    n = F.shape[1]
+    Inn = np.eye(n * n)
+    rho = np.exp(-s * logr)
+    Fr = rho[:, None, None] * F
+    K = Inn[None] - np.einsum("nij,nkl->nikjl", Fr, Fr).reshape(-1, n * n, n * n)
+    sing = np.abs(np.linalg.det(K)) < 1e-12
+    K[sing] = Inn
+    Sig = np.linalg.solve(K, V.reshape(-1, n * n, 1)).reshape(-1, n, n)
+    Sig[sing] = -np.eye(n)
+    Sig = 0.5 * (Sig + Sig.transpose(0, 2, 1))
+    w = np.linalg.eigvalsh(Sig)
+    good = (w[:, 0] > 0) & (w[:, -1] <= SIGMA_COND_MAX * w[:, 0])
+    Sinv = np.linalg.inv(Sig[good])
+    beta = _lambda_min(_beta_weight(rho[good]), Sinv, alpha[good], CRC)
+    return beta, Sinv, good, rho
+
+
 def _batch_beta(model, alphas, gain_axes, nrho):
     """Best beta over the product grid alphas x gain_axes (one axis per
-    entry of G) x an adaptive log-spaced rho sweep.  Vectorized over grid
-    cells; returns (best_beta, (alpha, G, rho)) or (-inf, None).
+    entry of G) x a log-spaced rho sweep rho = r^{-s}, s in (0, 1), of
+    (1, 1/r) per cell, r the spectral radius of A - alpha G C.  Returns
+    (best_beta, (alpha, G, rho)) or (-inf, None).
 
-    Cells whose Sigma has condition number above SIGMA_COND_MAX are dropped:
-    as rho * radius -> 1 the Lyapunov system turns singular and the beta of
-    such a cell is rounding noise, not a certificate."""
+    Cells with r >= 1 - 1e-12 have no certificate.  A (cell, rho) pair whose
+    Kronecker system is singular (|det| < 1e-12), whose Sigma is not
+    positive definite, or whose cond Sigma exceeds SIGMA_COND_MAX is
+    dropped: as rho * r -> 1 the Lyapunov system turns singular and the
+    beta of such a pair is rounding noise, not a certificate.
+
+    The winner is the maximum of (beta, -rho index, -flat cell index): the
+    largest beta, ties going to the smallest rho index, then to the first
+    cell in C order of the grid.  Every pair that can win is evaluated, so
+    this is the winner of the full grid; most pairs that cannot are not:
+
+    - Cells are swept in chunks of BETA_CHUNK, generated from flat grid
+      indices, so memory does not grow with the grid.
+    - Each chunk is evaluated at every RHO_STRIDE-th rho point and the last.
+    - Sigma(rho) = sum_k rho^{2k} F^k V F^k^T is nondecreasing in rho
+      (Loewner order) while a(rho) = 1 - rho^{-2} increases, so on the gap
+      between two evaluated points rho_lo < rho < rho_hi every
+      beta(rho) <= lambda_min(a(rho_hi) Sigma(rho_lo)^{-1}
+      + (1 - alpha^2) C^T R^{-1} C), rho_hi the gap's last interior point.
+      A cell's interior points are evaluated only when that bound is at
+      least the running best - 1e-9 |best|, or when Sigma(rho_lo) failed a
+      filter.
+    """
     A, C, Q, R = model.A, model.C, model.Q, model.R
     n, m = model.n, model.m
-    mesh = np.meshgrid(alphas, *gain_axes, indexing="ij")
-    al = mesh[0].ravel()
-    Gflat = np.stack([g.ravel() for g in mesh[1:]], axis=1)  # (N, n*m)
-    G = Gflat.reshape(-1, n, m)
-    F = A[None] - al[:, None, None] * (G @ C[None])
-    r = np.abs(np.linalg.eigvals(F)).max(axis=1)
-    ok = r < 1.0 - 1e-12
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
-        return -np.inf, None
-    F, G, al, r = F[idx], G[idx], al[idx], r[idx]
-    V = G @ R[None] @ G.transpose(0, 2, 1) + Q[None]
+    alphas = np.asarray(alphas, dtype=float)
+    gain_axes = [np.asarray(g, dtype=float) for g in gain_axes]
+    shape = (len(alphas),) + tuple(len(g) for g in gain_axes)
     CRC = sym(C.T @ chol_solve(R, C))
-    Inn = np.eye(n * n)
-    best_val, best_args = -np.inf, None
-    # rho = r^{-s}: log-spaced sweep of (1, 1/r) per cell
-    for s in np.linspace(1e-6, 1.0 - 1e-9, nrho):
-        rho = np.exp(-s * np.log(np.maximum(r, 1e-12)))
-        Fr = rho[:, None, None] * F
-        K = Inn[None] - np.einsum("nij,nkl->nikjl", Fr, Fr).reshape(-1, n * n, n * n)
-        dets = np.abs(np.linalg.det(K))
-        sing = dets < 1e-12
-        K[sing] = Inn
-        Sig = np.linalg.solve(K, V.reshape(-1, n * n, 1)).reshape(-1, n, n)
-        Sig[sing] = -np.eye(n)
-        Sig = 0.5 * (Sig + Sig.transpose(0, 2, 1))
-        w_all = np.linalg.eigvalsh(Sig)
-        good = ((w_all[:, 0] > 0)
-                & (w_all[:, -1] <= SIGMA_COND_MAX * w_all[:, 0]))
-        if not good.any():
+    svals = np.linspace(1e-6, 1.0 - 1e-9, nrho)
+    coarse = list(range(0, nrho - 1, RHO_STRIDE)) + [nrho - 1] if nrho else []
+    best, best_args = (-np.inf, 0, 0), None
+
+    def offer(beta, ri, cells, al, G, rho):
+        # ties within a batch go to its first cell, the smallest flat index
+        nonlocal best, best_args
+        if beta.size == 0:
+            return
+        j = int(np.argmax(beta))
+        key = (float(beta[j]), -ri, -int(cells[j]))
+        if key > best:
+            best = key
+            best_args = (float(al[j]), G[j].copy(), float(rho[j]))
+
+    total = int(np.prod(shape))
+    for start in range(0, total, BETA_CHUNK):
+        cells = np.arange(start, min(start + BETA_CHUNK, total))
+        idx = np.unravel_index(cells, shape)
+        al = alphas[idx[0]]
+        G = np.stack([g[i] for g, i in zip(gain_axes, idx[1:])],
+                     axis=1).reshape(-1, n, m)
+        F = A[None] - al[:, None, None] * (G @ C[None])
+        r = np.abs(np.linalg.eigvals(F)).max(axis=1)
+        ok = np.nonzero(r < 1.0 - 1e-12)[0]
+        if ok.size == 0:
             continue
-        Sinv = np.linalg.inv(Sig[good])
-        rr, aa = rho[good], al[good]
-        M = (((rr ** 2 - 1.0) / rr ** 2)[:, None, None] * Sinv
-             + (1.0 - aa ** 2)[:, None, None] * CRC[None])
-        w = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
-        j = int(np.argmax(w))
-        if w[j] > best_val:
-            gi = np.nonzero(good)[0][j]
-            best_val = float(w[j])
-            best_args = (float(al[gi]), G[gi].copy(), float(rho[gi]))
-    return best_val, best_args
+        cells, al, G, F, r = cells[ok], al[ok], G[ok], F[ok], r[ok]
+        V = G @ R[None] @ G.transpose(0, 2, 1) + Q[None]
+        logr = np.log(np.maximum(r, 1e-12))
+        lower = []  # (good, Sinv) at each coarse point
+        for ri in coarse:
+            beta, Sinv, good, rho = _beta_cells(svals[ri], F, V, al, logr, CRC)
+            offer(beta, ri, cells[good], al[good], G[good], rho[good])
+            lower.append((good, Sinv))
+        for (lo, hi), (good, Sinv) in zip(zip(coarse, coarse[1:]), lower):
+            if hi - lo < 2:
+                continue
+            bound = np.full(cells.size, np.inf)
+            a_hi = _beta_weight(np.exp(-svals[hi - 1] * logr[good]))
+            bound[good] = _lambda_min(a_hi, Sinv, al[good], CRC)
+            for ri in range(lo + 1, hi):
+                live = np.nonzero(bound >= best[0] - 1e-9 * abs(best[0]))[0]
+                if live.size == 0:
+                    break
+                beta, _, g2, rho = _beta_cells(svals[ri], F[live], V[live],
+                                               al[live], logr[live], CRC)
+                keep = live[g2]
+                offer(beta, ri, cells[keep], al[keep], G[keep], rho[g2])
+    return best[0], best_args
 
 
 def _beta_search(model, cfg, fix_alpha=None):
@@ -382,7 +460,11 @@ def theta_max(model, k=10, config=None, tol=1e-6):
     Maximizes beta over (alpha, G, rho) by grid search with refinement
     (and, in the search diagnostics, the alpha = 1 restriction that
     corresponds to robustifying the prediction instead of the update).
-    Each winning certificate is re-verified with prop6_guard at its
+    Each grid is swept by ``_batch_beta``: in chunks of BETA_CHUNK cells,
+    skipping the rho points whose Loewner bound on beta cannot reach the
+    running best, with ties going to the smallest rho index and then to
+    the first cell, so the winner is that of the full grid.  Each winning
+    certificate is re-verified with prop6_guard at its
     theta_max from P0 = Sigma; the verdict, its reason and cond(Sigma) are
     recorded under ``search["verification"]`` and
     ``search["alpha1"]["verification"]``, and a failed verification raises

@@ -249,7 +249,7 @@ def test_criterion_06_monte_carlo_analytic_agreement():
         if t == 100:
             err = X[:, t] - xf
         xh = xf @ model.A.T
-    Pis = error_cov_recursion(model, fwd.gains, fwd, bwd, P0)
+    Pis = error_cov_recursion(model, fwd.gains, fwd, lf, P0)
     emp = np.trace(np.cov(err.T))
     ana = np.trace(Pis[100][:2, :2])
     rel = abs(emp - ana) / ana

@@ -186,6 +186,8 @@ BAD_INPUTS = {
     "worstcase_negative_horizon":
         "worstcase --model {model} --c 0.1 --horizon -3",
     "bench_nan_c": "bench --trials 5 --horizon 5 --c nan --scenarios drift",
+    "bench_unknown_scenario":
+        "bench --trials 5 --horizon 5 --scenarios drift,bogus",
     "lf_negative_theta": "lf build --model {model} --theta -0.1",
     "lf_negative_horizon": "lf build --model {model} --c 0.05 --horizon -1",
     "lf_negative_trajectories":
@@ -198,6 +200,8 @@ BAD_INPUTS = {
     "data_inf_row": "filter --model {model} --config {config} --data {inf_data}",
     "init_nan_mean": ("filter --model {model} --config {config} --data {data} "
                       "--init {nan_init}"),
+    "init_indefinite_cov": ("filter --model {model} --config {config} "
+                            "--data {data} --init {indefinite_init}"),
 }
 
 
@@ -212,6 +216,7 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "nan_data": "0.1\nnan\n",
         "inf_data": "0.1\ninf\n",
         "nan_init": '{"mean": [0.0, NaN], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
+        "indefinite_init": '{"mean": [0, 0], "cov": [[1, 2], [2, 1]]}',
     }
     paths = {"model": model_file}
     for name, text in files.items():

@@ -168,12 +168,12 @@ def test_worst_case_psd_and_horizon_check(model_a):
 def test_channel_pi_recursion_psd_and_mismatch(model_a):
     P0 = 0.01 * np.eye(2)
     fwd = forward_gains(model_a, {"c": 5e-2}, 20, P0)
-    bwd = backward_pass(fwd, model_a)
-    Pis = error_cov_recursion(model_a, fwd.gains, fwd, bwd, P0)
+    lf = assemble_lf(fwd, backward_pass(fwd, model_a), model_a)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, lf, P0)
     for Pi in Pis:
         assert np.linalg.eigvalsh(Pi).min() >= -1e-10
     with pytest.raises(SynthesisError):
-        error_cov_recursion(model_a, fwd.gains[:-1], fwd, bwd, P0)
+        error_cov_recursion(model_a, fwd.gains[:-1], fwd, lf, P0)
 
 
 def test_channel_mc_agrees_with_pi(model_a):
@@ -194,7 +194,7 @@ def test_channel_mc_agrees_with_pi(model_a):
         if t == 50:
             err_t = X[:, t] - xf
         xh = xf @ model_a.A.T
-    Pis = error_cov_recursion(model_a, fwd.gains, fwd, bwd, P0)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, lf, P0)
     emp = np.cov(err_t.T)
     ana = Pis[50][:2, :2]
     assert abs(np.trace(emp) - np.trace(ana)) / np.trace(ana) < 0.05
