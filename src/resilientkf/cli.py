@@ -115,6 +115,11 @@ def _load_init(args, model):
 
 def cmd_bounds(args):
     model = load_model(args.model)
+    if args.k < model.n:
+        raise ModelError(
+            f"--k {args.k} must be at least the state dimension {model.n}")
+    if args.q < 0:
+        raise ModelError(f"--q {args.q} must be nonnegative")
     if args.mode == "cmax":
         report = c_max(model, k=args.k, q=args.q)
     else:

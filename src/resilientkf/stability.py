@@ -11,8 +11,11 @@ Two certified bounds:
   risk-sensitive variant's covariance recursion stays bounded, obtained as
   min(beta, phi_k) where beta comes from a Lyapunov-certified contraction
   argument maximized over an observer gain G, a mixing weight alpha, and a
-  contraction margin rho by deterministic grid search with refinement,
-  pruned by a bound that never drops the grid's winner.  Certificates with an ill-conditioned Sigma are excluded, and the winner
+  contraction margin rho.  The maximum over G is exact: for fixed
+  (alpha, rho) it is attained at the gain of a filter Riccati equation
+  (DARE), solved for a whole grid of (alpha, rho) pairs at once by
+  structured doubling, so the cost does not grow with the size of G.
+  Certificates with an ill-conditioned Sigma are excluded, and the winner
   is re-verified with ``prop6_guard`` before it is reported.
 """
 
@@ -28,6 +31,7 @@ from .numerics import (
     chol_solve,
     gamma,
     solve_discrete_lyapunov,
+    solve_filter_dare,
     spd_sqrt,
     spectral_extrema,
     sym,
@@ -261,177 +265,75 @@ def sigma_beta(model, G, alpha, rho):
 SIGMA_COND_MAX = 1e8
 
 
-@dataclass
-class ThetaSearchConfig:
-    """Grid-search resolution for the theta_max optimization."""
-
-    alpha_points: int = 100
-    gain_points: int = 21
-    gain_range: tuple = (-10.0, 10.0)
-    rho_points: int = 50
-    refine_rounds: int = 3
-
-
-# Cells per chunk of the theta_max grid sweep, so the sweep's memory stays
-# bounded at any n*m.
-BETA_CHUNK = 4096
-# Every RHO_STRIDE-th rho point (and the last) is evaluated for every cell;
-# the points between two of them only where the gap's bound can still win.
-RHO_STRIDE = 7
+# theta_max sweeps beta*(alpha, rho) over ALPHAS x RHOS, SWEEP_ROWS alpha
+# rows per batched Riccati solve (faster, and at a lower peak memory, than
+# one 20 000-pair batch), then refines rho at the best alpha on
+# RHO_REFINE_POINTS points between the neighbours of the best grid rho.
+# The last alpha is 1, so the same sweep gives the alpha = 1 diagnostic.
+ALPHAS = np.linspace(0.01, 1.0, 100)
+# On models A and B beta* peaks at rho = 1.9 and 3.2 and falls beyond.  On
+# other models it can keep rising towards a limit as rho grows (some seeded
+# random 2- and 3-state models do), so the winner sits at RHO_HI;
+# ``search["rho_hi_limits_beta"]`` flags when that leaves beta < phi_k.
+RHO_HI = 20.0
+_RHO_EXPONENTS = np.arange(1, 201) / 200.0
+RHOS = RHO_HI ** _RHO_EXPONENTS  # log-spaced in (1, RHO_HI]
+SWEEP_ROWS = 10
+RHO_REFINE_POINTS = 201
 
 
-def _beta_weight(rho):
-    """The weight a(rho) = (rho^2 - 1)/rho^2 of Sigma^{-1} in beta."""
-    return (rho ** 2 - 1.0) / rho ** 2
+def _beta_star(model, alphas, rhos):
+    """beta*(alpha, rho), the largest beta over all gains G, for the pairs
+    (alphas[i], rhos[i]), and the DARE solutions Sigma* attaining it.
 
-
-def _lambda_min(a, Sinv, alpha, CRC):
-    """lambda_min(a Sinv + (1 - alpha^2) CRC), batched over cells."""
-    M = (a[:, None, None] * Sinv
-         + (1.0 - alpha ** 2)[:, None, None] * CRC[None])
-    return np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
-
-
-def _beta_cells(s, F, V, alpha, logr, CRC):
-    """beta at rho = r^{-s} for a batch of cells with closed-loop matrices F,
-    noise terms V, weights alpha and log spectral radii logr.
-
-    Returns (beta, Sinv, good, rho): rho for every cell, and beta and
-    Sigma^{-1} for the cells whose Sigma passes the filters (``good``): a
-    Kronecker system with |det| >= 1e-12, Sigma positive definite and
-    cond Sigma <= SIGMA_COND_MAX."""
-    n = F.shape[1]
-    Inn = np.eye(n * n)
-    rho = np.exp(-s * logr)
-    Fr = rho[:, None, None] * F
-    K = Inn[None] - np.einsum("nij,nkl->nikjl", Fr, Fr).reshape(-1, n * n, n * n)
-    sing = np.abs(np.linalg.det(K)) < 1e-12
-    K[sing] = Inn
-    Sig = np.linalg.solve(K, V.reshape(-1, n * n, 1)).reshape(-1, n, n)
-    Sig[sing] = -np.eye(n)
-    Sig = 0.5 * (Sig + Sig.transpose(0, 2, 1))
+    beta* = lambda_min((1 - rho^-2) Sigma*^{-1} + (1 - alpha^2) C^T R^{-1} C)
+    with Sigma* the stabilising solution of the filter DARE of (rho A,
+    rho alpha C, Q, R); it is -inf where Sigma* is not positive definite or
+    cond Sigma* exceeds SIGMA_COND_MAX.
+    """
+    C = model.C
+    Sig = solve_filter_dare(rhos[:, None, None] * model.A,
+                            (rhos * alphas)[:, None, None] * C,
+                            model.Q, model.R)
     w = np.linalg.eigvalsh(Sig)
     good = (w[:, 0] > 0) & (w[:, -1] <= SIGMA_COND_MAX * w[:, 0])
-    Sinv = np.linalg.inv(Sig[good])
-    beta = _lambda_min(_beta_weight(rho[good]), Sinv, alpha[good], CRC)
-    return beta, Sinv, good, rho
+    CRC = sym(C.T @ chol_solve(model.R, C))
+    rg = rhos[good]
+    M = (((rg ** 2 - 1.0) / rg ** 2)[:, None, None] * np.linalg.inv(Sig[good])
+         + (1.0 - alphas[good] ** 2)[:, None, None] * CRC)
+    beta = np.full(rhos.shape, -np.inf)
+    beta[good] = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+    return beta, Sig
 
 
-def _batch_beta(model, alphas, gain_axes, nrho):
-    """Best beta over the product grid alphas x gain_axes (one axis per
-    entry of G) x a log-spaced rho sweep rho = r^{-s}, s in (0, 1), of
-    (1, 1/r) per cell, r the spectral radius of A - alpha G C.  Returns
-    (best_beta, (alpha, G, rho)) or (-inf, None).
-
-    Cells with r >= 1 - 1e-12 have no certificate.  A (cell, rho) pair whose
-    Kronecker system is singular (|det| < 1e-12), whose Sigma is not
-    positive definite, or whose cond Sigma exceeds SIGMA_COND_MAX is
-    dropped: as rho * r -> 1 the Lyapunov system turns singular and the
-    beta of such a pair is rounding noise, not a certificate.
-
-    The winner is the maximum of (beta, -rho index, -flat cell index): the
-    largest beta, ties going to the smallest rho index, then to the first
-    cell in C order of the grid.  Every pair that can win is evaluated, so
-    this is the winner of the full grid; most pairs that cannot are not:
-
-    - Cells are swept in chunks of BETA_CHUNK, generated from flat grid
-      indices, so memory does not grow with the grid.
-    - Each chunk is evaluated at every RHO_STRIDE-th rho point and the last.
-    - Sigma(rho) = sum_k rho^{2k} F^k V F^k^T is nondecreasing in rho
-      (Loewner order) while a(rho) = 1 - rho^{-2} increases, so on the gap
-      between two evaluated points rho_lo < rho < rho_hi every
-      beta(rho) <= lambda_min(a(rho_hi) Sigma(rho_lo)^{-1}
-      + (1 - alpha^2) C^T R^{-1} C), rho_hi the gap's last interior point.
-      A cell's interior points are evaluated only when that bound is at
-      least the running best - 1e-9 |best|, or when Sigma(rho_lo) failed a
-      filter.
-    """
-    A, C, Q, R = model.A, model.C, model.Q, model.R
-    n, m = model.n, model.m
-    alphas = np.asarray(alphas, dtype=float)
-    gain_axes = [np.asarray(g, dtype=float) for g in gain_axes]
-    shape = (len(alphas),) + tuple(len(g) for g in gain_axes)
-    CRC = sym(C.T @ chol_solve(R, C))
-    svals = np.linspace(1e-6, 1.0 - 1e-9, nrho)
-    coarse = list(range(0, nrho - 1, RHO_STRIDE)) + [nrho - 1] if nrho else []
-    best, best_args = (-np.inf, 0, 0), None
-
-    def offer(beta, ri, cells, al, G, rho):
-        # ties within a batch go to its first cell, the smallest flat index
-        nonlocal best, best_args
-        if beta.size == 0:
-            return
-        j = int(np.argmax(beta))
-        key = (float(beta[j]), -ri, -int(cells[j]))
-        if key > best:
-            best = key
-            best_args = (float(al[j]), G[j].copy(), float(rho[j]))
-
-    total = int(np.prod(shape))
-    for start in range(0, total, BETA_CHUNK):
-        cells = np.arange(start, min(start + BETA_CHUNK, total))
-        idx = np.unravel_index(cells, shape)
-        al = alphas[idx[0]]
-        G = np.stack([g[i] for g, i in zip(gain_axes, idx[1:])],
-                     axis=1).reshape(-1, n, m)
-        F = A[None] - al[:, None, None] * (G @ C[None])
-        r = np.abs(np.linalg.eigvals(F)).max(axis=1)
-        ok = np.nonzero(r < 1.0 - 1e-12)[0]
-        if ok.size == 0:
-            continue
-        cells, al, G, F, r = cells[ok], al[ok], G[ok], F[ok], r[ok]
-        V = G @ R[None] @ G.transpose(0, 2, 1) + Q[None]
-        logr = np.log(np.maximum(r, 1e-12))
-        lower = []  # (good, Sinv) at each coarse point
-        for ri in coarse:
-            beta, Sinv, good, rho = _beta_cells(svals[ri], F, V, al, logr, CRC)
-            offer(beta, ri, cells[good], al[good], G[good], rho[good])
-            lower.append((good, Sinv))
-        for (lo, hi), (good, Sinv) in zip(zip(coarse, coarse[1:]), lower):
-            if hi - lo < 2:
-                continue
-            bound = np.full(cells.size, np.inf)
-            a_hi = _beta_weight(np.exp(-svals[hi - 1] * logr[good]))
-            bound[good] = _lambda_min(a_hi, Sinv, al[good], CRC)
-            for ri in range(lo + 1, hi):
-                live = np.nonzero(bound >= best[0] - 1e-9 * abs(best[0]))[0]
-                if live.size == 0:
-                    break
-                beta, _, g2, rho = _beta_cells(svals[ri], F[live], V[live],
-                                               al[live], logr[live], CRC)
-                keep = live[g2]
-                offer(beta, ri, cells[keep], al[keep], G[keep], rho[g2])
-    return best[0], best_args
+def _sweep(model):
+    """The best beta* in every alpha row of ALPHAS x RHOS and its rho index."""
+    best = np.empty(len(ALPHAS))
+    where = np.empty(len(ALPHAS), dtype=int)
+    for start in range(0, len(ALPHAS), SWEEP_ROWS):
+        rows = ALPHAS[start:start + SWEEP_ROWS]
+        beta, _ = _beta_star(model, np.repeat(rows, len(RHOS)),
+                             np.tile(RHOS, len(rows)))
+        beta = beta.reshape(len(rows), len(RHOS))
+        j = np.argmax(beta, axis=1)
+        where[start:start + len(rows)] = j
+        best[start:start + len(rows)] = beta[np.arange(len(rows)), j]
+    return best, where
 
 
-def _beta_search(model, cfg, fix_alpha=None):
-    """Grid search for the best beta, with coordinate-wise refinement."""
-    n, m = model.n, model.m
-    lo, hi = cfg.gain_range
-    if fix_alpha is not None:
-        alphas = np.array([fix_alpha])
-        da = 0.0
-    else:
-        alphas = np.linspace(1.0 / cfg.alpha_points, 1.0, cfg.alpha_points)
-        da = alphas[1] - alphas[0] if cfg.alpha_points > 1 else 0.0
-    axes = [np.linspace(lo, hi, cfg.gain_points) for _ in range(n * m)]
-    dg = axes[0][1] - axes[0][0]
-    val, args = _batch_beta(model, alphas, axes, cfg.rho_points)
-    for _ in range(cfg.refine_rounds):
-        if args is None:
-            break
-        a0, G0, _ = args
-        g0 = G0.ravel()
-        alphas = (np.array([fix_alpha]) if fix_alpha is not None
-                  else np.clip(np.linspace(a0 - da, a0 + da, cfg.gain_points),
-                               1e-6, 1.0))
-        axes = [np.linspace(g - dg, g + dg, cfg.gain_points) for g in g0]
-        v2, a2 = _batch_beta(model, alphas, axes, cfg.rho_points)
-        if v2 > val:
-            val, args = v2, a2
-        da /= 10.0
-        dg /= 10.0
-    return val, args
+def _refined_certificate(model, alpha, j):
+    """(rho, G*) of the best beta* at alpha over RHOS[j] and
+    RHO_REFINE_POINTS log-spaced points up to its grid neighbours."""
+    lo = _RHO_EXPONENTS[j - 1] if j else 0.0
+    hi = _RHO_EXPONENTS[min(j + 1, len(RHOS) - 1)]
+    rhos = np.append(RHO_HI ** np.linspace(lo, hi, RHO_REFINE_POINTS)[1:],
+                     RHOS[j])
+    beta, Sig = _beta_star(model, np.full(rhos.size, alpha), rhos)
+    b = int(np.argmax(beta))
+    rho, Sigma, C = rhos[b], Sig[b], model.C
+    # G* = rho^2 alpha A Sigma* C^T (rho^2 alpha^2 C Sigma* C^T + R)^{-1}
+    S = sym(rho ** 2 * alpha ** 2 * C @ Sigma @ C.T + model.R)
+    return float(rho), rho ** 2 * alpha * chol_solve(S, C @ Sigma @ model.A.T).T
 
 
 def _verify_certificate(model, theta, G, alpha, rho):
@@ -454,46 +356,56 @@ def _verify_certificate(model, theta, G, alpha, rho):
     return record
 
 
-def theta_max(model, k=10, config=None, tol=1e-6):
+def theta_max(model, k=10, tol=1e-6):
     """Risk-sensitivity bound theta_max = min(beta*, phi_k).
 
-    Maximizes beta over (alpha, G, rho) by grid search with refinement
-    (and, in the search diagnostics, the alpha = 1 restriction that
-    corresponds to robustifying the prediction instead of the update).
-    Each grid is swept by ``_batch_beta``: in chunks of BETA_CHUNK cells,
-    skipping the rho points whose Loewner bound on beta cannot reach the
-    running best, with ties going to the smallest rho index and then to
-    the first cell, so the winner is that of the full grid.  Each winning
-    certificate is re-verified with prop6_guard at its
-    theta_max from P0 = Sigma; the verdict, its reason and cond(Sigma) are
-    recorded under ``search["verification"]`` and
-    ``search["alpha1"]["verification"]``, and a failed verification raises
-    StabilityError.
+    beta* is the largest beta of ``sigma_beta`` over (alpha, G, rho).  For
+    fixed (alpha, rho) the maximum over G has a closed form: completing the
+    square shows that every Lyapunov solution Sigma_G with rho times the
+    spectral radius of A - alpha G C below one satisfies Sigma_G >= Sigma*,
+    the stabilising solution of the filter DARE of (rho A, rho alpha C, Q,
+    R), with equality at G* = rho^2 alpha A Sigma* C^T (rho^2 alpha^2 C
+    Sigma* C^T + R)^{-1}; lambda_min is monotone, so G* maximises beta.
+    No grid over G is needed, and the work does not grow with n * m.
+
+    beta* is swept over ALPHAS x RHOS by one batched doubling solve per
+    SWEEP_ROWS alpha rows, then rho is refined at the best alpha (and, for
+    ``search["alpha1"]``, at alpha = 1, the restriction that corresponds to
+    robustifying the prediction instead of the update).  The reported beta
+    and Sigma are those of ``sigma_beta`` at (alpha, G*, rho).  Each
+    certificate is re-verified with prop6_guard at its theta_max from
+    P0 = Sigma; the verdict, its reason and cond(Sigma) are recorded under
+    ``search["verification"]`` and ``search["alpha1"]["verification"]``,
+    and a failed verification raises StabilityError.
+    ``search["rho_hi_limits_beta"]`` is true when the winner sits at
+    RHO_HI with beta < phi_k, where a wider rho range might raise the bound.
     """
-    cfg = config or ThetaSearchConfig()
     parts = build_gramian_parts(model, k)
     phik = phi_max(parts, k, tol=tol)
-    val, args = _beta_search(model, cfg)
-    if args is None:
+    best, where = _sweep(model)
+    i = int(np.argmax(best))
+    if not np.isfinite(best[i]):
         raise StabilityError("empty admissible search set for theta_max")
-    val1, args1 = _beta_search(model, cfg, fix_alpha=1.0)
-    alpha, G, rho = args
+    alpha = float(ALPHAS[i])
+    rho, G = _refined_certificate(model, alpha, where[i])
     Sigma, beta = sigma_beta(model, G, alpha, rho)
     tmax = float(min(beta, phik))
-    alpha1 = {"beta": val1, "theta_max": None, "alpha": 1.0, "G": None,
+    alpha1 = {"beta": -np.inf, "theta_max": None, "alpha": 1.0, "G": None,
               "rho": None}
-    if args1 is not None:
-        _, G1, rho1 = args1
-        alpha1.update(theta_max=min(val1, phik), G=G1.tolist(), rho=rho1)
+    if np.isfinite(best[-1]):
+        rho1, G1 = _refined_certificate(model, 1.0, where[-1])
+        _, beta1 = sigma_beta(model, G1, 1.0, rho1)
+        alpha1.update(beta=beta1, theta_max=min(beta1, phik), G=G1.tolist(),
+                      rho=rho1)
         alpha1["verification"] = _verify_certificate(
             model, alpha1["theta_max"], G1, 1.0, rho1)
     search = {
         "k": k,
-        "alpha_points": cfg.alpha_points,
-        "gain_points": cfg.gain_points,
-        "rho_points": cfg.rho_points,
-        "refine_rounds": cfg.refine_rounds,
+        "alpha_grid": [float(ALPHAS[0]), float(ALPHAS[-1]), len(ALPHAS)],
+        "rho_grid": [float(RHOS[0]), RHO_HI, len(RHOS)],
+        "rho_refine_points": RHO_REFINE_POINTS,
         "sigma_cond_max": SIGMA_COND_MAX,
+        "rho_hi_limits_beta": bool(rho == RHO_HI and beta < phik),
         "verification": _verify_certificate(model, tmax, G, alpha, rho),
         "alpha1": alpha1,
     }

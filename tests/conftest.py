@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resilientkf import LinearGaussianModel
+from resilientkf.model import is_observable
 
 
 @pytest.fixture
@@ -43,3 +44,18 @@ def random_observable_model(rng, nmax=5, mmax=3):
         if np.linalg.matrix_rank(obs) == n:
             return model
     raise RuntimeError("failed to draw an observable model")
+
+
+def seeded_model(seed, n, m):
+    """A stable, observable n-state, m-output model with PD noises."""
+    rng = np.random.default_rng(seed)
+    while True:
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+        C = rng.standard_normal((m, n))
+        B = rng.standard_normal((n, n))
+        D = rng.standard_normal((m, m))
+        model = LinearGaussianModel(A=A, C=C, Q=B @ B.T + 0.1 * np.eye(n),
+                                    R=D @ D.T + 0.1 * np.eye(m))
+        if is_observable(model.A, model.C):
+            return model

@@ -6,6 +6,9 @@ import pytest
 
 from resilientkf.cli import main
 from resilientkf.model import LinearGaussianModel, save_model, validate
+from resilientkf.stability import prop6_guard
+
+from conftest import seeded_model
 
 MODEL_A = {
     "A": [[0.1, 1.0], [0.0, 0.6]],
@@ -30,6 +33,28 @@ def test_bounds_cmax(model_file, tmp_path):
     assert 0.090 <= rep["phi_k"] <= 0.100
     assert rep["c_max"] > 0
     assert os.path.exists(out + ".manifest.json")
+
+
+@pytest.mark.parametrize("name", ["model_a", "random_3x2"])
+def test_bounds_thetamax(name, model_file, tmp_path):
+    # random_3x2 has n * m = 6, out of reach of a 21^(n m) gain grid
+    if name == "random_3x2":
+        model = seeded_model(6, 3, 2)
+        model_file = str(tmp_path / "random.json")
+        save_model(model, model_file)
+    else:
+        model = LinearGaussianModel(**MODEL_A)
+    out = str(tmp_path / "theta.json")
+    rc = main(["bounds", "--model", model_file, "--mode", "thetamax",
+               "--out", out])
+    assert rc == 0
+    rep = json.loads(open(out).read())
+    assert rep["theta_max"] == min(rep["beta"], rep["phi_k"])
+    G, Sigma = np.array(rep["G"]), np.array(rep["sigma"])
+    assert G.shape == (model.n, model.m)
+    ok, cert = prop6_guard(model, rep["theta_max"], Sigma, G, rep["alpha"],
+                           rep["rho"])
+    assert ok, cert
 
 
 def test_bounds_missing_model(tmp_path):
@@ -202,6 +227,10 @@ BAD_INPUTS = {
                       "--init {nan_init}"),
     "init_indefinite_cov": ("filter --model {model} --config {config} "
                             "--data {data} --init {indefinite_init}"),
+    "bounds_cmax_k_below_n": "bounds --model {model} --mode cmax --k 1",
+    "bounds_cmax_negative_k": "bounds --model {model} --mode cmax --k -5",
+    "bounds_cmax_negative_q": "bounds --model {model} --mode cmax --q -1",
+    "bounds_thetamax_k_below_n": "bounds --model {model} --mode thetamax --k 1",
 }
 
 

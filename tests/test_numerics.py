@@ -11,6 +11,7 @@ from resilientkf.numerics import (
     gaussian_kl,
     solve_budget,
     solve_discrete_lyapunov,
+    solve_filter_dare,
     spd_sqrt,
     spectral_extrema,
     sym,
@@ -177,6 +178,43 @@ def test_lyapunov_large_fixed_point():
     V = np.eye(n)
     X = solve_discrete_lyapunov(F, V)
     assert np.abs(X - (F @ X @ F.T + V)).max() <= 1e-6
+
+
+# (alpha, rho) pairs with rho A unstable, the last one model B's theta_max
+# winner, where cond Sigma* is about 1e6
+DARE_PAIRS = [(0.5, 10.0), (1.0, 20.0), (0.01, 20.0), (0.33, 1.911),
+              (0.01, 3.1607538)]
+
+
+@pytest.mark.parametrize("name", ["model_a", "model_b"])
+def test_solve_filter_dare_matches_scipy(name, request):
+    from scipy.linalg import solve_discrete_are
+
+    model = request.getfixturevalue(name)
+    alphas, rhos = np.array(DARE_PAIRS).T
+    Ab = rhos[:, None, None] * model.A
+    Cb = (rhos * alphas)[:, None, None] * model.C
+    X = solve_filter_dare(Ab, Cb, model.Q, model.R)
+    assert max(np.abs(np.linalg.eigvals(a)).max() for a in Ab) > 1.0
+    for A, C, Xi in zip(Ab, Cb, X):
+        # the residual of X = A (X^{-1} + C^T R^{-1} C)^{-1} A^T + Q, a form
+        # without the cancellation of A X A^T - K S K^T, relative to the
+        # size of the equation's terms (A X A^T alone is 400 X at rho = 20)
+        G = C.T @ np.linalg.solve(model.R, C)
+        rhs = A @ np.linalg.solve(np.eye(model.n) + Xi @ G, Xi) @ A.T + model.Q
+        terms = np.abs(A @ Xi @ A.T).max() + np.abs(model.Q).max()
+        assert np.abs(Xi - rhs).max() <= 1e-10 * terms
+        ref = solve_discrete_are(A.T, C.T, model.Q, model.R)
+        assert np.abs(Xi - ref).max() <= 1e-9 * np.abs(ref).max()
+        # the stabilising solution: the closed loop A - K C is stable
+        K = A @ Xi @ C.T @ np.linalg.inv(C @ Xi @ C.T + model.R)
+        assert np.abs(np.linalg.eigvals(A - K @ C)).max() < 1.0
+
+
+def test_solve_filter_dare_raises_on_non_convergence(model_b):
+    with pytest.raises(NumericsError, match="did not converge"):
+        solve_filter_dare(3.0 * model_b.A[None], model_b.C[None], model_b.Q,
+                          model_b.R, max_doublings=2)
 
 
 def test_spd_helpers():

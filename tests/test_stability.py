@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import seeded_model
 from resilientkf import LinearGaussianModel
 from resilientkf.filters import FilterConfig, covariance_schedule
-from resilientkf.model import is_observable
-from resilientkf.numerics import chol_solve, gamma, sym
+from resilientkf.numerics import chol_solve, gamma, solve_filter_dare, sym
 from resilientkf.stability import (
     SIGMA_COND_MAX,
     StabilityError,
-    ThetaSearchConfig,
     build_gramian_parts,
     c_max,
     pbar_filtered,
@@ -154,9 +153,7 @@ def test_sigma_beta_validation(model_b):
 
 
 def test_theta_max_report_invariant(model_b):
-    cfg = ThetaSearchConfig(alpha_points=20, gain_points=9, rho_points=15,
-                            refine_rounds=1)
-    rep = theta_max(model_b, k=10, config=cfg)
+    rep = theta_max(model_b, k=10)
     Sigma, beta = sigma_beta(model_b, rep.G, rep.alpha, rep.rho)
     assert min(beta, rep.phi_k) == pytest.approx(rep.theta_max, abs=1e-12)
     # free-alpha bound dominates the alpha = 1 restriction
@@ -164,9 +161,7 @@ def test_theta_max_report_invariant(model_b):
 
 
 def test_prop6_guard_certifies(model_b):
-    rep = theta_max(model_b, k=10,
-                    config=ThetaSearchConfig(alpha_points=20, gain_points=9,
-                                             rho_points=15, refine_rounds=1))
+    rep = theta_max(model_b, k=10)
     Sigma, beta = sigma_beta(model_b, rep.G, rep.alpha, rep.rho)
     ok, cert = prop6_guard(model_b, beta, Sigma, rep.G, rep.alpha, rep.rho)
     assert ok, cert
@@ -197,9 +192,7 @@ def test_prop6_guard_singular_lyapunov(model_b):
 
 
 def test_theta_max_records_verification(model_b):
-    cfg = ThetaSearchConfig(alpha_points=20, gain_points=9, rho_points=15,
-                            refine_rounds=1)
-    rep = theta_max(model_b, k=10, config=cfg)
+    rep = theta_max(model_b, k=10)
     for ver in (rep.search["verification"],
                 rep.search["alpha1"]["verification"]):
         assert ver["ok"] and ver["reason"] == "certified"
@@ -214,166 +207,19 @@ def test_theta_max_raises_on_failed_verification(model_b, monkeypatch):
 
     monkeypatch.setattr(stab, "prop6_guard",
                         lambda *a, **k: (False, {"reason": "rejected"}))
-    cfg = ThetaSearchConfig(alpha_points=5, gain_points=5, rho_points=5,
-                            refine_rounds=0)
     with pytest.raises(StabilityError, match="fails verification"):
-        theta_max(model_b, k=10, config=cfg)
+        theta_max(model_b, k=10)
 
 
-# ---------------------------------------------------------------------------
-# The bound-and-prune theta_max sweep against the full-grid sweep
 
 
-def _dense_batch_beta(model, alphas, gain_axes, nrho):
-    """Every stable grid cell at every rho point: the sweep _batch_beta
-    prunes, kept as its oracle."""
-    A, C, Q, R = model.A, model.C, model.Q, model.R
-    n, m = model.n, model.m
-    mesh = np.meshgrid(alphas, *gain_axes, indexing="ij")
-    al = mesh[0].ravel()
-    Gflat = np.stack([g.ravel() for g in mesh[1:]], axis=1)  # (N, n*m)
-    G = Gflat.reshape(-1, n, m)
-    F = A[None] - al[:, None, None] * (G @ C[None])
-    r = np.abs(np.linalg.eigvals(F)).max(axis=1)
-    ok = r < 1.0 - 1e-12
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
-        return -np.inf, None
-    F, G, al, r = F[idx], G[idx], al[idx], r[idx]
-    V = G @ R[None] @ G.transpose(0, 2, 1) + Q[None]
-    CRC = sym(C.T @ chol_solve(R, C))
-    Inn = np.eye(n * n)
-    best_val, best_args = -np.inf, None
-    # rho = r^{-s}: log-spaced sweep of (1, 1/r) per cell
-    for s in np.linspace(1e-6, 1.0 - 1e-9, nrho):
-        rho = np.exp(-s * np.log(np.maximum(r, 1e-12)))
-        Fr = rho[:, None, None] * F
-        K = Inn[None] - np.einsum("nij,nkl->nikjl", Fr, Fr).reshape(-1, n * n, n * n)
-        dets = np.abs(np.linalg.det(K))
-        sing = dets < 1e-12
-        K[sing] = Inn
-        Sig = np.linalg.solve(K, V.reshape(-1, n * n, 1)).reshape(-1, n, n)
-        Sig[sing] = -np.eye(n)
-        Sig = 0.5 * (Sig + Sig.transpose(0, 2, 1))
-        w_all = np.linalg.eigvalsh(Sig)
-        good = ((w_all[:, 0] > 0)
-                & (w_all[:, -1] <= SIGMA_COND_MAX * w_all[:, 0]))
-        if not good.any():
-            continue
-        Sinv = np.linalg.inv(Sig[good])
-        rr, aa = rho[good], al[good]
-        M = (((rr ** 2 - 1.0) / rr ** 2)[:, None, None] * Sinv
-             + (1.0 - aa ** 2)[:, None, None] * CRC[None])
-        w = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
-        j = int(np.argmax(w))
-        if w[j] > best_val:
-            gi = np.nonzero(good)[0][j]
-            best_val = float(w[j])
-            best_args = (float(al[gi]), G[gi].copy(), float(rho[gi]))
-    return best_val, best_args
-
-
-def _seeded_model(seed, n, m):
-    """A stable, observable n-state, m-output model with PD noises."""
-    rng = np.random.default_rng(seed)
-    while True:
-        A = rng.standard_normal((n, n))
-        A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
-        C = rng.standard_normal((m, n))
-        B = rng.standard_normal((n, n))
-        D = rng.standard_normal((m, m))
-        model = LinearGaussianModel(A=A, C=C, Q=B @ B.T + 0.1 * np.eye(n),
-                                    R=D @ D.T + 0.1 * np.eye(m))
-        if is_observable(model.A, model.C):
-            return model
-
-
-SWEEP_CASES = {
-    # model -> (search grid, gain range); n*m = 2 except random_3x2 (6)
-    "model_a": (dict(alpha_points=20, gain_points=11, rho_points=50,
-                     refine_rounds=2), (-10.0, 10.0)),
-    "model_b": (dict(alpha_points=20, gain_points=11, rho_points=50,
-                     refine_rounds=2), (-10.0, 10.0)),
-    "random_2x1": (dict(alpha_points=12, gain_points=9, rho_points=30,
-                        refine_rounds=1), (-3.0, 3.0)),
-    "random_3x2": (dict(alpha_points=3, gain_points=3, rho_points=22,
-                        refine_rounds=1), (-0.5, 0.5)),
-}
-
-
-def _sweep_model(name, request):
-    if name.startswith("model_"):
-        return request.getfixturevalue(name)
-    return _seeded_model(5, 2, 1) if name == "random_2x1" else _seeded_model(6, 3, 2)
-
-
-def _same_winner(got, want):
-    (v1, a1), (v2, a2) = got, want
-    if a1 is None or a2 is None:
-        return a1 is None and a2 is None and v1 == v2 == -np.inf
-    return (v1 == v2 and a1[0] == a2[0] and a1[2] == a2[2]
-            and a1[1].shape == a2[1].shape and np.array_equal(a1[1], a2[1]))
-
-
-@pytest.mark.parametrize("chunk", [None, 7])
-@pytest.mark.parametrize("fix_alpha", [None, 1.0])
-@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
-def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
-                                      monkeypatch):
+def test_theta_max_raises_on_empty_sweep(model_b, monkeypatch):
     import resilientkf.stability as stab
 
-    grid, gain_range = SWEEP_CASES[name]
-    if chunk is not None:
-        monkeypatch.setattr(stab, "BETA_CHUNK", chunk)
-        # small grids keep a 7-cell chunk sweep short
-        grid = dict(grid, alpha_points=min(grid["alpha_points"], 6),
-                    gain_points=min(grid["gain_points"], 7))
-    model = _sweep_model(name, request)
-    pruned = stab._batch_beta
-    calls = []
-
-    def checked(model, alphas, gain_axes, nrho):
-        got = pruned(model, alphas, gain_axes, nrho)
-        calls.append((got, _dense_batch_beta(model, alphas, gain_axes, nrho)))
-        return got
-
-    monkeypatch.setattr(stab, "_batch_beta", checked)
-    cfg = ThetaSearchConfig(gain_range=gain_range, **grid)
-    val, args = stab._beta_search(model, cfg, fix_alpha=fix_alpha)
-    assert args is not None and np.isfinite(val)
-    # the coarse grid and every refinement round, bit for bit
-    assert len(calls) == 1 + cfg.refine_rounds
-    for got, want in calls:
-        assert _same_winner(got, want), (got, want)
-
-
-def test_batch_beta_prunes_and_handles_empty_grids(model_b):
-    import resilientkf.stability as stab
-
-    evaluated = []
-    cells = stab._beta_cells
-
-    def counted(s, F, *rest):
-        evaluated.append(F.shape[0])
-        return cells(s, F, *rest)
-
-    alphas = np.linspace(0.05, 1.0, 20)
-    axes = [np.linspace(-10.0, 10.0, 11)] * 2
-    try:
-        stab._beta_cells = counted
-        val, args = stab._batch_beta(model_b, alphas, axes, 50)
-    finally:
-        stab._beta_cells = cells
-    # evaluations at the first rho point cover every stable cell once
-    stable = evaluated[0]
-    assert 0 < sum(evaluated) < 0.5 * 50 * stable
-    assert _same_winner((val, args),
-                        _dense_batch_beta(model_b, alphas, axes, 50))
-    # a grid with no stable cell, or no rho point, has no certificate
-    assert stab._batch_beta(model_b, alphas,
-                           [np.array([50.0]), np.array([-50.0])], 50) \
-        == (-np.inf, None)
-    assert stab._batch_beta(model_b, alphas, axes, 0) == (-np.inf, None)
+    # cond Sigma >= 1 always, so no (alpha, rho) pair passes this cap
+    monkeypatch.setattr(stab, "SIGMA_COND_MAX", 0.5)
+    with pytest.raises(StabilityError, match="empty admissible"):
+        theta_max(model_b, k=10)
 
 
 def test_beta_gap_bound(model_b):
@@ -400,25 +246,119 @@ def test_beta_gap_bound(model_b):
         checked += 1
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-@pytest.mark.parametrize("alpha", [0.8, 1.0])
-def test_batch_beta_ties_go_to_first_cell(alpha, chunk, monkeypatch):
+# ---------------------------------------------------------------------------
+# The exact beta*(alpha, rho) sweep against the gain grid it replaced
+
+
+def _dense_batch_beta(model, alphas, gain_axes, nrho):
+    """beta at every stable cell of the grid alphas x gain_axes (one axis
+    per entry of G) x a log-spaced sweep rho = r^{-s}, s in (0, 1), of
+    (1, 1/r) per cell, r the spectral radius of A - alpha G C: the gain
+    grid theta_max searched before beta* had a closed form, kept as the
+    oracle beta* must dominate.  Returns the arrays (alpha, rho, beta) of
+    the (cell, rho) pairs whose Sigma passes theta_max's filters."""
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    n, m = model.n, model.m
+    mesh = np.meshgrid(alphas, *gain_axes, indexing="ij")
+    al = mesh[0].ravel()
+    G = np.stack([g.ravel() for g in mesh[1:]], axis=1).reshape(-1, n, m)
+    F = A[None] - al[:, None, None] * (G @ C[None])
+    r = np.abs(np.linalg.eigvals(F)).max(axis=1)
+    idx = np.nonzero(r < 1.0 - 1e-12)[0]
+    F, G, al, r = F[idx], G[idx], al[idx], r[idx]
+    V = G @ R[None] @ G.transpose(0, 2, 1) + Q[None]
+    CRC = sym(C.T @ chol_solve(R, C))
+    Inn = np.eye(n * n)
+    out = []
+    for s in np.linspace(1e-6, 1.0 - 1e-9, nrho):
+        rho = np.exp(-s * np.log(np.maximum(r, 1e-12)))
+        Fr = rho[:, None, None] * F
+        K = Inn[None] - np.einsum("nij,nkl->nikjl", Fr, Fr).reshape(-1, n * n, n * n)
+        sing = np.abs(np.linalg.det(K)) < 1e-12
+        K[sing] = Inn
+        Sig = np.linalg.solve(K, V.reshape(-1, n * n, 1)).reshape(-1, n, n)
+        Sig[sing] = -np.eye(n)
+        Sig = 0.5 * (Sig + Sig.transpose(0, 2, 1))
+        w_all = np.linalg.eigvalsh(Sig)
+        good = ((w_all[:, 0] > 0)
+                & (w_all[:, -1] <= SIGMA_COND_MAX * w_all[:, 0]))
+        rr, aa = rho[good], al[good]
+        M = (((rr ** 2 - 1.0) / rr ** 2)[:, None, None] * np.linalg.inv(Sig[good])
+             + (1.0 - aa ** 2)[:, None, None] * CRC[None])
+        w = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+        out.append((aa, rr, w))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+DOMINANCE_GRIDS = {
+    # model -> (alpha stride in ALPHAS, gain points, gain range, rho points)
+    "model_a": (10, 11, 10.0, 30),
+    "model_b": (10, 11, 10.0, 30),
+    "random_2x1": (12, 9, 3.0, 30),
+    "random_3x2": (40, 3, 0.5, 12),
+}
+# beta of the search theta_max ran before: 100 alphas x 21^(n m) gains in
+# [-10, 10] x 50 rho points and three refinement rounds (free alpha, and
+# alpha = 1)
+GRID_SEARCH_BETA = {"model_a": (0.16039924202415956, 0.1076908121104212),
+                    "model_b": (0.005496690651177971, 0.0034306489324539557)}
+
+
+def _named_model(name, request):
+    if name.startswith("model_"):
+        return request.getfixturevalue(name)
+    return seeded_model(5, 2, 1) if name == "random_2x1" else seeded_model(6, 3, 2)
+
+
+@pytest.mark.parametrize("fix_alpha", [None, 1.0])
+@pytest.mark.parametrize("name", sorted(DOMINANCE_GRIDS))
+def test_beta_star_dominates_gain_grid(name, fix_alpha, request):
     import resilientkf.stability as stab
 
-    if chunk is not None:
-        monkeypatch.setattr(stab, "BETA_CHUNK", chunk)
-    # decoupled coordinates: the slow one sets both the spectral radius and
-    # beta, so every fast gain g11 on the axis gives the same beta exactly
-    model = LinearGaussianModel(A=np.diag([0.5, 0.9]), C=np.eye(2),
-                                Q=np.eye(2), R=np.eye(2))
-    zero, g22 = np.array([0.0]), np.linspace(0.0, 0.4, 5)
-    for g11 in (np.linspace(0.3, 0.7, 5), np.linspace(0.7, 0.3, 5)):
-        axes = [g11, zero, zero, g22]
-        got = stab._batch_beta(model, np.array([alpha]), axes, 50)
-        val, (_, G, rho) = got
-        ties = [sigma_beta(model, np.diag([g, G[1, 1]]), alpha, rho)[1]
-                for g in g11]
-        assert ties == [val] * len(g11)
-        assert G[0, 0] == g11[0]
-        assert _same_winner(got, _dense_batch_beta(
-            model, np.array([alpha]), axes, 50))
+    model = _named_model(name, request)
+    stride, npts, span, nrho = DOMINANCE_GRIDS[name]
+    alphas = (np.array([fix_alpha]) if fix_alpha
+              else stab.ALPHAS[stride - 1::stride])
+    axes = [np.linspace(-span, span, npts)] * (model.n * model.m)
+    al, rho, beta = _dense_batch_beta(model, alphas, axes, nrho)
+    assert beta.size > 0
+    # beta*(alpha, rho) >= beta of every gain at the same (alpha, rho)
+    Sig = solve_filter_dare(rho[:, None, None] * model.A,
+                            (rho * al)[:, None, None] * model.C,
+                            model.Q, model.R)
+    CRC = sym(model.C.T @ chol_solve(model.R, model.C))
+    M = (((rho ** 2 - 1.0) / rho ** 2)[:, None, None] * np.linalg.inv(Sig)
+         + (1.0 - al ** 2)[:, None, None] * CRC[None])
+    star = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+    assert np.all(star >= beta - 1e-9 * np.abs(beta))
+    # the sweep's certificate beats the grid's winner, and on models A and
+    # B the winner of the former 21^(n m) gain grid search
+    best, where = stab._sweep(model)
+    i = len(best) - 1 if fix_alpha else int(np.argmax(best))
+    rho_w, G_w = stab._refined_certificate(model, stab.ALPHAS[i], where[i])
+    _, final = sigma_beta(model, G_w, stab.ALPHAS[i], rho_w)
+    assert final >= beta.max()
+    if name in GRID_SEARCH_BETA:
+        assert final >= GRID_SEARCH_BETA[name][fix_alpha is not None]
+
+
+@pytest.mark.parametrize("name, at_edge", [("model_a", False),
+                                           ("model_b", False),
+                                           ("random_2x1", True)])
+def test_theta_max_rho_range(name, at_edge, request):
+    import resilientkf.stability as stab
+
+    model = _named_model(name, request)
+    rep = theta_max(model, k=10)
+    assert rep.search["rho_hi_limits_beta"] == at_edge
+    if at_edge:
+        # beta* still rises at RHO_HI (it saturates on this model), and
+        # beta < phi_k, so the report says the range capped the bound
+        assert rep.rho == stab.RHO_HI and rep.beta < rep.phi_k
+        return
+    # beta*(alpha, .) peaks strictly inside (1, RHO_HI]
+    beta, _ = stab._beta_star(model, np.full(len(stab.RHOS), rep.alpha),
+                              stab.RHOS)
+    j = int(np.argmax(beta))
+    assert 0 < j < len(stab.RHOS) - 1 and beta[-1] < beta[j]
+    assert stab.RHOS[j - 1] <= rep.rho <= stab.RHOS[j + 1]
