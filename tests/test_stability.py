@@ -310,11 +310,16 @@ def _named_model(name, request):
     return seeded_model(5, 2, 1) if name == "random_2x1" else seeded_model(6, 3, 2)
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("fix_alpha", [None, 1.0])
 @pytest.mark.parametrize("name", sorted(DOMINANCE_GRIDS))
-def test_beta_star_dominates_gain_grid(name, fix_alpha, request):
+def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
+                                      monkeypatch):
     import resilientkf.stability as stab
 
+    if chunk is not None:
+        # 7 alpha rows per batch, so the last batch is a partial one
+        monkeypatch.setattr(stab, "SWEEP_ROWS", chunk)
     model = _named_model(name, request)
     stride, npts, span, nrho = DOMINANCE_GRIDS[name]
     alphas = (np.array([fix_alpha]) if fix_alpha
@@ -331,9 +336,15 @@ def test_beta_star_dominates_gain_grid(name, fix_alpha, request):
          + (1.0 - al ** 2)[:, None, None] * CRC[None])
     star = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
     assert np.all(star >= beta - 1e-9 * np.abs(beta))
+    # the batched sweep, bit for bit, is one batch over all of ALPHAS x RHOS
+    best, where = stab._sweep(model)
+    full, _ = stab._beta_star(model, np.repeat(stab.ALPHAS, len(stab.RHOS)),
+                              np.tile(stab.RHOS, len(stab.ALPHAS)))
+    full = full.reshape(len(stab.ALPHAS), len(stab.RHOS))
+    assert np.array_equal(where, np.argmax(full, axis=1))
+    assert np.array_equal(best, full.max(axis=1))
     # the sweep's certificate beats the grid's winner, and on models A and
     # B the winner of the former 21^(n m) gain grid search
-    best, where = stab._sweep(model)
     i = len(best) - 1 if fix_alpha else int(np.argmax(best))
     rho_w, G_w = stab._refined_certificate(model, stab.ALPHAS[i], where[i])
     _, final = sigma_beta(model, G_w, stab.ALPHAS[i], rho_w)
