@@ -213,14 +213,22 @@ def gaussian_kl(mean0, cov0, mean1, cov1):
     return max(float(val), 0.0)
 
 
-def _doubling(Ak, G, H, tol, max_doublings):
+# Doubling, for filter DAREs and Lyapunov equations, stops once every
+# iterate moves by at most DOUBLING_TOL relative to its largest entry, and
+# gives up after MAX_DOUBLINGS doublings (theta_max's Riccati equations
+# converge in 12 to 13).
+DOUBLING_TOL = 1e-13
+MAX_DOUBLINGS = 60
+
+
+def _doubling(Ak, G, H):
     """The structured doubling iteration, batched over a leading axis:
 
         W = I + G H,  A <- A W^{-1} A,  G <- G + A W^{-1} G A^T,
         H <- H + A^T H W^{-1} A,
 
-    each H until it moves by at most tol relative to its largest entry; a
-    converged H leaves the batch, so it does not depend on the others.
+    each H until it moves by at most DOUBLING_TOL relative to its largest
+    entry; a converged H leaves the batch, so it does not depend on the others.
     From (A^T, C^T R^{-1} C, Q) H converges to the stabilising solution of
     the filter DARE; G = None stands for G = 0, W = I, Smith's doubling for
     the Lyapunov equation X = A^T X A + Q.
@@ -230,7 +238,7 @@ def _doubling(Ak, G, H, tol, max_doublings):
     out = np.array(np.broadcast_to(H, Ak.shape))
     H = out
     live = np.arange(len(out))
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         AkT = np.swapaxes(Ak, -1, -2)
         if G is None:
             Hn = H + AkT @ H @ Ak
@@ -244,19 +252,19 @@ def _doubling(Ak, G, H, tol, max_doublings):
         Hn = 0.5 * (Hn + np.swapaxes(Hn, -1, -2))
         step = np.abs(Hn - H).max(axis=(-2, -1)) / np.abs(Hn).max(axis=(-2, -1))
         out[live] = Hn
-        more = ~(step <= tol)
+        more = ~(step <= DOUBLING_TOL)
         if not more.any():
             return out
         live, Ak, H = live[more], Ak[more], Hn[more]
         if G is not None:
             G = G[more]
     raise NumericsError(
-        f"Riccati doubling did not converge in {max_doublings} doublings: "
+        f"doubling did not converge in {MAX_DOUBLINGS} doublings: "
         f"{len(live)} of {len(out)} equations left, largest relative step "
         f"{np.max(step):.3g}")
 
 
-def solve_filter_dare(A, C, Q, R, tol=1e-13, max_doublings=60):
+def solve_filter_dare(A, C, Q, R):
     """Stabilising solutions X = A X A^T - A X C^T (C X C^T + R)^{-1} C X A^T
     + Q of a stack of filter Riccati equations (DAREs).
 
@@ -268,26 +276,25 @@ def solve_filter_dare(A, C, Q, R, tol=1e-13, max_doublings=60):
     iterates can leave a residual of about 5e-10 relative, so one Newton
     step follows: the Lyapunov equation X = (A - K C) X (A - K C)^T +
     K R K^T + Q, solved by doubling too.  Raises NumericsError when an
-    equation has not converged after max_doublings doublings or has turned
-    non-finite.
+    equation has not converged after MAX_DOUBLINGS doublings or has
+    turned non-finite.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     AT, CT = A.transpose(0, 2, 1), C.transpose(0, 2, 1)
     G = CT @ np.linalg.solve(R, C)
-    X = _doubling(AT, 0.5 * (G + G.transpose(0, 2, 1)), Q, tol, max_doublings)
+    X = _doubling(AT, 0.5 * (G + G.transpose(0, 2, 1)), Q)
     KT = np.linalg.solve(C @ X @ CT + R, C @ X @ AT)
     K = KT.transpose(0, 2, 1)
     V = K @ R @ KT + Q
-    return _doubling(AT - CT @ KT, None, 0.5 * (V + V.transpose(0, 2, 1)),
-                     tol, max_doublings)
+    return _doubling(AT - CT @ KT, None, 0.5 * (V + V.transpose(0, 2, 1)))
 
 
-def solve_discrete_lyapunov(F, V, tol=1e-9):
+def solve_discrete_lyapunov(F, V):
     """Solve X = F X F^T + V for stable F.
 
     Small systems (dim <= 20) use the exact Kronecker-vectorization direct
-    solve; larger systems fall back to fixed-point iteration.
+    solve; larger systems use Smith's doubling.
     """
     F = np.asarray(F, dtype=float)
     V = check_symmetric(V)
@@ -309,10 +316,4 @@ def solve_discrete_lyapunov(F, V, tol=1e-9):
                 f"singular Lyapunov system (spectral radius {rho:.12g}): {e}"
             ) from e
         return sym(X)
-    X = V.copy()
-    for _ in range(100000):
-        Xn = sym(F @ X @ F.T + V)
-        if np.abs(Xn - X).max() <= tol * max(1.0, np.abs(V).max()):
-            return Xn
-        X = Xn
-    raise NumericsError("Lyapunov fixed-point iteration did not converge")
+    return _doubling(F.T[None], None, V)[0]

@@ -275,6 +275,10 @@ ALPHAS = np.linspace(0.01, 1.0, 100)
 # other models it can keep rising towards a limit as rho grows (some seeded
 # random 2- and 3-state models do), so the winner sits at RHO_HI;
 # ``search["rho_hi_limits_beta"]`` flags when that leaves beta < phi_k.
+# Past RHO_HI Sigma grows like rho^2 and the certificate at theta = beta
+# stops verifying: on one seeded 2-state model beta* gains 0.2 % from
+# rho = 20 to 400, but prop6_guard rejects it from rho = 100 (cond Sigma
+# 4e4), where the predicted covariance crosses Sigma by 1.3e-8 of roundoff.
 RHO_HI = 20.0
 _RHO_EXPONENTS = np.arange(1, 201) / 200.0
 RHOS = RHO_HI ** _RHO_EXPONENTS  # log-spaced in (1, RHO_HI]

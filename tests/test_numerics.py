@@ -211,10 +211,13 @@ def test_solve_filter_dare_matches_scipy(name, request):
         assert np.abs(np.linalg.eigvals(A - K @ C)).max() < 1.0
 
 
-def test_solve_filter_dare_raises_on_non_convergence(model_b):
+def test_solve_filter_dare_raises_on_non_convergence(model_b, monkeypatch):
+    import resilientkf.numerics as num
+
+    monkeypatch.setattr(num, "MAX_DOUBLINGS", 2)
     with pytest.raises(NumericsError, match="did not converge"):
         solve_filter_dare(3.0 * model_b.A[None], model_b.C[None], model_b.Q,
-                          model_b.R, max_doublings=2)
+                          model_b.R)
 
 
 def test_spd_helpers():

@@ -211,8 +211,6 @@ def test_theta_max_raises_on_failed_verification(model_b, monkeypatch):
         theta_max(model_b, k=10)
 
 
-
-
 def test_theta_max_raises_on_empty_sweep(model_b, monkeypatch):
     import resilientkf.stability as stab
 
@@ -298,10 +296,12 @@ DOMINANCE_GRIDS = {
     "random_3x2": (40, 3, 0.5, 12),
 }
 # beta of the search theta_max ran before: 100 alphas x 21^(n m) gains in
-# [-10, 10] x 50 rho points and three refinement rounds (free alpha, and
-# alpha = 1)
+# [-10, 10] x 50 rho points in (1, 1 / radius(A - alpha G C)) and three
+# refinement rounds (free alpha, and alpha = 1).  Its rho was not capped:
+# its random_2x1 winner has rho = 55.9, beyond RHO_HI
 GRID_SEARCH_BETA = {"model_a": (0.16039924202415956, 0.1076908121104212),
-                    "model_b": (0.005496690651177971, 0.0034306489324539557)}
+                    "model_b": (0.005496690651177971, 0.0034306489324539557),
+                    "random_2x1": (0.3761510736777019, 0.05732672557181353)}
 
 
 def _named_model(name, request):
@@ -336,15 +336,17 @@ def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
          + (1.0 - al ** 2)[:, None, None] * CRC[None])
     star = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
     assert np.all(star >= beta - 1e-9 * np.abs(beta))
-    # the batched sweep, bit for bit, is one batch over all of ALPHAS x RHOS
     best, where = stab._sweep(model)
-    full, _ = stab._beta_star(model, np.repeat(stab.ALPHAS, len(stab.RHOS)),
-                              np.tile(stab.RHOS, len(stab.ALPHAS)))
-    full = full.reshape(len(stab.ALPHAS), len(stab.RHOS))
-    assert np.array_equal(where, np.argmax(full, axis=1))
-    assert np.array_equal(best, full.max(axis=1))
-    # the sweep's certificate beats the grid's winner, and on models A and
-    # B the winner of the former 21^(n m) gain grid search
+    if fix_alpha is None:
+        # the batched sweep, bit for bit, is one batch over ALPHAS x RHOS
+        full, _ = stab._beta_star(model,
+                                  np.repeat(stab.ALPHAS, len(stab.RHOS)),
+                                  np.tile(stab.RHOS, len(stab.ALPHAS)))
+        full = full.reshape(len(stab.ALPHAS), len(stab.RHOS))
+        assert np.array_equal(where, np.argmax(full, axis=1))
+        assert np.array_equal(best, full.max(axis=1))
+    # the sweep's certificate beats the grid's winner, and on models A, B
+    # and random_2x1 the winner of the former 21^(n m) gain grid search
     i = len(best) - 1 if fix_alpha else int(np.argmax(best))
     rho_w, G_w = stab._refined_certificate(model, stab.ALPHAS[i], where[i])
     _, final = sigma_beta(model, G_w, stab.ALPHAS[i], rho_w)
