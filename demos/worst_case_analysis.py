@@ -13,8 +13,8 @@ from resilientkf import (
     FilterConfig,
     LinearGaussianModel,
     covariance_schedule,
+    error_cov_recursion,
     forward_gains,
-    worst_case_error_cov,
 )
 
 
@@ -48,7 +48,7 @@ def main():
             gains = fwd.gains
         else:
             gains = covariance_schedule(model, cfg, P0, N)[0]
-        Pis = worst_case_error_cov(model, gains, fwd, P0)
+        Pis = error_cov_recursion(model, gains, fwd, P0=P0)
         rows.append((name, np.trace(Pis[-1][:2, :2])))
 
     print("worst-case steady-state error variance (trace):")

@@ -40,7 +40,6 @@ from .least_favorable import (
     assemble_lf,
     simulate_lf,
     error_cov_recursion,
-    worst_case_error_cov,
     simulate_worst_case,
     one_step_joints,
     steady_state_w,

@@ -50,7 +50,6 @@ from .least_favorable import (
     error_cov_recursion,
     forward_gains,
     simulate_lf,
-    worst_case_error_cov,
 )
 from .stability import StabilityError, c_max, theta_max
 from .bench import BenchError, McConfig, Scenario, run_monte_carlo
@@ -177,11 +176,8 @@ def cmd_worstcase(args):
               if args.channel else None)
         series = []
         for name in filters:
-            family_gains = gains[_WORSTCASE_FAMILY[name]]
-            if args.channel:
-                Pis = error_cov_recursion(model, family_gains, fwd, lf)
-            else:
-                Pis = worst_case_error_cov(model, family_gains, fwd)
+            Pis = error_cov_recursion(
+                model, gains[_WORSTCASE_FAMILY[name]], fwd, lf)
             series.append([float(np.trace(Pi[:model.n, :model.n]))
                            for Pi in Pis])
         for t in range(N + 1):
@@ -224,8 +220,9 @@ def cmd_filter(args):
               + [f"cov_filt_{i}_{j}" for i in range(model.n) for j in range(model.n)])
     rows = []
     for t, s in enumerate(steps):
-        rows.append([t, s.theta] + list(s.gain.ravel()) + list(s.mean_filt)
-                    + list(s.mean_pred) + list(s.cov_filt.ravel()))
+        rows.append([t, s.theta] + s.gain.ravel().tolist()
+                    + s.mean_filt.tolist() + s.mean_pred.tolist()
+                    + s.cov_filt.ravel().tolist())
     _write_csv(args.out, header, rows)
     _write_manifest(args.out, "filter",
                     {"model": args.model, "config": args.config,
@@ -309,8 +306,8 @@ def cmd_lf(args):
         rows = []
         for r in range(X.shape[0]):
             for t in range(X.shape[1]):
-                rows.append([r, t] + list(X[r, t]) + list(Y[r, t])
-                            + list(etas[r, t]))
+                rows.append([r, t] + X[r, t].tolist() + Y[r, t].tolist()
+                            + etas[r, t].tolist())
         _write_csv(path, header, rows)
         outputs.append(path)
     _write_manifest(args.out, "lf",

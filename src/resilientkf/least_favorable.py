@@ -3,11 +3,12 @@
 Two adversarial constructions are provided, both driven by the same forward
 gain/budget pass of the update-resilient filter:
 
-1. ``worst_case_*`` — the saddle-achieving adversary.  The per-step minimax
-   game is solved in terms of the conditional joint law of (state,
-   measurement) given the past; its maximizer inflates the filtered state
-   covariance from P_filt to V = (P_filt^{-1} - theta I)^{-1} while leaving
-   the measurement statistics and filter gain unchanged.  That law is
+1. ``simulate_worst_case`` — the saddle-achieving adversary.  The
+   per-step minimax game is solved in terms of the conditional joint law
+   of (state, measurement) given the past; its maximizer inflates the
+   filtered state covariance from P_filt to
+   V = (P_filt^{-1} - theta I)^{-1} while leaving the measurement
+   statistics and filter gain unchanged.  That law is
    realized by injecting extra state noise d_t ~ N(0, V_t - P_filt_t) after
    each measurement update, invisible to the sensor at injection time.
    Under this model the update-resilient filter is the exactly matched
@@ -25,10 +26,12 @@ gain/budget pass of the update-resilient filter:
    cannot reproduce the inflated conditional state covariance, and the
    evaluated worst-case variances come out below the game value.
 
-``error_cov_recursion`` and ``worst_case_error_cov`` propagate the exact
-error covariance of an arbitrary gain schedule under constructions 2 and 1
-respectively, each as a Lyapunov recursion on a 3n x 3n joint covariance
-whose top-left n x n block is the evaluated estimator's error covariance.
+``error_cov_recursion`` propagates the exact error covariance of an
+arbitrary gain schedule under either construction, as one Lyapunov
+recursion on a 3n x 3n joint covariance whose top-left n x n block is the
+evaluated estimator's error covariance.  The saddle-achieving adversary is
+the channel recursion with no feedback (F = 0), nominal measurement noise
+and the injected noise added to the process noise.
 """
 
 import numpy as np
@@ -104,54 +107,6 @@ def simulate_worst_case(model, fwd, init, n_traj, seed):
         d = rng.standard_normal((n_traj, n)) @ Ld.T
         x = (x + d) @ model.A.T + rng.standard_normal((n_traj, n)) @ Lq.T
     return X, Y
-
-
-def worst_case_error_cov(model, eval_gains, fwd, P0=None):
-    """Exact error covariance of a gain schedule under the saddle-achieving
-    worst-case model.
-
-    Propagates the 3n x 3n joint covariance of [e'_t; e_t; xi_t], where e'
-    is the evaluated estimator's filtered error, e the robust filter's, and
-    xi_t = w_t + A d_t the effective worst-case process noise entering the
-    transition t -> t+1.  Returns the list of 3n x 3n matrices, one per
-    step; the top-left n x n block of the t-th entry is the evaluated
-    estimator's filtered error covariance at t.
-    """
-    n = model.n
-    N = fwd.horizon
-    if len(eval_gains) != N + 1:
-        raise SynthesisError("gain schedule length does not match the horizon")
-    P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
-    Ds = injection_covariances(fwd)
-    A, C, Q, R = model.A, model.C, model.Q, model.R
-    I = np.eye(n)
-
-    def filtered_block(Lp, L, Ppred_joint):
-        """Joint filtered covariance of (e'_t, e_t) given the joint
-        prediction-error covariance and the shared measurement noise."""
-        Ep = I - Lp @ C
-        E = I - L @ C
-        T = np.block([[Ep, np.zeros((n, n))], [np.zeros((n, n)), E]])
-        noise = np.block([[Lp @ R @ Lp.T, Lp @ R @ L.T],
-                          [L @ R @ Lp.T, L @ R @ L.T]])
-        return sym(T @ Ppred_joint @ T.T + noise)
-
-    out = []
-    # both estimators start from the same prior, so the joint prediction
-    # error at t=0 is perfectly correlated
-    J = np.block([[P0, P0], [P0, P0]])
-    for t in range(N + 1):
-        F = filtered_block(eval_gains[t], fwd.gains[t], J)
-        xi_cov = sym(Q + A @ Ds[t] @ A.T)
-        Pi = np.zeros((3 * n, 3 * n))
-        Pi[:2 * n, :2 * n] = F
-        Pi[2 * n:, 2 * n:] = xi_cov
-        out.append(sym(Pi))
-        # propagate: e*_{t+1}^pred = A e*_t + xi_t (shared xi)
-        Ablk = np.block([[A, np.zeros((n, n))], [np.zeros((n, n)), A]])
-        ones = np.vstack([I, I])
-        J = sym(Ablk @ F @ Ablk.T + ones @ xi_cov @ ones.T)
-    return out
 
 
 def one_step_joints(model, fwd, t):
@@ -338,47 +293,63 @@ def simulate_lf(lf, init, seed, n_traj=1):
     return etas, etas[:, :, :n], Y
 
 
-def error_cov_recursion(model, eval_gains, fwd, lf, P0=None):
-    """Error covariance of a gain schedule under the hostile channel model.
+def error_cov_recursion(model, eval_gains, fwd, lf=None, P0=None):
+    """Exact error covariance of a gain schedule under either adversary.
 
-    Lyapunov recursion on the 3n x 3n covariance of [e'_t; e_t; w_t]
-    (evaluated estimator's error, robust filter's error, process noise):
+    Lyapunov recursion on the 3n x 3n covariance of [e'_t; e_t; xi_t]
+    (evaluated estimator's filtered error, robust filter's filtered error,
+    process noise entering the transition t -> t+1):
 
-        Pi_{t+1} = Gam_t Pi_t Gam_t^T + X_t Xi X_t^T
+        Pi_t = Gam_t Pi_{t-1} Gam_t^T + N_t,   Pi_{-1} = blockdiag(0, 0, P0).
 
-    Gam_t and X_t are ``assemble_lf``'s Abar_t and Bbar_t with the top n
-    rows, which there propagate the state, replaced by the evaluated
-    estimator's error rows [A - L'CA, -L'FA, I - L'F - L'C] and
-    [0, -L' Ups]; the bottom 2n rows (the robust filter's error and the
-    fresh process noise) are shared.  The top-left n x n block of Pi_t is
-    the evaluated estimator's filtered error covariance.  Initialization
-    Pi_{-1} = blockdiag(0, 0, P0) places the initial estimation error in
-    the noise slot, consistent with ``simulate_lf``.  ``lf`` is the channel
-    model ``assemble_lf`` built from ``fwd``; it depends only on the budget,
-    so one model serves every evaluated schedule.
+    An estimator with gain K has the error row [(I - KC)A, -K F_t A,
+    I - K(F_t + C)] of Gam_t and measurement noise -K Ups_t u_t; the robust
+    gain L has the same row with its first two blocks combined into the e
+    column.  The xi row of Gam_t is zero and xi_t is fresh with covariance
+    Qxi_t.  The channel adversary (``lf`` from ``assemble_lf`` on ``fwd``)
+    has F_t, Ups_t from lf.Cbar, lf.Dbar and Qxi_t = Q; the saddle-achieving
+    adversary (``lf=None``) has F_t = 0, Ups_t Ups_t^T = R and
+    Qxi_t = Q + A D_t A^T with D_t from ``injection_covariances``.  Placing
+    P0 in the noise slot makes both estimators start from the same prior
+    error, consistent with ``simulate_lf``.  Returns the (N+1, 3n, 3n)
+    stack; the top-left n x n block of Pi_t is the evaluated estimator's
+    filtered error covariance at t.
     """
     n = model.n
     N = fwd.horizon
     if len(eval_gains) != N + 1:
         raise SynthesisError("gain schedule length does not match the horizon")
     P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
-    A, C = model.A, model.C
+    A, C, Q = model.A, model.C, model.Q
     I = np.eye(n)
+    K, L = np.asarray(eval_gains, dtype=float), np.asarray(fwd.gains)
+    # per-step F_t, Ups_t Ups_t^T and Qxi_t, or one matrix for every step
+    if lf is None:
+        F = np.zeros((model.m, n))
+        UU = model.R
+        Qxi = Q + A @ np.asarray(injection_covariances(fwd)) @ A.T
+    else:
+        F = np.asarray([Cb[:, 2 * n:] for Cb in lf.Cbar])
+        Ups = np.asarray([Db[:, n:] for Db in lf.Dbar])
+        UU = Ups @ Ups.transpose(0, 2, 1)
+        Qxi = Q
+    FC = F + C
+    Gam = np.zeros((N + 1, 3 * n, 3 * n))
+    Gam[:, :n, :n] = (I - K @ C) @ A
+    Gam[:, :n, n:2 * n] = -K @ F @ A
+    Gam[:, :n, 2 * n:] = I - K @ FC
+    Gam[:, n:2 * n, n:2 * n] = (I - L @ C) @ A - L @ F @ A
+    Gam[:, n:2 * n, 2 * n:] = I - L @ FC
+    KL = np.concatenate([K, L], axis=1)
+    Noise = np.zeros((N + 1, 3 * n, 3 * n))
+    Noise[:, :2 * n, :2 * n] = KL @ UU @ KL.transpose(0, 2, 1)
+    Noise[:, 2 * n:, 2 * n:] = Qxi
     Pi = np.zeros((3 * n, 3 * n))
     Pi[2 * n:, 2 * n:] = P0
-    out = []
+    out = np.empty((N + 1, 3 * n, 3 * n))
     for t in range(N + 1):
-        Lp = eval_gains[t]
-        F, Ups = lf.Cbar[t][:, 2 * n:], lf.Dbar[t][:, n:]
-        Gam = lf.Abar[t].copy()
-        Gam[:n, :n] = A - Lp @ C @ A
-        Gam[:n, n:2 * n] = -Lp @ F @ A
-        Gam[:n, 2 * n:] = I - Lp @ F - Lp @ C
-        X = lf.Bbar[t].copy()
-        X[:n, :n] = 0.0
-        X[:n, n:] = -Lp @ Ups
-        Pi = sym(Gam @ Pi @ Gam.T + X @ lf.Xi @ X.T)
-        out.append(Pi)
+        Pi = sym(Gam[t] @ Pi @ Gam[t].T + Noise[t])
+        out[t] = Pi
     return out
 
 

@@ -140,10 +140,16 @@ def _min_eig_rk(parts, phi):
 def phi_max(model, k, tol=1e-6):
     """Largest phi for which R_k(phi) is positive definite.
 
-    The minimum eigenvalue of R_k(phi) is positive for small phi (under
-    observability) and crosses zero before the upper endpoint; the first
-    sign change is located by a coarse geometric scan and pinned down by
-    bisection to absolute tolerance ``tol``.
+    R_k(phi) decreases in phi, and its minimum eigenvalue is positive for
+    small phi (under observability) and crosses zero before the upper
+    endpoint.  The sign change is located by a coarse geometric scan and
+    pinned down by brentq to absolute tolerance ``tol``; the returned phi_k
+    is on the positive-definite side, within ``tol`` of the boundary.  The
+    scan starts at 1e-6 sigma_max(Minner), or, if R_k already fails there,
+    at the provably positive-definite phi_lo = lambda_min(T1) /
+    (||Jk||^2 + lambda_min(T1) sigma_max(Minner)), from
+    lambda_min(R_k(phi)) >= lambda_min(T1) - phi ||Jk||^2 /
+    (1 - phi sigma_max(Minner)).
     """
     parts = model if isinstance(model, GramianParts) else build_gramian_parts(model, k)
     if parts.phi_sup <= 0.0:
@@ -155,16 +161,34 @@ def phi_max(model, k, tol=1e-6):
             raise StabilityError("R_k stays positive definite for every phi")
         return float(1.0 / lam)
     ub = parts.phi_sup * (1.0 - 1e-9)
-    grid = np.geomspace(1e-6 * parts.phi_sup, ub, 200)
-    prev = grid[0]
-    if _min_eig_rk(parts, prev) <= 0:
-        raise StabilityError(
-            "R_k is not positive definite even at tiny phi; "
-            "check observability of (A, C)"
-        )
-    for g in grid[1:]:
+    lo = 1e-6 * parts.phi_sup
+    if _min_eig_rk(parts, lo) <= 0:
+        t1, _ = spectral_extrema(parts.T1)
+        if t1 <= 0:
+            raise StabilityError(
+                "R_k is not positive definite even at tiny phi; "
+                "check observability of (A, C)"
+            )
+        lo = t1 / (np.linalg.norm(parts.Jk, 2) ** 2 + t1 * parts.phi_sup)
+    prev = lo
+    for g in np.geomspace(lo, ub, 200)[1:]:
         if _min_eig_rk(parts, g) <= 0:
-            return float(brentq(lambda p: _min_eig_rk(parts, p), prev, g, xtol=tol))
+            phi = brentq(lambda p: _min_eig_rk(parts, p), prev, g, xtol=tol)
+            if _min_eig_rk(parts, phi) <= 0:
+                # brentq's root can land up to tol past the boundary:
+                # bisect back onto the positive-definite side, stopping
+                # within tol / 1024 of the boundary so phi_k moves little
+                lo, hi = max(prev, phi - tol), phi
+                if _min_eig_rk(parts, lo) <= 0:
+                    lo = prev
+                while hi - lo > tol / 1024:
+                    mid = 0.5 * (lo + hi)
+                    if _min_eig_rk(parts, mid) > 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                phi = lo
+            return float(phi)
         prev = g
     return float(ub)
 
@@ -340,15 +364,15 @@ def _refined_certificate(model, alpha, j):
     return float(rho), rho ** 2 * alpha * chol_solve(S, C @ Sigma @ model.A.T).T
 
 
-def _verify_certificate(model, theta, G, alpha, rho):
-    """Run prop6_guard on a certificate at theta from P0 = Sigma.
+def _verify_certificate(model, theta, Sigma, G, alpha, rho):
+    """Run prop6_guard on a certificate at theta from P0 = Sigma, the
+    certificate's own ``sigma_beta`` solution.
 
     The fixed-theta covariance map is monotone in P0, so passing from
     P0 = Sigma covers every 0 < P0 <= Sigma.  Returns the verification
     record and raises StabilityError when the guard rejects the
     certificate, so an unverified bound is never reported.
     """
-    Sigma, _ = sigma_beta(model, G, alpha, rho)
     w = np.linalg.eigvalsh(Sigma)
     ok, cert = prop6_guard(model, theta, Sigma, G, alpha, rho)
     record = {"ok": ok, "reason": cert["reason"],
@@ -398,11 +422,11 @@ def theta_max(model, k=10, tol=1e-6):
               "rho": None}
     if np.isfinite(best[-1]):
         rho1, G1 = _refined_certificate(model, 1.0, where[-1])
-        _, beta1 = sigma_beta(model, G1, 1.0, rho1)
+        Sigma1, beta1 = sigma_beta(model, G1, 1.0, rho1)
         alpha1.update(beta=beta1, theta_max=min(beta1, phik), G=G1.tolist(),
                       rho=rho1)
         alpha1["verification"] = _verify_certificate(
-            model, alpha1["theta_max"], G1, 1.0, rho1)
+            model, alpha1["theta_max"], Sigma1, G1, 1.0, rho1)
     search = {
         "k": k,
         "alpha_grid": [float(ALPHAS[0]), float(ALPHAS[-1]), len(ALPHAS)],
@@ -410,7 +434,7 @@ def theta_max(model, k=10, tol=1e-6):
         "rho_refine_points": RHO_REFINE_POINTS,
         "sigma_cond_max": SIGMA_COND_MAX,
         "rho_hi_limits_beta": bool(rho == RHO_HI and beta < phik),
-        "verification": _verify_certificate(model, tmax, G, alpha, rho),
+        "verification": _verify_certificate(model, tmax, Sigma, G, alpha, rho),
         "alpha1": alpha1,
     }
     return BoundReport(phi_k=phik, theta_max=tmax,

@@ -24,7 +24,6 @@ from resilientkf.least_favorable import (
     one_step_joints,
     simulate_lf,
     steady_state_w,
-    worst_case_error_cov,
 )
 from resilientkf.numerics import (
     gamma,
@@ -200,9 +199,9 @@ def test_criterion_04_worst_case_ordering():
         for name, fc in (("kf", FilterConfig(kind="kf")),
                          ("prkf", FilterConfig(kind="prkf", c=c))):
             gains = covariance_schedule(model, fc, P0, N)[0]
-            Pis = worst_case_error_cov(model, gains, fwd, P0)
+            Pis = error_cov_recursion(model, gains, fwd, P0=P0)
             traces[name] = [np.trace(Pi[:2, :2]) for Pi in Pis]
-        Pis = worst_case_error_cov(model, fwd.gains, fwd, P0)
+        Pis = error_cov_recursion(model, fwd.gains, fwd, P0=P0)
         traces["urkf"] = [np.trace(Pi[:2, :2]) for Pi in Pis]
         conv = all(abs(v[300] - v[299]) < 1e-8 for v in traces.values())
         order = traces["urkf"][300] < traces["prkf"][300] < traces["kf"][300]

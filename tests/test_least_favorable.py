@@ -13,10 +13,11 @@ from resilientkf.least_favorable import (
     simulate_lf,
     simulate_worst_case,
     steady_state_w,
-    worst_case_error_cov,
 )
 from resilientkf.model import GaussianBelief
-from resilientkf.numerics import gaussian_kl
+from resilientkf.numerics import check_sympd, gaussian_kl, sym
+
+from conftest import seeded_model
 
 
 def test_forward_gains_tiny_budget_is_kf(model_a):
@@ -138,7 +139,7 @@ def test_injection_covariances_psd(model_a):
 def test_worst_case_cov_zero_budget_is_kf(model_a):
     P0 = 0.5 * np.eye(2)
     fwd = forward_gains(model_a, {"theta": 0.0}, 40, P0)
-    Pis = worst_case_error_cov(model_a, fwd.gains, fwd, P0)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     _, _, filts, _, _ = covariance_schedule(
         model_a, FilterConfig(kind="kf"), P0, 40)
     for t in range(41):
@@ -150,7 +151,7 @@ def test_worst_case_matched_filter_cov(model_a):
     # its error covariance equals its own internal distorted covariance
     P0 = 0.01 * np.eye(2)
     fwd = forward_gains(model_a, {"c": 5e-2}, 120, P0)
-    Pis = worst_case_error_cov(model_a, fwd.gains, fwd, P0)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     for t in (40, 80, 120):
         assert np.abs(Pis[t][:2, :2] - fwd.cov_filt[t]).max() < 1e-9
 
@@ -158,11 +159,11 @@ def test_worst_case_matched_filter_cov(model_a):
 def test_worst_case_psd_and_horizon_check(model_a):
     P0 = 0.01 * np.eye(2)
     fwd = forward_gains(model_a, {"c": 5e-2}, 20, P0)
-    Pis = worst_case_error_cov(model_a, fwd.gains, fwd, P0)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     for Pi in Pis:
         assert np.linalg.eigvalsh(Pi).min() >= -1e-10
     with pytest.raises(SynthesisError):
-        worst_case_error_cov(model_a, fwd.gains[:-1], fwd, P0)
+        error_cov_recursion(model_a, fwd.gains[:-1], fwd, P0=P0)
 
 
 def test_channel_pi_recursion_psd_and_mismatch(model_a):
@@ -214,7 +215,7 @@ def test_worst_case_mc_agrees_with_pi(model_a):
         if t == 50:
             err_t = X[:, t] - xf
         xh = xf @ model_a.A.T
-    Pis = worst_case_error_cov(model_a, fwd.gains, fwd, P0)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     emp = np.cov(err_t.T)
     ana = Pis[50][:2, :2]
     assert abs(np.trace(emp) - np.trace(ana)) / np.trace(ana) < 0.05
@@ -241,3 +242,94 @@ def test_steady_state_w_zero_theta(model_a):
     W, J, rad = steady_state_w(model_a, np.zeros((2, 1)), 0.0)
     assert np.abs(W).max() == 0.0
     assert rad < 1.0 or rad >= 0.0
+
+
+# The two recursions error_cov_recursion replaced, kept as references.
+
+
+def _ref_worst_case_error_cov(model, eval_gains, fwd, P0=None):
+    n = model.n
+    N = fwd.horizon
+    if len(eval_gains) != N + 1:
+        raise SynthesisError("gain schedule length does not match the horizon")
+    P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
+    Ds = injection_covariances(fwd)
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    I = np.eye(n)
+
+    def filtered_block(Lp, L, Ppred_joint):
+        """Joint filtered covariance of (e'_t, e_t) given the joint
+        prediction-error covariance and the shared measurement noise."""
+        Ep = I - Lp @ C
+        E = I - L @ C
+        T = np.block([[Ep, np.zeros((n, n))], [np.zeros((n, n)), E]])
+        noise = np.block([[Lp @ R @ Lp.T, Lp @ R @ L.T],
+                          [L @ R @ Lp.T, L @ R @ L.T]])
+        return sym(T @ Ppred_joint @ T.T + noise)
+
+    out = []
+    # both estimators start from the same prior, so the joint prediction
+    # error at t=0 is perfectly correlated
+    J = np.block([[P0, P0], [P0, P0]])
+    for t in range(N + 1):
+        F = filtered_block(eval_gains[t], fwd.gains[t], J)
+        xi_cov = sym(Q + A @ Ds[t] @ A.T)
+        Pi = np.zeros((3 * n, 3 * n))
+        Pi[:2 * n, :2 * n] = F
+        Pi[2 * n:, 2 * n:] = xi_cov
+        out.append(sym(Pi))
+        # propagate: e*_{t+1}^pred = A e*_t + xi_t (shared xi)
+        Ablk = np.block([[A, np.zeros((n, n))], [np.zeros((n, n)), A]])
+        ones = np.vstack([I, I])
+        J = sym(Ablk @ F @ Ablk.T + ones @ xi_cov @ ones.T)
+    return out
+
+
+def _ref_channel_error_cov(model, eval_gains, fwd, lf, P0=None):
+    n = model.n
+    N = fwd.horizon
+    if len(eval_gains) != N + 1:
+        raise SynthesisError("gain schedule length does not match the horizon")
+    P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
+    A, C = model.A, model.C
+    I = np.eye(n)
+    Pi = np.zeros((3 * n, 3 * n))
+    Pi[2 * n:, 2 * n:] = P0
+    out = []
+    for t in range(N + 1):
+        Lp = eval_gains[t]
+        F, Ups = lf.Cbar[t][:, 2 * n:], lf.Dbar[t][:, n:]
+        Gam = lf.Abar[t].copy()
+        Gam[:n, :n] = A - Lp @ C @ A
+        Gam[:n, n:2 * n] = -Lp @ F @ A
+        Gam[:n, 2 * n:] = I - Lp @ F - Lp @ C
+        X = lf.Bbar[t].copy()
+        X[:n, :n] = 0.0
+        X[:n, n:] = -Lp @ Ups
+        Pi = sym(Gam @ Pi @ Gam.T + X @ lf.Xi @ X.T)
+        out.append(Pi)
+    return out
+
+
+@pytest.mark.parametrize("which", ["a", "b", "seeded_1_3_2"])
+@pytest.mark.parametrize("channel", [False, True])
+@pytest.mark.parametrize("gains", ["kf", "robust"])
+def test_error_cov_recursion_matches_references(which, channel, gains,
+                                                model_a, model_b):
+    model = {"a": model_a, "b": model_b,
+             "seeded_1_3_2": seeded_model(1, 3, 2)}[which]
+    N = 200
+    P0 = 0.5 * np.eye(model.n)
+    fwd = forward_gains(model, {"c": 1e-2}, N, P0)
+    schedule = (fwd.gains if gains == "robust" else covariance_schedule(
+        model, FilterConfig(kind="kf"), P0, N).gains)
+    if channel:
+        lf = assemble_lf(fwd, backward_pass(fwd, model), model)
+        ref = _ref_channel_error_cov(model, schedule, fwd, lf, P0)
+    else:
+        lf = None
+        ref = _ref_worst_case_error_cov(model, schedule, fwd, P0)
+    new = error_cov_recursion(model, schedule, fwd, lf, P0)
+    assert len(new) == len(ref) == N + 1
+    for Pi, Pr in zip(new, ref):
+        assert np.abs(Pi - Pr).max() <= 1e-12 * np.abs(Pr).max()

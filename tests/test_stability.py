@@ -78,6 +78,23 @@ def test_phi_max_second_model(model_b):
     assert abs(phik - 0.0052) <= 2e-4
 
 
+@pytest.mark.parametrize("name", ["model_a", "model_b", (17, 2, 1),
+                                  (30, 2, 1), (10, 3, 2), (8, 5, 1)])
+def test_phi_max_is_certified(name, request):
+    # phi_k is on the positive-definite side of the R_k boundary, within
+    # tol of it; on (8, 5, 1) R_k already fails at 1e-6 sigma_max(Minner),
+    # so the scan starts at the provable lower bound instead
+    model = (request.getfixturevalue(name) if isinstance(name, str)
+             else seeded_model(*name))
+    tol = 1e-6
+    parts = build_gramian_parts(model, 10)
+    phik = phi_max(parts, 10, tol=tol)
+    assert np.linalg.eigvalsh(rk_matrix(parts, phik)).min() > 0
+    assert np.linalg.eigvalsh(rk_matrix(parts, phik + tol)).min() <= 0
+    if name == (8, 5, 1):
+        assert c_max(model).c_max > 0
+
+
 def test_pbar_filtered_first_step(model_a):
     P00 = pbar_filtered(model_a, 0)
     CRC = model_a.C.T @ np.linalg.inv(model_a.R) @ model_a.C
