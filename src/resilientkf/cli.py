@@ -41,7 +41,7 @@ from .filters import (
     FilterConfig,
     FilterError,
     covariance_schedule,
-    run_filter,
+    mean_pass,
 )
 from .least_favorable import (
     SynthesisError,
@@ -87,7 +87,9 @@ def _write_csv(path, header, rows):
     _atomic_write(path, buf.getvalue())
 
 
-def _write_manifest(out_path, command, inputs, outputs, seed=None):
+def _write_manifest(out_path, command, inputs, outputs, seed=None, **record):
+    """Write ``<out_path>.manifest.json``; ``record`` adds fields such as the
+    detected schedule cycles."""
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
     manifest = {
@@ -96,6 +98,7 @@ def _write_manifest(out_path, command, inputs, outputs, seed=None):
         "tool_version": __version__,
         "seed": seed,
         "outputs": outputs,
+        **record,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     _atomic_write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
@@ -162,22 +165,25 @@ def cmd_worstcase(args):
     families = {_WORSTCASE_FAMILY[name] for name in filters}
     P0 = np.eye(model.n)
     # the kf schedule does not depend on the budget
-    kf_gains = (covariance_schedule(model, FilterConfig(kind="kf"), P0, N).gains
-                if "kf" in families else None)
-    rows = []
+    kf = (covariance_schedule(model, FilterConfig(kind="kf"), P0, N)
+          if "kf" in families else None)
+    rows, cycles = [], []
     header = ["budget_kind", "budget", "t", "theta"] + [f"var_{f}" for f in filters]
     for (kind, val), prediction in zip(budgets, predictions):
         fwd = forward_gains(model, {kind: val}, N, P0)
-        gains = {"kf": kf_gains, "update": fwd.gains}
+        schedules = {"kf": kf, "update": fwd}
         if "prediction" in families:
-            gains["prediction"] = covariance_schedule(
-                model, prediction, P0, N).gains
+            schedules["prediction"] = covariance_schedule(
+                model, prediction, P0, N)
+        cycles.append({"budget": [kind, val],
+                       **{family: sched.cycle for family, sched
+                          in schedules.items() if sched is not None}})
         lf = (assemble_lf(fwd, backward_pass(fwd, model), model)
               if args.channel else None)
         series = []
         for name in filters:
             Pis = error_cov_recursion(
-                model, gains[_WORSTCASE_FAMILY[name]], fwd, lf)
+                model, schedules[_WORSTCASE_FAMILY[name]].gains, fwd, lf)
             series.append([float(np.trace(Pi[:model.n, :model.n]))
                            for Pi in Pis])
         for t in range(N + 1):
@@ -188,7 +194,7 @@ def cmd_worstcase(args):
                     {"model": args.model, "budgets": budgets,
                      "horizon": N, "filters": filters,
                      "channel": bool(args.channel)},
-                    [args.out])
+                    [args.out], cycles=cycles)
     return EXIT_OK
 
 
@@ -212,22 +218,23 @@ def cmd_filter(args):
             if not all(map(math.isfinite, y)):
                 raise ModelError(f"data line {i + 1}: non-finite value")
             ys.append(y)
-    steps = run_filter(model, fc, init, np.asarray(ys))
+    sched = covariance_schedule(model, fc, init.cov, len(ys) - 1)
     header = (["t", "theta"]
               + [f"gain_{i}_{j}" for i in range(model.n) for j in range(model.m)]
               + [f"mean_filt_{i}" for i in range(model.n)]
               + [f"mean_pred_{i}" for i in range(model.n)]
               + [f"cov_filt_{i}_{j}" for i in range(model.n) for j in range(model.n)])
     rows = []
-    for t, s in enumerate(steps):
-        rows.append([t, s.theta] + s.gain.ravel().tolist()
-                    + s.mean_filt.tolist() + s.mean_pred.tolist()
-                    + s.cov_filt.ravel().tolist())
+    means = mean_pass(model, sched.gains, init.mean, np.asarray(ys))
+    for t, (x_f, x_p) in enumerate(means):
+        rows.append([t, sched.thetas[t]] + sched.gains[t].ravel().tolist()
+                    + x_f.tolist() + x_p.tolist()
+                    + sched.cov_filt[t].ravel().tolist())
     _write_csv(args.out, header, rows)
     _write_manifest(args.out, "filter",
                     {"model": args.model, "config": args.config,
                      "data": args.data},
-                    [args.out])
+                    [args.out], cycle=sched.cycle)
     return EXIT_OK
 
 
@@ -314,7 +321,7 @@ def cmd_lf(args):
                     {"model": args.model, "budget": budget,
                      "horizon": args.horizon, "action": args.action,
                      "trajectories": args.trajectories},
-                    outputs, seed=args.seed)
+                    outputs, seed=args.seed, cycle=fwd.cycle)
     return EXIT_OK
 
 

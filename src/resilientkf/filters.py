@@ -128,6 +128,11 @@ class Schedule(NamedTuple):
     inflated one for urkf/ursf, else ``cov_filt[t]``).  ``cov_pred[t]`` is
     the prediction entering step t; it has N + 2 entries, the last being the
     prediction after step N.
+
+    ``cycle`` is (start, period) when the recursion repeated bit for bit:
+    from step ``start`` on, every entry equals the one ``period`` steps
+    later.  It is None when no predicted covariance repeated.  Repeated
+    entries are the same array objects, so every array is read-only.
     """
 
     gains: list
@@ -135,10 +140,42 @@ class Schedule(NamedTuple):
     cov_filt: list
     cov_distorted: list
     cov_pred: list
+    cycle: tuple = None
 
     @property
     def horizon(self):
         return len(self.gains) - 1
+
+
+class _Repeats:
+    """Bitwise repeats of a recursion's state and of its per-step inputs.
+
+    ``inputs`` are stacks whose entry t enters step t.  Once the state
+    entering step t has the bytes it had at step s, and the inputs repeat
+    from there with the same lag, so do the step's outputs: no tolerance.
+    """
+
+    def __init__(self, *inputs):
+        self.inputs, self.seen, self.same = inputs, {}, {}
+
+    def lag(self, t, state):
+        """|t - s| for the first step s whose state had these bytes, else 0.
+
+        Keyed by the hash of the bytes, with the state kept by reference
+        (the recursion keeps it anyway), so a long run that never repeats
+        holds no second copy of its states.
+        """
+        key = state.tobytes()
+        s, first = self.seen.setdefault(hash(key), (t, state))
+        return abs(t - s) if s != t and first.tobytes() == key else 0
+
+    def inputs_repeat(self, lag, v):
+        """Whether every input's entry v + lag has the bits of entry v."""
+        if lag not in self.same:
+            b = np.hstack([np.reshape(a, (len(a), -1)) for a in self.inputs])
+            b = b.view(np.int64)
+            self.same[lag] = (b[lag:] == b[:-lag]).all(axis=1)
+        return self.same[lag][v]
 
 
 def covariance_schedule(model, config, P0, N):
@@ -149,6 +186,10 @@ def covariance_schedule(model, config, P0, N):
     before the update, the others the filtered covariance after it; theta
     is the budget solve when ``config.c`` is set, else ``config.theta``
     (0 for kf).  A failure at step t is raised as FilterError naming t.
+
+    A step depends only on the predicted covariance entering it, so once
+    that repeats bit for bit the remaining entries are copied from one
+    period earlier instead of recomputed (see ``Schedule.cycle``).
     """
     A, C, Q, R = model.A, model.C, model.Q, model.R
     pre = config.kind in ("prkf", "prsf")
@@ -161,8 +202,16 @@ def covariance_schedule(model, config, P0, N):
         return theta, _inflate(P, theta)
 
     P = check_sympd(P0)
-    out = Schedule([], [], [], [], [P])
+    P.flags.writeable = False
+    seqs = ([], [], [], [], [P])
+    repeats, lag, cycle = _Repeats(), 0, None
     for t in range(N + 1):
+        lag = lag or repeats.lag(t, P)
+        if lag:
+            cycle = cycle or (t - lag, lag)
+            for seq in seqs:
+                seq.append(seq[-lag])
+            continue
         try:
             if pre:
                 theta, P = inflate(P)
@@ -173,9 +222,11 @@ def covariance_schedule(model, config, P0, N):
         except (FilterError, NumericsError) as e:
             raise FilterError(f"filter step failed at t={t}: {e}") from e
         P = sym(A @ V @ A.T + Q)
-        for seq, value in zip(out, (L, theta, Pf, V, P)):
+        for a in (L, Pf, V, P):
+            a.flags.writeable = False
+        for seq, value in zip(seqs, (L, theta, Pf, V, P)):
             seq.append(value)
-    return out
+    return Schedule(*seqs, cycle=cycle)
 
 
 def mean_pass(model, gains, x0, ys):

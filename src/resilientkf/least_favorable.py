@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .model import validate
 from .numerics import check_sympd, spd_sqrt, spectral_extrema, sym
-from .filters import FilterConfig, FilterError, covariance_schedule
+from .filters import FilterConfig, FilterError, _Repeats, covariance_schedule
 
 
 class SynthesisError(RuntimeError):
@@ -181,7 +181,16 @@ def backward_pass(fwd, model):
     Fs = [None] * (N + 1)
     Upss = [None] * (N + 1)
     omega_inv[N + 1] = np.zeros((n, n))
+    omega_inv[N + 1].flags.writeable = False
+    repeats, lag = _Repeats(fwd.gains, fwd.thetas), 0
     for t in range(N, -1, -1):
+        # once omega repeats with the inputs, step t is step t + lag again
+        lag = lag or repeats.lag(t, omega_inv[t + 1])
+        if lag and repeats.inputs_repeat(lag, t):
+            for seq in (omega_inv, Ws, Os, Fs, Upss):
+                seq[t] = seq[t + lag]
+            continue
+        lag = 0
         L = fwd.gains[t]
         Lw = L @ Rh
         theta = fwd.thetas[t]
@@ -197,7 +206,7 @@ def backward_pass(fwd, model):
         F = -O @ Lw.T @ W @ (np.eye(n) - L @ C)
         Abar = (np.eye(n) - L @ C) @ A
         if theta == 0.0 and np.abs(omega_inv[t + 1]).max() == 0.0:
-            omega_inv[t] = np.zeros((n, n))
+            omega = np.zeros((n, n))
         else:
             Winv = np.linalg.inv(check_sympd(W))
             core = sym(Winv - Lw @ Lw.T)
@@ -207,11 +216,11 @@ def backward_pass(fwd, model):
                     f"channel synthesis infeasible at t={t}: "
                     "W^{-1} - L L^T is not positive definite"
                 )
-            omega_inv[t] = sym(Abar.T @ np.linalg.inv(core) @ Abar)
-        Ws[t] = W
-        Os[t] = O
-        Fs[t] = F
-        Upss[t] = spd_sqrt(O)
+            omega = sym(Abar.T @ np.linalg.inv(core) @ Abar)
+        for seq, a in zip((omega_inv, Ws, Os, Fs, Upss),
+                          (omega, W, O, F, spd_sqrt(O))):
+            a.flags.writeable = False
+            seq[t] = a
     return BackwardPass(omega_inv=omega_inv, W=Ws, O=Os, F=Fs, Ups=Upss,
                         r_half=Rh)
 
@@ -347,9 +356,15 @@ def error_cov_recursion(model, eval_gains, fwd, lf=None, P0=None):
     Pi = np.zeros((3 * n, 3 * n))
     Pi[2 * n:, 2 * n:] = P0
     out = np.empty((N + 1, 3 * n, 3 * n))
+    repeats, lag = _Repeats(Gam, Noise), 0
     for t in range(N + 1):
+        # once Pi repeats with the inputs, step t is step t - lag again
+        if lag and repeats.inputs_repeat(lag, t - lag):
+            out[t] = Pi = out[t - lag]
+            continue
         Pi = sym(Gam[t] @ Pi @ Gam[t].T + Noise[t])
         out[t] = Pi
+        lag = repeats.lag(t, out[t])
     return out
 
 

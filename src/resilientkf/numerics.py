@@ -221,6 +221,7 @@ DOUBLING_TOL = 1e-13
 MAX_DOUBLINGS = 60
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _doubling(Ak, G, H):
     """The structured doubling iteration, batched over a leading axis:
 
@@ -229,6 +230,8 @@ def _doubling(Ak, G, H):
 
     each H until it moves by at most DOUBLING_TOL relative to its largest
     entry; a converged H leaves the batch, so it does not depend on the others.
+    An H whose step turns non-finite (its iterates overflowed) leaves the
+    batch as NaN instead of failing the others.
     From (A^T, C^T R^{-1} C, Q) H converges to the stabilising solution of
     the filter DARE; G = None stands for G = 0, W = I, Smith's doubling for
     the Lyapunov equation X = A^T X A + Q.
@@ -251,8 +254,8 @@ def _doubling(Ak, G, H):
             Ak = Ak @ Z[..., :n]
         Hn = 0.5 * (Hn + np.swapaxes(Hn, -1, -2))
         step = np.abs(Hn - H).max(axis=(-2, -1)) / np.abs(Hn).max(axis=(-2, -1))
-        out[live] = Hn
-        more = ~(step <= DOUBLING_TOL)
+        out[live] = np.where(np.isfinite(step)[:, None, None], Hn, np.nan)
+        more = step > DOUBLING_TOL
         if not more.any():
             return out
         live, Ak, H = live[more], Ak[more], Hn[more]
@@ -275,9 +278,10 @@ def solve_filter_dare(A, C, Q, R):
     (C X C^T + R)^{-1}.  When A is far from stable its large intermediate
     iterates can leave a residual of about 5e-10 relative, so one Newton
     step follows: the Lyapunov equation X = (A - K C) X (A - K C)^T +
-    K R K^T + Q, solved by doubling too.  Raises NumericsError when an
-    equation has not converged after MAX_DOUBLINGS doublings or has
-    turned non-finite.
+    K R K^T + Q, solved by doubling too.  An equation whose doubling
+    overflows comes back as NaN (on seeded 5-state models a few of
+    theta_max's pairs do, in the Newton step); NumericsError is raised when
+    a finite equation has not converged after MAX_DOUBLINGS doublings.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -294,7 +298,8 @@ def solve_discrete_lyapunov(F, V):
     """Solve X = F X F^T + V for stable F.
 
     Small systems (dim <= 20) use the exact Kronecker-vectorization direct
-    solve; larger systems use Smith's doubling.
+    solve; larger systems use Smith's doubling, and raise NumericsError if
+    it overflows.
     """
     F = np.asarray(F, dtype=float)
     V = check_symmetric(V)
@@ -316,4 +321,8 @@ def solve_discrete_lyapunov(F, V):
                 f"singular Lyapunov system (spectral radius {rho:.12g}): {e}"
             ) from e
         return sym(X)
-    return _doubling(F.T[None], None, V)[0]
+    X = _doubling(F.T[None], None, V)[0]
+    if not np.isfinite(X).all():
+        raise NumericsError(
+            f"Lyapunov doubling overflowed (spectral radius {rho:.12g})")
+    return X

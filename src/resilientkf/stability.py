@@ -316,14 +316,17 @@ def _beta_star(model, alphas, rhos):
 
     beta* = lambda_min((1 - rho^-2) Sigma*^{-1} + (1 - alpha^2) C^T R^{-1} C)
     with Sigma* the stabilising solution of the filter DARE of (rho A,
-    rho alpha C, Q, R); it is -inf where Sigma* is not positive definite or
-    cond Sigma* exceeds SIGMA_COND_MAX.
+    rho alpha C, Q, R); it is -inf where Sigma* is not positive definite,
+    cond Sigma* exceeds SIGMA_COND_MAX or the Riccati solve overflowed
+    (Sigma* is NaN there).
     """
     C = model.C
     Sig = solve_filter_dare(rhos[:, None, None] * model.A,
                             (rhos * alphas)[:, None, None] * C,
                             model.Q, model.R)
-    w = np.linalg.eigvalsh(Sig)
+    w = np.full(Sig.shape[:2], np.nan)
+    solved = ~np.isnan(Sig[:, 0, 0])
+    w[solved] = np.linalg.eigvalsh(Sig[solved])
     good = (w[:, 0] > 0) & (w[:, -1] <= SIGMA_COND_MAX * w[:, 0])
     CRC = sym(C.T @ chol_solve(model.R, C))
     rg = rhos[good]
@@ -335,18 +338,21 @@ def _beta_star(model, alphas, rhos):
 
 
 def _sweep(model):
-    """The best beta* in every alpha row of ALPHAS x RHOS and its rho index."""
+    """The best beta* in every alpha row of ALPHAS x RHOS, its rho index,
+    and the number of pairs whose Riccati solve overflowed."""
     best = np.empty(len(ALPHAS))
     where = np.empty(len(ALPHAS), dtype=int)
+    overflowed = 0
     for start in range(0, len(ALPHAS), SWEEP_ROWS):
         rows = ALPHAS[start:start + SWEEP_ROWS]
-        beta, _ = _beta_star(model, np.repeat(rows, len(RHOS)),
-                             np.tile(RHOS, len(rows)))
+        beta, Sig = _beta_star(model, np.repeat(rows, len(RHOS)),
+                               np.tile(RHOS, len(rows)))
+        overflowed += int(np.isnan(Sig[:, 0, 0]).sum())
         beta = beta.reshape(len(rows), len(RHOS))
         j = np.argmax(beta, axis=1)
         where[start:start + len(rows)] = j
         best[start:start + len(rows)] = beta[np.arange(len(rows)), j]
-    return best, where
+    return best, where, overflowed
 
 
 def _refined_certificate(model, alpha, j):
@@ -407,10 +413,12 @@ def theta_max(model, k=10, tol=1e-6):
     and a failed verification raises StabilityError.
     ``search["rho_hi_limits_beta"]`` is true when the winner sits at
     RHO_HI with beta < phi_k, where a wider rho range might raise the bound.
+    ``search["overflowed_pairs"]``, present only when nonzero, counts the
+    swept pairs whose Riccati solve overflowed; they count as beta* = -inf.
     """
     parts = build_gramian_parts(model, k)
     phik = phi_max(parts, k, tol=tol)
-    best, where = _sweep(model)
+    best, where, overflowed = _sweep(model)
     i = int(np.argmax(best))
     if not np.isfinite(best[i]):
         raise StabilityError("empty admissible search set for theta_max")
@@ -437,6 +445,8 @@ def theta_max(model, k=10, tol=1e-6):
         "verification": _verify_certificate(model, tmax, Sigma, G, alpha, rho),
         "alpha1": alpha1,
     }
+    if overflowed:
+        search["overflowed_pairs"] = overflowed
     return BoundReport(phi_k=phik, theta_max=tmax,
                        beta=beta, sigma=Sigma, rho=rho, alpha=alpha, G=G,
                        search=search)
@@ -469,12 +479,13 @@ def prop6_guard(model, theta, P0, G, alpha, rho, horizon=1000):
     if theta > beta + 1e-12:
         return False, {**cert, "reason": f"theta exceeds beta = {beta:.6g}"}
     try:
-        _, _, _, dists, preds = covariance_schedule(
+        sched = covariance_schedule(
             model, FilterConfig(kind="ursf", theta=theta), P0, horizon)
     except (FilterError, NumericsError) as e:
         return False, {**cert, "reason": f"covariance recursion failed: {e}"}
-    worst_pd = np.linalg.eigvalsh(np.array(dists))[:, 0].min()
-    worst_gap = np.linalg.eigvalsh(Sigma[None] - np.array(preds))[:, 0].min()
+    worst_pd = np.linalg.eigvalsh(np.array(sched.cov_distorted))[:, 0].min()
+    worst_gap = np.linalg.eigvalsh(
+        Sigma[None] - np.array(sched.cov_pred))[:, 0].min()
     cert["min_eig_distorted"] = float(worst_pd)
     cert["min_eig_sigma_minus_pred"] = float(worst_gap)
     if worst_pd <= 0:

@@ -76,8 +76,8 @@ def test_criterion_01_cmax_reproduction():
     ok_p = np.abs(rep.pbar_qq - ref_p).max() <= 1e-3
     x = rep.phi_k * np.linalg.eigvalsh(rep.pbar_qq)
     closed = 0.5 * np.sum(x / (1.0 - x) + np.log(1.0 - x))
-    _, thetas, _, _, _ = covariance_schedule(
-        model, FilterConfig(kind="urkf", c=rep.c_max), np.eye(2), 300)
+    thetas = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=rep.c_max), np.eye(2), 300).thetas
     theta_tail = max(thetas[q:])
     ok_c = (abs(rep.c_max - closed) <= 1e-10 * closed
             and theta_tail <= rep.phi_k)
@@ -296,13 +296,14 @@ def test_criterion_07_scalar_saddle_oracle():
 def test_criterion_08_stability_certificates():
     model = _model_a()
     rep = c_max(model, k=10, q=20)
-    gains, thetas, _, _, _ = covariance_schedule(
-        model, FilterConfig(kind="urkf", c=rep.c_max), np.eye(2), 600)
+    gains = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=rep.c_max), np.eye(2), 600).gains
     L = gains[-1]
     rad1 = max(abs(np.linalg.eigvals(model.A @ (np.eye(2) - L @ model.C))))
     # steady-state backward fixed point for c = 5e-2
-    gains5, thetas5, _, _, _ = covariance_schedule(
+    sched5 = covariance_schedule(
         model, FilterConfig(kind="urkf", c=5e-2), np.eye(2), 600)
+    gains5, thetas5 = sched5.gains, sched5.thetas
     W, J, rad2 = steady_state_w(model, gains5[-1], thetas5[-1])
     ok = rad1 < 1.0 and rad2 < 1.0
     _report(8, ok,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from resilientkf.cli import main
+from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.model import LinearGaussianModel, save_model, validate
 from resilientkf.stability import prop6_guard
 
@@ -174,6 +175,42 @@ def test_lf_build_and_simulate(model_file, tmp_path):
     assert len(payload["Abar"]) == 11
     lines = open(out + ".csv").read().strip().splitlines()
     assert len(lines) == 1 + 2 * 11
+
+
+def test_manifests_record_schedule_cycles(model_file, tmp_path):
+    model = LinearGaussianModel(**MODEL_A)
+
+    def cycle(kind, N, **budget):
+        found = covariance_schedule(
+            model, FilterConfig(kind=kind, **budget), np.eye(2), N).cycle
+        return found and list(found)
+
+    def manifest(out):
+        return json.loads(open(out + ".manifest.json").read())
+
+    cfg = tmp_path / "fc.json"
+    cfg.write_text(json.dumps({"kind": "kf"}))
+    for T in (15, 60):
+        data = tmp_path / f"data{T}.csv"
+        np.savetxt(data, np.zeros((T, 1)), delimiter=",")
+        out = str(tmp_path / f"steps{T}.csv")
+        assert main(["filter", "--model", model_file, "--config", str(cfg),
+                     "--data", str(data), "--out", out]) == 0
+        assert manifest(out)["cycle"] == cycle("kf", T - 1)
+    # 15 steps end before model A's kf schedule repeats
+    assert manifest(str(tmp_path / "steps15.csv"))["cycle"] is None
+    out = str(tmp_path / "wc.csv")
+    assert main(["worstcase", "--model", model_file, "--theta", "0.05",
+                 "--horizon", "60", "--out", out]) == 0
+    assert manifest(out)["cycles"] == [
+        {"budget": ["theta", 0.05], "kf": cycle("kf", 60),
+         "update": cycle("ursf", 60, theta=0.05),
+         "prediction": cycle("prsf", 60, theta=0.05)}]
+    out = str(tmp_path / "lf.json")
+    assert main(["lf", "build", "--model", model_file, "--theta", "0.05",
+                 "--horizon", "60", "--out", out]) == 0
+    found = cycle("ursf", 60, theta=0.05)
+    assert found is not None and manifest(out)["cycle"] == found
 
 
 def test_lf_requires_budget(model_file, tmp_path):

@@ -97,8 +97,8 @@ def test_covariance_schedule_matches_run(model_b):
                      ("ursf", {"theta": 0.002}), ("prsf", {"theta": 0.002})):
         fc = FilterConfig(kind=kind, **kw)
         steps = run_filter(model_b, fc, init, traj.observations)
-        gains, thetas, filts, dists, preds = covariance_schedule(
-            model_b, fc, init.cov, 25)
+        sched = covariance_schedule(model_b, fc, init.cov, 25)
+        gains, thetas, filts = sched.gains, sched.thetas, sched.cov_filt
         for t, s in enumerate(steps):
             assert np.abs(s.gain - gains[t]).max() < 1e-10
             assert np.abs(s.cov_filt - filts[t]).max() < 1e-10

@@ -140,8 +140,8 @@ def test_worst_case_cov_zero_budget_is_kf(model_a):
     P0 = 0.5 * np.eye(2)
     fwd = forward_gains(model_a, {"theta": 0.0}, 40, P0)
     Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
-    _, _, filts, _, _ = covariance_schedule(
-        model_a, FilterConfig(kind="kf"), P0, 40)
+    filts = covariance_schedule(
+        model_a, FilterConfig(kind="kf"), P0, 40).cov_filt
     for t in range(41):
         assert np.abs(Pis[t][:2, :2] - filts[t]).max() < 1e-10
 

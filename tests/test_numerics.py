@@ -220,6 +220,26 @@ def test_solve_filter_dare_raises_on_non_convergence(model_b, monkeypatch):
                           model_b.R)
 
 
+def test_doubling_overflow_is_nan_per_equation():
+    import resilientkf.numerics as num
+
+    # Smith doubling of X = F^T X F + I diverges for the unstable second F;
+    # it comes back as NaN and the stable first equation is still solved
+    F = np.stack([np.array([[0.5, 0.2], [0.0, 0.3]]), 3.0 * np.eye(2)])
+    X = num._doubling(F, None, np.eye(2))
+    assert np.isnan(X[1]).all()
+    ref = solve_discrete_lyapunov(F[0].T, np.eye(2))
+    assert np.abs(X[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lyapunov_doubling_overflow_raises():
+    # stable (spectral radius 0.5), but F^(2^j) overflows before converging
+    F = 0.5 * np.eye(21)
+    F[0, 1] = 1e200
+    with pytest.raises(NumericsError, match="overflowed"):
+        solve_discrete_lyapunov(F, np.eye(21))
+
+
 def test_spd_helpers():
     P = np.array([[2.0, 0.5], [0.5, 1.0]])
     L = spd_sqrt(P)

@@ -113,8 +113,8 @@ def test_pbar_floor_under_distortion(model_a):
     q = 20
     floor = pbar_filtered(model_a, q)
     rep = c_max(model_a, k=10, q=q)
-    _, _, filts, _, _ = covariance_schedule(
-        model_a, FilterConfig(kind="urkf", c=rep.c_max), np.eye(2), 60)
+    filts = covariance_schedule(model_a, FilterConfig(kind="urkf", c=rep.c_max),
+                                np.eye(2), 60).cov_filt
     for t in range(q + 1, 61):
         assert np.linalg.eigvalsh(filts[t] - floor).min() >= -1e-8
 
@@ -136,8 +136,8 @@ def test_c_max_scalar_closed_form():
 
 def test_c_max_gain_convergence(model_a):
     rep = c_max(model_a, k=10, q=20)
-    gains, _, _, _, _ = covariance_schedule(
-        model_a, FilterConfig(kind="urkf", c=rep.c_max), np.eye(2), 600)
+    gains = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=rep.c_max), np.eye(2), 600).gains
     assert np.abs(gains[-1] - gains[-2]).max() < 1e-10
 
 
@@ -235,6 +235,17 @@ def test_theta_max_raises_on_empty_sweep(model_b, monkeypatch):
     monkeypatch.setattr(stab, "SIGMA_COND_MAX", 0.5)
     with pytest.raises(StabilityError, match="empty admissible"):
         theta_max(model_b, k=10)
+
+
+@pytest.mark.parametrize("seed, bound", [(8, 5.4866e-6), (10, 2.8766e-6)])
+def test_theta_max_with_overflowing_pairs(seed, bound):
+    # the Newton step's Lyapunov doubling overflows for some (alpha, rho)
+    # pairs of these 5-state models; they count as beta* = -inf and the rest
+    # of the sweep still yields a verified certificate
+    rep = theta_max(seeded_model(seed, 5, 1), k=10)
+    assert rep.search["overflowed_pairs"] > 0
+    assert rep.search["verification"]["ok"]
+    assert rep.theta_max == rep.phi_k == pytest.approx(bound, rel=1e-4)
 
 
 def test_beta_gap_bound(model_b):
@@ -353,7 +364,7 @@ def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
          + (1.0 - al ** 2)[:, None, None] * CRC[None])
     star = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
     assert np.all(star >= beta - 1e-9 * np.abs(beta))
-    best, where = stab._sweep(model)
+    best, where, _ = stab._sweep(model)
     if fix_alpha is None:
         # the batched sweep, bit for bit, is one batch over ALPHAS x RHOS
         full, _ = stab._beta_star(model,
@@ -381,6 +392,7 @@ def test_theta_max_rho_range(name, at_edge, request):
     model = _named_model(name, request)
     rep = theta_max(model, k=10)
     assert rep.search["rho_hi_limits_beta"] == at_edge
+    assert "overflowed_pairs" not in rep.search
     if at_edge:
         # beta* still rises at RHO_HI (it saturates on this model), and
         # beta < phi_k, so the report says the range capped the bound
