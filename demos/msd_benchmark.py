@@ -16,8 +16,9 @@ def main():
           f"filters={sorted(cfg.filters)}")
     print()
     print(f"{'scenario':10s} {'kf':>10s} {'urkf':>10s}  winner")
-    for kind in ("drift", "uniform", "deadzone", "outlier", "nominal"):
-        rep = run_monte_carlo(cfg, Scenario(kind=kind))
+    kinds = ("drift", "uniform", "deadzone", "outlier", "nominal")
+    for kind, rep in zip(kinds, run_monte_carlo(
+            cfg, [Scenario(kind=k) for k in kinds])):
         kf = rep.time_averaged["kf"]
         ur = rep.time_averaged["urkf"]
         winner = "urkf" if ur < kf else "kf"

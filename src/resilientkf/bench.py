@@ -135,50 +135,68 @@ class MseReport:
         }
 
 
-def run_monte_carlo(cfg, scenario):
-    """Run the benchmark for one scenario.
+def run_monte_carlo(cfg, scenarios):
+    """Run the benchmark for each scenario; one MseReport each, in order.
 
     The plant trajectories come from the continuous-time generator (sampled
     exactly) for the fault scenarios, and from the nominal discrete model
     itself for the 'nominal' control scenario, where the standard Kalman
     filter is provably optimal.  All filters are designed on the nominal
-    model; their gain schedules are data-independent and precomputed once,
-    so the trial loop is fully vectorized over trials.
+    model; their gain schedules are data-independent and computed once per
+    call, so the trial loop is fully vectorized over trials.
+
+    Every scenario sees the draws of its own ``default_rng(cfg.seed)``: the
+    plant trajectories, then its sensor readings.  So each plant is simulated
+    once, and the generator state after it is restored before each of that
+    plant's scenarios draws its readings.
     """
     nominal, actual = msd_discretize(cfg.msd, cfg.measurement_var)
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
-    rng = np.random.default_rng(cfg.seed)
     P0 = cfg.init_cov_scale * np.eye(n)
     schedules = {name: covariance_schedule(nominal, fc, P0, N - 1).gains
                  for name, fc in cfg.filters.items()}
 
-    # plant trajectories; only the displacement is measured and scored
-    if scenario.kind == "nominal":
-        # control case: the plant is exactly the nominal design model
-        A, Lw = nominal.A, np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
-    else:
-        A, Lw = actual.A, actual.noise_chol()
-    x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
-    pos = np.zeros((M, N))
-    for t in range(N):
-        pos[:, t] = x[:, 0]
-        x = x @ A.T + rng.standard_normal((M, n)) @ Lw.T
-    Y = sample_measurement(scenario, pos, rng)
-
-    mse_t = {}
-    for name, gains in schedules.items():
-        # Y.T[:, :, None] steps through time as (trials, 1) views
-        means = mean_pass(nominal, gains, np.zeros((M, n)), Y.T[:, :, None])
-        mse_t[name] = np.array([np.mean((x_f[:, 0] - pos[:, t]) ** 2)
-                                for t, (x_f, _) in enumerate(means)])
-    return MseReport(
-        scenario=scenario.kind,
-        mse_t=mse_t,
-        time_averaged={k: float(v.mean()) for k, v in mse_t.items()},
-        trials=M, horizon=N, seed=cfg.seed,
-        config_digest=cfg.digest(),
-    )
+    # one plant at a time, so only one plant's positions are held
+    by_plant = {}
+    for i, scenario in enumerate(scenarios):
+        by_plant.setdefault(scenario.kind == "nominal", []).append(i)
+    reports = [None] * len(scenarios)
+    for control, members in by_plant.items():
+        if control:
+            # the plant is exactly the nominal design model
+            A = nominal.A
+            Lw = np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
+        else:
+            A, Lw = actual.A, actual.noise_chol()
+        rng = np.random.default_rng(cfg.seed)
+        # only the displacement is measured and scored; pos[t] over trials
+        x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
+        pos = np.zeros((N, M))
+        for t in range(N):
+            pos[t] = x[:, 0]
+            x = x @ A.T + rng.standard_normal((M, n)) @ Lw.T
+        after_plant = rng.bit_generator.state
+        for i in members:
+            rng.bit_generator.state = after_plant
+            # pos.T keeps the (trials, horizon) draw order of the readings
+            ys = np.ascontiguousarray(
+                sample_measurement(scenarios[i], pos.T, rng).T)[:, :, None]
+            mse_t = {}
+            for name, gains in schedules.items():
+                means = mean_pass(nominal, gains, np.zeros((M, n)), ys)
+                mse_t[name] = np.array([np.mean((x_f[:, 0] - p) ** 2)
+                                        for (x_f, _), p in zip(means, pos)])
+            del ys
+            reports[i] = MseReport(
+                scenario=scenarios[i].kind,
+                mse_t=mse_t,
+                time_averaged={k: float(v.mean()) for k, v in mse_t.items()},
+                trials=M, horizon=N, seed=cfg.seed,
+                config_digest=cfg.digest(),
+            )
+        del pos
+    return reports
 
 
 def default_oracle_grid(c_upper, points=10):

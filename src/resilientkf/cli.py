@@ -254,13 +254,16 @@ def cmd_bench(args):
     cfg = McConfig(trials=args.trials, horizon=args.horizon,
                    seed=args.seed, filters=filters)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    # building every scenario first validates the names before any write
+    # validate the whole list before any write
+    if not scenarios:
+        raise BenchError("--scenarios names no scenario")
+    if len(set(scenarios)) < len(scenarios):
+        raise BenchError(f"--scenarios repeats a scenario: {args.scenarios!r}")
     runs = [Scenario(kind=kind) for kind in scenarios]
     outputs = []
     os.makedirs(args.out, exist_ok=True)
-    for scenario in runs:
-        rep = run_monte_carlo(cfg, scenario)
-        base = os.path.join(args.out, f"bench_{scenario.kind}")
+    for rep in run_monte_carlo(cfg, runs):
+        base = os.path.join(args.out, f"bench_{rep.scenario}")
         names = sorted(rep.mse_t)
         rows = [[t] + [rep.mse_t[nm][t] for nm in names]
                 for t in range(rep.horizon)]

@@ -78,8 +78,9 @@ def forward_gains(model, budget, N, P0=None, solver_tol=1e-12):
 
 def injection_covariances(fwd):
     """Extra state-noise covariances D_t = V_t - P_filt_t of the
-    saddle-achieving adversary, one per step."""
-    return [sym(V - P) for V, P in zip(fwd.cov_distorted, fwd.cov_filt)]
+    saddle-achieving adversary, stacked over the steps as (N+1, n, n)."""
+    D = np.asarray(fwd.cov_distorted) - np.asarray(fwd.cov_filt)
+    return 0.5 * (D + D.swapaxes(-1, -2))
 
 
 def simulate_worst_case(model, fwd, init, n_traj, seed):
@@ -336,7 +337,7 @@ def error_cov_recursion(model, eval_gains, fwd, lf=None, P0=None):
     if lf is None:
         F = np.zeros((model.m, n))
         UU = model.R
-        Qxi = Q + A @ np.asarray(injection_covariances(fwd)) @ A.T
+        Qxi = Q + A @ injection_covariances(fwd) @ A.T
     else:
         F = np.asarray([Cb[:, 2 * n:] for Cb in lf.Cbar])
         Ups = np.asarray([Db[:, n:] for Db in lf.Dbar])

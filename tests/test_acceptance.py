@@ -317,12 +317,14 @@ def test_criterion_09_msd_benchmark():
     cfg = McConfig(trials=200, horizon=200, seed=2024)
     details = []
     all_ok = True
-    for kind in ("drift", "uniform", "deadzone", "outlier"):
-        rep = run_monte_carlo(cfg, Scenario(kind=kind))
+    kinds = ("drift", "uniform", "deadzone", "outlier")
+    reports = run_monte_carlo(
+        cfg, [Scenario(kind=k) for k in kinds + ("nominal",)])
+    for kind, rep in zip(kinds, reports):
         ok = rep.time_averaged["urkf"] <= rep.time_averaged["kf"]
         all_ok &= ok
         details.append(f"{kind}:{'ok' if ok else 'FAIL'}")
-    rep = run_monte_carlo(cfg, Scenario(kind="nominal"))
+    rep = reports[-1]
     ok_ctrl = rep.time_averaged["kf"] <= rep.time_averaged["urkf"]
     all_ok &= ok_ctrl
     elapsed = time.time() - t0

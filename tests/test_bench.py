@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from resilientkf import bench
 from resilientkf.bench import (
+    SCENARIO_KINDS,
     BenchError,
     McConfig,
+    MseReport,
     Scenario,
     default_oracle_grid,
     oracle_sweep,
     run_monte_carlo,
     sample_measurement,
 )
-from resilientkf.model import GaussianBelief, simulate_nominal
+from resilientkf.filters import covariance_schedule, mean_pass
+from resilientkf.model import GaussianBelief, msd_discretize, simulate_nominal
 
 
 def test_scenario_validation():
@@ -54,19 +58,19 @@ def test_deadzone_zeroes_small_readings():
 
 def test_mc_determinism():
     cfg = McConfig(trials=20, horizon=30, seed=42)
-    a = run_monte_carlo(cfg, Scenario(kind="drift"))
-    b = run_monte_carlo(cfg, Scenario(kind="drift"))
+    [a] = run_monte_carlo(cfg, [Scenario(kind="drift")])
+    [b] = run_monte_carlo(cfg, [Scenario(kind="drift")])
     for k in a.mse_t:
         assert np.array_equal(a.mse_t[k], b.mse_t[k])
     assert a.config_digest == b.config_digest
-    c = run_monte_carlo(McConfig(trials=20, horizon=30, seed=43),
-                        Scenario(kind="drift"))
+    [c] = run_monte_carlo(McConfig(trials=20, horizon=30, seed=43),
+                          [Scenario(kind="drift")])
     assert not np.array_equal(a.mse_t["kf"], c.mse_t["kf"])
 
 
 def test_mc_report_wellformed():
     cfg = McConfig(trials=5, horizon=10, seed=0)
-    rep = run_monte_carlo(cfg, Scenario(kind="uniform"))
+    [rep] = run_monte_carlo(cfg, [Scenario(kind="uniform")])
     for k, v in rep.mse_t.items():
         assert v.shape == (10,)
         assert (v >= 0).all()
@@ -75,6 +79,79 @@ def test_mc_report_wellformed():
     assert d["scenario"] == "uniform"
     assert set(d) == {"scenario", "trials", "horizon", "seed",
                       "config_digest", "time_averaged", "mse_t"}
+
+
+def _ref_run_monte_carlo(cfg, scenario):
+    """Run the benchmark for one scenario (the per-scenario form that
+    run_monte_carlo replaced, kept verbatim as a reference)."""
+    nominal, actual = msd_discretize(cfg.msd, cfg.measurement_var)
+    n = nominal.n
+    M, N = cfg.trials, cfg.horizon
+    rng = np.random.default_rng(cfg.seed)
+    P0 = cfg.init_cov_scale * np.eye(n)
+    schedules = {name: covariance_schedule(nominal, fc, P0, N - 1).gains
+                 for name, fc in cfg.filters.items()}
+
+    # plant trajectories; only the displacement is measured and scored
+    if scenario.kind == "nominal":
+        # control case: the plant is exactly the nominal design model
+        A, Lw = nominal.A, np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
+    else:
+        A, Lw = actual.A, actual.noise_chol()
+    x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
+    pos = np.zeros((M, N))
+    for t in range(N):
+        pos[:, t] = x[:, 0]
+        x = x @ A.T + rng.standard_normal((M, n)) @ Lw.T
+    Y = sample_measurement(scenario, pos, rng)
+
+    mse_t = {}
+    for name, gains in schedules.items():
+        # Y.T[:, :, None] steps through time as (trials, 1) views
+        means = mean_pass(nominal, gains, np.zeros((M, n)), Y.T[:, :, None])
+        mse_t[name] = np.array([np.mean((x_f[:, 0] - pos[:, t]) ** 2)
+                                for t, (x_f, _) in enumerate(means)])
+    return MseReport(
+        scenario=scenario.kind,
+        mse_t=mse_t,
+        time_averaged={k: float(v.mean()) for k, v in mse_t.items()},
+        trials=M, horizon=N, seed=cfg.seed,
+        config_digest=cfg.digest(),
+    )
+
+
+@pytest.mark.parametrize("kinds", [
+    SCENARIO_KINDS,
+    ("nominal", "outlier", "drift"),
+    ("deadzone",),
+])
+def test_mc_one_pass_matches_per_scenario_runs(kinds):
+    cfg = McConfig(trials=40, horizon=25, seed=11)
+    reports = run_monte_carlo(cfg, [Scenario(kind=k) for k in kinds])
+    assert [r.scenario for r in reports] == list(kinds)
+    for kind, rep in zip(kinds, reports):
+        ref = _ref_run_monte_carlo(cfg, Scenario(kind=kind))
+        assert rep.mse_t.keys() == ref.mse_t.keys()
+        for name in ref.mse_t:
+            assert rep.mse_t[name].tobytes() == ref.mse_t[name].tobytes()
+        assert rep.time_averaged == ref.time_averaged
+
+
+def test_mc_shares_schedules_and_discretization(monkeypatch):
+    calls = {"covariance_schedule": 0, "msd_discretize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(bench, name, wrapper)
+
+    counted("covariance_schedule", bench.covariance_schedule)
+    counted("msd_discretize", bench.msd_discretize)
+    cfg = McConfig(trials=5, horizon=10, seed=0)
+    run_monte_carlo(cfg, [Scenario(kind=k) for k in SCENARIO_KINDS])
+    assert calls == {"covariance_schedule": len(cfg.filters),
+                     "msd_discretize": 1}
 
 
 def test_mc_config_validation():

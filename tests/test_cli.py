@@ -293,3 +293,12 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
     assert main(argv + ["--out", out]) == 2
     assert not any(os.path.exists(out + ext)
                    for ext in ("", ".json", ".csv", ".manifest.json"))
+
+
+@pytest.mark.parametrize("scenarios", ["", " , ", "drift,drift"])
+def test_bench_empty_or_repeated_scenarios_write_nothing(scenarios, tmp_path):
+    out = tmp_path / "out"
+    rc = main(["bench", "--trials", "5", "--horizon", "5",
+               "--scenarios", scenarios, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()

@@ -132,7 +132,12 @@ def test_kl_budget_exact_along_pass(model_a):
 
 def test_injection_covariances_psd(model_a):
     fwd = forward_gains(model_a, {"c": 5e-2}, 30, 0.01 * np.eye(2))
-    for D in injection_covariances(fwd):
+    Ds = injection_covariances(fwd)
+    assert Ds.shape == (31, 2, 2)
+    # the stacked form has the bytes of the per-step sym(V_t - P_t)
+    ref = [sym(V - P) for V, P in zip(fwd.cov_distorted, fwd.cov_filt)]
+    assert np.array_equal(Ds, ref)
+    for D in Ds:
         assert np.linalg.eigvalsh(D).min() >= -1e-12
 
 
