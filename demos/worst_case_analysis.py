@@ -14,7 +14,6 @@ from resilientkf import (
     LinearGaussianModel,
     covariance_schedule,
     error_cov_recursion,
-    forward_gains,
 )
 
 
@@ -30,7 +29,7 @@ def main():
     P0 = 0.01 * np.eye(2)
 
     # synthesize the robust gain schedule and the adversary in one pass
-    fwd = forward_gains(model, {"c": c}, N, P0)
+    fwd = covariance_schedule(model, FilterConfig(kind="urkf", c=c), P0, N)
 
     print(f"budget c = {c}, steady-state theta = {fwd.thetas[-1]:.5f}")
     print(f"nominal steady-state filtered trace  : "

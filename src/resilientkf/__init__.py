@@ -26,16 +26,13 @@ from .numerics import (
 )
 from .filters import (
     FilterConfig,
-    FilterStep,
     Schedule,
     covariance_schedule,
     mean_pass,
-    run_filter,
 )
 from .least_favorable import (
     BackwardPass,
     LeastFavorableModel,
-    forward_gains,
     backward_pass,
     assemble_lf,
     simulate_lf,

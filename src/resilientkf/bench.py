@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .model import MsdParams, msd_discretize, validate
-from .filters import FilterConfig, covariance_schedule, mean_pass, run_filter
+from .filters import FilterConfig, covariance_schedule, mean_pass
 
 SCENARIO_KINDS = ("drift", "uniform", "deadzone", "outlier", "nominal")
 
@@ -226,9 +226,11 @@ def oracle_sweep(model, kind, grid, observations, truth, init):
     mses = np.zeros(grid.size)
     for i in range(grid.size):
         c = grid[i]
-        steps = run_filter(model, FilterConfig(kind=kind, c=float(c)),
-                           init, observations)
-        est = np.array([s.mean_filt for s in steps])
+        config = FilterConfig(kind=kind, c=float(c))
+        sched = covariance_schedule(model, config, init.cov,
+                                    len(observations) - 1)
+        means = mean_pass(model, sched.gains, init.mean, observations)
+        est = np.array([x_f for x_f, _ in means])
         mses[i] = float(np.mean(np.sum((est - truth) ** 2, axis=1)))
     # smallest tolerance wins ties
     best = min(range(grid.size), key=lambda i: (mses[i], grid[i]))

@@ -48,7 +48,6 @@ from .least_favorable import (
     assemble_lf,
     backward_pass,
     error_cov_recursion,
-    forward_gains,
     simulate_lf,
 )
 from .stability import StabilityError, c_max, theta_max
@@ -105,10 +104,14 @@ def _write_manifest(out_path, command, inputs, outputs, seed=None, **record):
 
 
 def _load_init(args, model):
-    if getattr(args, "init", None):
-        with open(args.init) as f:
-            return belief_from_dict(json.load(f))
-    return GaussianBelief(mean=np.zeros(model.n), cov=np.eye(model.n))
+    if not args.init:
+        return GaussianBelief(mean=np.zeros(model.n), cov=np.eye(model.n))
+    with open(args.init) as f:
+        init = belief_from_dict(json.load(f))
+    if init.mean.shape != (model.n,):
+        raise ModelError(f"initial belief has shape {init.mean.shape}, "
+                         f"the model has {model.n} states")
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +161,11 @@ def cmd_worstcase(args):
     N = args.horizon
     if N < 0:
         raise ModelError(f"--horizon must be nonnegative, got {N}")
-    # the prediction-side comparator per budget; building it validates the
-    # budget
-    predictions = [FilterConfig(kind="prkf" if kind == "c" else "prsf",
-                                **{kind: val}) for kind, val in budgets]
+    # the prediction-side comparator and the adversary's update-side filter
+    # per budget; building them validates the budget
+    kinds = {"c": ("prkf", "urkf"), "theta": ("prsf", "ursf")}
+    configs = [[FilterConfig(kind=k, **{kind: val}) for k in kinds[kind]]
+               for kind, val in budgets]
     families = {_WORSTCASE_FAMILY[name] for name in filters}
     P0 = np.eye(model.n)
     # the kf schedule does not depend on the budget
@@ -169,8 +173,8 @@ def cmd_worstcase(args):
           if "kf" in families else None)
     rows, cycles = [], []
     header = ["budget_kind", "budget", "t", "theta"] + [f"var_{f}" for f in filters]
-    for (kind, val), prediction in zip(budgets, predictions):
-        fwd = forward_gains(model, {kind: val}, N, P0)
+    for (kind, val), (prediction, update) in zip(budgets, configs):
+        fwd = covariance_schedule(model, update, P0, N)
         schedules = {"kf": kf, "update": fwd}
         if "prediction" in families:
             schedules["prediction"] = covariance_schedule(
@@ -178,12 +182,11 @@ def cmd_worstcase(args):
         cycles.append({"budget": [kind, val],
                        **{family: sched.cycle for family, sched
                           in schedules.items() if sched is not None}})
-        lf = (assemble_lf(fwd, backward_pass(fwd, model), model)
-              if args.channel else None)
+        bwd = backward_pass(fwd, model) if args.channel else None
         series = []
         for name in filters:
             Pis = error_cov_recursion(
-                model, schedules[_WORSTCASE_FAMILY[name]].gains, fwd, lf)
+                model, schedules[_WORSTCASE_FAMILY[name]].gains, fwd, bwd)
             series.append([float(np.trace(Pi[:model.n, :model.n]))
                            for Pi in Pis])
         for t in range(N + 1):
@@ -285,11 +288,14 @@ def cmd_lf(args):
         raise ModelError("lf takes either --c or --theta, not both")
     if args.c is None and args.theta is None:
         raise ModelError("lf requires --c or --theta")
-    # the adversary's config, built only to validate the budget
-    FilterConfig(kind="urkf" if args.c is not None else "ursf", **budget)
+    # the adversary's update-side filter; building it validates the budget
+    config = FilterConfig(kind="urkf" if args.c is not None else "ursf",
+                          **budget)
     if args.horizon < 0 or args.trajectories < 1:
         raise ModelError("lf requires --horizon >= 0 and --trajectories >= 1")
-    fwd = forward_gains(model, budget, args.horizon)
+    # validated before any output is written
+    init = _load_init(args, model)
+    fwd = covariance_schedule(model, config, np.eye(model.n), args.horizon)
     bwd = backward_pass(fwd, model)
     lf = assemble_lf(fwd, bwd, model)
     outputs = []
@@ -306,7 +312,6 @@ def cmd_lf(args):
         _atomic_write(path, json.dumps(payload) + "\n")
         outputs.append(path)
     if args.action in ("simulate", "both"):
-        init = _load_init(args, model)
         etas, X, Y = simulate_lf(lf, init, args.seed, n_traj=args.trajectories)
         path = args.out + ".csv" if args.action == "both" else args.out
         header = (["traj", "t"]
@@ -396,7 +401,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, BenchError, ConfigError) as e:
+    except (ModelError, BenchError, ConfigError, json.JSONDecodeError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericsError, FilterError, SynthesisError, StabilityError) as e:

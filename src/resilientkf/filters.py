@@ -17,18 +17,17 @@ where the inflation acts and where theta comes from:
 ``covariance_schedule`` runs that recursion once and returns its gains,
 thetas and covariances.  The gains do not depend on the data, so
 ``mean_pass`` then folds them over the observations, vectorised over any
-leading (e.g. trial) axes; ``run_filter`` is the two in sequence.  The
-inflation is computed from one eigendecomposition of the covariance, with
-no explicit inverse.
+leading (e.g. trial) axes.  The inflation is computed from one
+eigendecomposition of the covariance, with no explicit inverse.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 from dataclasses import dataclass
 
-from .model import validate
 from .numerics import (
     NumericsError,
     chol_solve,
@@ -61,7 +60,6 @@ class FilterConfig:
     kind: str
     c: float = None
     theta: float = None
-    solver_tol: float = 1e-12
 
     def __post_init__(self):
         self.kind = self.kind.lower().replace("-", "")
@@ -85,21 +83,23 @@ class FilterConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kind=d["kind"], c=d.get("c"), theta=d.get("theta"),
-                   solver_tol=d.get("solver_tol", 1e-12))
-
-
-@dataclass
-class FilterStep:
-    """Output of one filter time step."""
-
-    gain: np.ndarray        # L_t, n x m
-    theta: float            # distortion strength used this step
-    mean_filt: np.ndarray   # filtered state estimate
-    cov_filt: np.ndarray    # filtered covariance before distortion
-    cov_distorted: np.ndarray  # distorted filtered covariance (V >= P_filt)
-    mean_pred: np.ndarray   # one-step-ahead predicted estimate
-    cov_pred: np.ndarray    # one-step-ahead predicted covariance
+        """The config of a parsed JSON object with a string ``kind`` and
+        optional numeric ``c`` or ``theta``; any other shape, type or key
+        raises ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError("filter config must be a JSON object")
+        unknown = sorted(set(d) - {"kind", "c", "theta"})
+        if unknown:
+            raise ConfigError(f"unknown filter config key(s): {unknown}")
+        if not isinstance(d.get("kind"), str):
+            raise ConfigError("filter config requires a string kind")
+        for key in ("c", "theta"):
+            value = d.get(key)
+            # not a bool, and not a JSON integer beyond every float
+            if value is not None and (type(value) not in (int, float) or
+                                      not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{key} must be a finite number")
+        return cls(**d)
 
 
 def _inflate(P, theta):
@@ -196,7 +196,7 @@ def covariance_schedule(model, config, P0, N):
 
     def inflate(P):
         if config.c is not None:
-            theta = solve_budget(P, config.c, tol=config.solver_tol).theta
+            theta = solve_budget(P, config.c).theta
         else:
             theta = 0.0 if config.theta is None else config.theta
         return theta, _inflate(P, theta)
@@ -243,18 +243,3 @@ def mean_pass(model, gains, x0, ys):
         x = x_f @ A.T
         yield x_f, x
 
-
-def run_filter(model, config, init, ys):
-    """Run the configured filter over an observation sequence.
-
-    The covariance schedule, then the mean pass; returns one FilterStep per
-    observation.  A failing step raises FilterError naming its time index.
-    """
-    validate(model)
-    sched = covariance_schedule(model, config, init.cov, len(ys) - 1)
-    return [FilterStep(gain=sched.gains[t], theta=sched.thetas[t],
-                       mean_filt=x_f, cov_filt=sched.cov_filt[t],
-                       cov_distorted=sched.cov_distorted[t],
-                       mean_pred=x_p, cov_pred=sched.cov_pred[t + 1])
-            for t, (x_f, x_p) in enumerate(
-                mean_pass(model, sched.gains, init.mean, ys))]

@@ -1,7 +1,8 @@
 """Worst-case (hostile) model synthesis and evaluation.
 
 Two adversarial constructions are provided, both driven by the same forward
-gain/budget pass of the update-resilient filter:
+pass: the covariance schedule of the update-resilient filter (urkf, or ursf
+at a fixed theta), from ``filters.covariance_schedule``:
 
 1. ``simulate_worst_case`` — the saddle-achieving adversary.  The
    per-step minimax game is solved in terms of the conditional joint law
@@ -37,39 +38,13 @@ and the injected noise added to the process noise.
 import numpy as np
 from dataclasses import dataclass
 
-from .model import validate
-from .numerics import check_sympd, spd_sqrt, spectral_extrema, sym
-from .filters import FilterConfig, FilterError, _Repeats, covariance_schedule
+from .numerics import (NumericsError, _doubling, check_sympd, spd_sqrt,
+                       spectral_extrema, sym)
+from .filters import _Repeats
 
 
 class SynthesisError(RuntimeError):
     """Raised when the hostile-model synthesis is infeasible."""
-
-
-# ---------------------------------------------------------------------------
-# Forward pass
-
-
-def forward_gains(model, budget, N, P0=None, solver_tol=1e-12):
-    """Covariance schedule of the update-resilient filter over t = 0..N.
-
-    ``budget`` is either {"c": tolerance} for the per-step budget solve
-    (urkf) or {"theta": value} for the fixed-parameter variant (ursf).  An
-    invalid budget or a failing step raises SynthesisError.
-    """
-    validate(model)
-    try:
-        if "c" in budget:
-            config = FilterConfig(kind="urkf", c=budget["c"],
-                                  solver_tol=solver_tol)
-        elif "theta" in budget:
-            config = FilterConfig(kind="ursf", theta=float(budget["theta"]))
-        else:
-            raise SynthesisError("budget must specify either c or theta")
-        return covariance_schedule(
-            model, config, P0 if P0 is not None else np.eye(model.n), N)
-    except FilterError as e:
-        raise SynthesisError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +278,7 @@ def simulate_lf(lf, init, seed, n_traj=1):
     return etas, etas[:, :, :n], Y
 
 
-def error_cov_recursion(model, eval_gains, fwd, lf=None, P0=None):
+def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     """Exact error covariance of a gain schedule under either adversary.
 
     Lyapunov recursion on the 3n x 3n covariance of [e'_t; e_t; xi_t]
@@ -316,12 +291,13 @@ def error_cov_recursion(model, eval_gains, fwd, lf=None, P0=None):
     I - K(F_t + C)] of Gam_t and measurement noise -K Ups_t u_t; the robust
     gain L has the same row with its first two blocks combined into the e
     column.  The xi row of Gam_t is zero and xi_t is fresh with covariance
-    Qxi_t.  The channel adversary (``lf`` from ``assemble_lf`` on ``fwd``)
-    has F_t, Ups_t from lf.Cbar, lf.Dbar and Qxi_t = Q; the saddle-achieving
-    adversary (``lf=None``) has F_t = 0, Ups_t Ups_t^T = R and
-    Qxi_t = Q + A D_t A^T with D_t from ``injection_covariances``.  Placing
-    P0 in the noise slot makes both estimators start from the same prior
-    error, consistent with ``simulate_lf``.  Returns the (N+1, 3n, 3n)
+    Qxi_t.  The channel adversary (``bwd`` from ``backward_pass`` on
+    ``fwd``) has the physical-unit F_t = R^{1/2} bwd.F[t] and Ups_t =
+    R^{1/2} bwd.Ups[t] of ``assemble_lf``, and Qxi_t = Q; the
+    saddle-achieving adversary (``bwd=None``) has F_t = 0, Ups_t Ups_t^T = R
+    and Qxi_t = Q + A D_t A^T with D_t from ``injection_covariances``.
+    Placing P0 in the noise slot makes both estimators start from the same
+    prior error, consistent with ``simulate_lf``.  Returns the (N+1, 3n, 3n)
     stack; the top-left n x n block of Pi_t is the evaluated estimator's
     filtered error covariance at t.
     """
@@ -334,13 +310,13 @@ def error_cov_recursion(model, eval_gains, fwd, lf=None, P0=None):
     I = np.eye(n)
     K, L = np.asarray(eval_gains, dtype=float), np.asarray(fwd.gains)
     # per-step F_t, Ups_t Ups_t^T and Qxi_t, or one matrix for every step
-    if lf is None:
+    if bwd is None:
         F = np.zeros((model.m, n))
         UU = model.R
         Qxi = Q + A @ injection_covariances(fwd) @ A.T
     else:
-        F = np.asarray([Cb[:, 2 * n:] for Cb in lf.Cbar])
-        Ups = np.asarray([Db[:, n:] for Db in lf.Dbar])
+        F = bwd.r_half @ np.asarray(bwd.F)
+        Ups = bwd.r_half @ np.asarray(bwd.Ups)
         UU = Ups @ Ups.transpose(0, 2, 1)
         Qxi = Q
     FC = F + C
@@ -373,15 +349,19 @@ def error_cov_recursion(model, eval_gains, fwd, lf=None, P0=None):
 # Steady-state backward fixed point
 
 
-def steady_state_w(model, L, theta, tol=1e-10, max_iter=100000):
+def steady_state_w(model, L, theta):
     """Fixed point of the backward recursion at converged (L, theta).
 
-    Iterates W <- Abar^T (W^{-1} - L R L^T)^{-1} Abar + theta I from
-    W = theta I, with Abar = (I - L C) A.  Returns (W, J, spectral radius
-    of Abar - Lw J^T), where Lw is the whitened gain L R^{1/2} and
+    Solves W = Abar^T (W^{-1} - L R L^T)^{-1} Abar + theta I with
+    Abar = (I - L C) A by structured doubling (``numerics._doubling`` with
+    G = -L R L^T), whose iterates are those of the recursion from
+    W = theta I at steps 2^k.  Returns (W, J, spectral radius of
+    Abar - Lw J^T), where Lw is the whitened gain L R^{1/2} and
     J = Abar^T W Lw (Lw^T W Lw - I)^{-1}; the radius being below one
     certifies mean-square boundedness of the filter error under the
-    hostile channel model in steady state.
+    hostile channel model in steady state.  Raises SynthesisError when the
+    doubling fails or overflows, or when W or W^{-1} - L R L^T is not
+    positive definite.
     """
     n = model.n
     A, C = model.A, model.C
@@ -390,35 +370,19 @@ def steady_state_w(model, L, theta, tol=1e-10, max_iter=100000):
     Abar = (np.eye(n) - L @ C) @ A
     if theta < 0:
         raise SynthesisError("theta must be nonnegative")
-    W = theta * np.eye(n)
     if theta == 0.0:
         J = np.zeros((n, model.m))
         rad = float(max(abs(np.linalg.eigvals(Abar))))
-        return W, J, rad
-    streak = 0
-    for _ in range(max_iter):
-        Winv = np.linalg.inv(check_sympd(W))
-        core = sym(Winv - L @ model.R @ L.T)
-        mn, _ = spectral_extrema(core)
-        if mn <= 0:
-            raise SynthesisError(
-                "steady-state recursion infeasible: W^{-1} - L R L^T lost "
-                "positive definiteness; reduce theta or the tolerance"
-            )
-        Wn = sym(Abar.T @ np.linalg.inv(core) @ Abar + theta * np.eye(n))
-        if np.abs(Wn - W).max() <= tol * max(1.0, np.abs(Wn).max()):
-            streak += 1
-            if streak >= 10:
-                W = Wn
-                break
-        else:
-            streak = 0
-        W = Wn
-    else:
+        return np.zeros((n, n)), J, rad
+    try:
+        W = _doubling(Abar[None], -(Lw @ Lw.T)[None], theta * np.eye(n))[0]
+        if not np.isfinite(W).all():
+            raise NumericsError("the doubling overflowed")
+        check_sympd(sym(np.linalg.inv(check_sympd(W)) - L @ model.R @ L.T))
+    except (NumericsError, np.linalg.LinAlgError) as e:
         raise SynthesisError(
-            "steady-state backward recursion did not converge; "
-            "a smaller theta or tolerance may be required"
-        )
+            f"steady-state backward recursion infeasible at theta="
+            f"{theta:.6g}: {e}") from e
     M = sym(Lw.T @ W @ Lw - np.eye(model.m))
     J = Abar.T @ W @ Lw @ np.linalg.inv(M)
     rad = float(max(abs(np.linalg.eigvals(Abar - Lw @ J.T))))

@@ -259,12 +259,20 @@ def model_to_dict(model):
 
 
 def model_from_dict(d):
+    """The validated model of a parsed JSON object with exactly the keys A,
+    C, Q and R; any other shape, key or non-numeric entry raises
+    ModelError."""
+    if not isinstance(d, dict):
+        raise ModelError("model file must hold a JSON object")
+    keys = {"A", "C", "Q", "R"}
+    if set(d) != keys:
+        raise ModelError(f"model file keys {sorted(d)}, expected "
+                         f"{sorted(keys)}")
     try:
-        return validate(
-            LinearGaussianModel(A=d["A"], C=d["C"], Q=d["Q"], R=d["R"])
-        )
-    except KeyError as e:
-        raise ModelError(f"model file missing key {e}")
+        model = LinearGaussianModel(**d)
+    except (TypeError, ValueError) as e:
+        raise ModelError(f"model entries must be numeric matrices: {e}")
+    return validate(model)
 
 
 def load_model(path):
@@ -278,6 +286,8 @@ def save_model(model, path):
 
 
 def belief_from_dict(d):
+    if not isinstance(d, dict):
+        raise ModelError("belief file must hold a JSON object")
     try:
         return GaussianBelief(mean=np.asarray(d["mean"], dtype=float),
                               cov=np.asarray(d["cov"], dtype=float))

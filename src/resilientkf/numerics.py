@@ -38,17 +38,17 @@ def sym(X):
     return 0.5 * (X + X.T)
 
 
-def check_symmetric(S, tol=SYM_TOL):
+def check_symmetric(S):
     S = _as_matrix(S)
     scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > tol * scale:
+    if np.abs(S - S.T).max() > SYM_TOL * scale:
         raise NumericsError("matrix is not symmetric to tolerance")
     return sym(S)
 
 
-def check_sympd(P, tol=SYM_TOL):
+def check_sympd(P):
     """Validate a symmetric positive-definite matrix and return it symmetrized."""
-    P = check_symmetric(P, tol)
+    P = check_symmetric(P)
     try:
         np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
@@ -135,7 +135,13 @@ class BudgetSolveResult:
     iterations: int
 
 
-def solve_budget(P, c, tol=1e-12, max_iter=200):
+# solve_budget stops once |gamma - c| <= BUDGET_TOL * c, and gives up after
+# BUDGET_MAX_ITER Newton steps.
+BUDGET_TOL = 1e-12
+BUDGET_MAX_ITER = 200
+
+
+def solve_budget(P, c):
     """Find theta with gamma(P, theta) = c by a safeguarded Newton solve.
 
     One eigendecomposition of P serves every iteration, each of which is
@@ -148,11 +154,11 @@ def solve_budget(P, c, tol=1e-12, max_iter=200):
     is kept: a step that rounds to no move goes one ulp, and a step that
     leaves the bracket bisects it.
 
-    Returns once |gamma - c| <= tol * c, or once no float lies strictly
-    inside the bracket, with its end nearer c (near the pole one ulp of
-    theta can move gamma by more than tol * c).  Raises NumericsError when
-    c is unreachable inside the bracket, or when neither happens within
-    max_iter iterations.
+    Returns once |gamma - c| <= BUDGET_TOL * c, or once no float lies
+    strictly inside the bracket, with its end nearer c (near the pole one
+    ulp of theta can move gamma by more than BUDGET_TOL * c).  Raises
+    NumericsError when c is unreachable inside the bracket, or when neither
+    happens within BUDGET_MAX_ITER iterations.
     """
     P = check_sympd(P)
     c = float(c)
@@ -171,9 +177,9 @@ def solve_budget(P, c, tol=1e-12, max_iter=200):
     theta = min(hi, 2.0 * math.sqrt(c / math.fsum(lam * lam for lam in lams)),
                 (1.0 - 1.0 / u) / smax)
     g = g_hi
-    for it in range(1, max_iter + 1):
+    for it in range(1, BUDGET_MAX_ITER + 1):
         g, dg = _gamma_terms(lams, theta)
-        if abs(g - c) <= tol * c:
+        if abs(g - c) <= BUDGET_TOL * c:
             return BudgetSolveResult(theta=theta, achieved_budget=g, iterations=it)
         if g < c:
             lo, g_lo = theta, g
@@ -189,8 +195,8 @@ def solve_budget(P, c, tol=1e-12, max_iter=200):
                 return BudgetSolveResult(theta=theta, achieved_budget=g, iterations=it)
         theta = nxt
     raise NumericsError(
-        f"budget solve did not converge in {max_iter} iterations: c={c:.6g}, "
-        f"sigma_max={smax:.6g}, |gamma - c|/c={abs(g - c) / c:.3g}")
+        f"budget solve did not converge in {BUDGET_MAX_ITER} iterations: "
+        f"c={c:.6g}, sigma_max={smax:.6g}, |gamma - c|/c={abs(g - c) / c:.3g}")
 
 
 def gaussian_kl(mean0, cov0, mean1, cov1):

@@ -137,14 +137,18 @@ def _min_eig_rk(parts, phi):
     return mn
 
 
-def phi_max(model, k, tol=1e-6):
+# Absolute tolerance in phi to which phi_max locates the R_k boundary.
+PHI_TOL = 1e-6
+
+
+def phi_max(model, k):
     """Largest phi for which R_k(phi) is positive definite.
 
     R_k(phi) decreases in phi, and its minimum eigenvalue is positive for
     small phi (under observability) and crosses zero before the upper
     endpoint.  The sign change is located by a coarse geometric scan and
-    pinned down by brentq to absolute tolerance ``tol``; the returned phi_k
-    is on the positive-definite side, within ``tol`` of the boundary.  The
+    pinned down by brentq to absolute tolerance PHI_TOL; the returned phi_k
+    is on the positive-definite side, within PHI_TOL of the boundary.  The
     scan starts at 1e-6 sigma_max(Minner), or, if R_k already fails there,
     at the provably positive-definite phi_lo = lambda_min(T1) /
     (||Jk||^2 + lambda_min(T1) sigma_max(Minner)), from
@@ -173,15 +177,16 @@ def phi_max(model, k, tol=1e-6):
     prev = lo
     for g in np.geomspace(lo, ub, 200)[1:]:
         if _min_eig_rk(parts, g) <= 0:
-            phi = brentq(lambda p: _min_eig_rk(parts, p), prev, g, xtol=tol)
+            phi = brentq(lambda p: _min_eig_rk(parts, p), prev, g,
+                         xtol=PHI_TOL)
             if _min_eig_rk(parts, phi) <= 0:
-                # brentq's root can land up to tol past the boundary:
+                # brentq's root can land up to PHI_TOL past the boundary:
                 # bisect back onto the positive-definite side, stopping
-                # within tol / 1024 of the boundary so phi_k moves little
-                lo, hi = max(prev, phi - tol), phi
+                # within PHI_TOL / 1024 of the boundary so phi_k moves little
+                lo, hi = max(prev, phi - PHI_TOL), phi
                 if _min_eig_rk(parts, lo) <= 0:
                     lo = prev
-                while hi - lo > tol / 1024:
+                while hi - lo > PHI_TOL / 1024:
                     mid = 0.5 * (lo + hi)
                     if _min_eig_rk(parts, mid) > 0:
                         lo = mid
@@ -238,15 +243,15 @@ class BoundReport:
         return d
 
 
-def c_max(model, k=10, q=20, tol=1e-6):
+def c_max(model, k=10, q=20):
     """Budget bound c_max = gamma(P_bar_{q|q}, phi_k) certifying gain
     convergence of the update-resilient filter for any c in (0, c_max]."""
     parts = build_gramian_parts(model, k)
-    phik = phi_max(parts, k, tol=tol)
+    phik = phi_max(parts, k)
     Pq = pbar_filtered(model, q)
     val = gamma(Pq, phik)
     return BoundReport(phi_k=phik, c_max=float(val), pbar_qq=Pq,
-                       search={"k": k, "q": q, "phi_tol": tol})
+                       search={"k": k, "q": q, "phi_tol": PHI_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +395,7 @@ def _verify_certificate(model, theta, Sigma, G, alpha, rho):
     return record
 
 
-def theta_max(model, k=10, tol=1e-6):
+def theta_max(model, k=10):
     """Risk-sensitivity bound theta_max = min(beta*, phi_k).
 
     beta* is the largest beta of ``sigma_beta`` over (alpha, G, rho).  For
@@ -417,7 +422,7 @@ def theta_max(model, k=10, tol=1e-6):
     swept pairs whose Riccati solve overflowed; they count as beta* = -inf.
     """
     parts = build_gramian_parts(model, k)
-    phik = phi_max(parts, k, tol=tol)
+    phik = phi_max(parts, k)
     best, where, overflowed = _sweep(model)
     i = int(np.argmax(best))
     if not np.isfinite(best[i]):
@@ -452,12 +457,16 @@ def theta_max(model, k=10, tol=1e-6):
                        search=search)
 
 
-def prop6_guard(model, theta, P0, G, alpha, rho, horizon=1000):
+# Steps of the fixed-theta covariance recursion that prop6_guard checks.
+GUARD_HORIZON = 1000
+
+
+def prop6_guard(model, theta, P0, G, alpha, rho):
     """Certify boundedness of the fixed-theta covariance recursion.
 
     Checks 0 < P0 <= Sigma and theta <= beta for the given certificate
     arguments; when both hold, runs the fixed-theta covariance recursion
-    for ``horizon`` steps and verifies every distorted covariance stays
+    for GUARD_HORIZON steps and verifies every distorted covariance stays
     positive definite and every predicted covariance stays below Sigma.
     Returns (ok, certificate-dict); never raises on a failed check.
     """
@@ -480,7 +489,7 @@ def prop6_guard(model, theta, P0, G, alpha, rho, horizon=1000):
         return False, {**cert, "reason": f"theta exceeds beta = {beta:.6g}"}
     try:
         sched = covariance_schedule(
-            model, FilterConfig(kind="ursf", theta=theta), P0, horizon)
+            model, FilterConfig(kind="ursf", theta=theta), P0, GUARD_HORIZON)
     except (FilterError, NumericsError) as e:
         return False, {**cert, "reason": f"covariance recursion failed: {e}"}
     worst_pd = np.linalg.eigvalsh(np.array(sched.cov_distorted))[:, 0].min()

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from resilientkf import LinearGaussianModel
+from resilientkf.filters import covariance_schedule, mean_pass
 from resilientkf.model import is_observable
 
 
@@ -59,3 +62,17 @@ def seeded_model(seed, n, m):
                                     R=D @ D.T + 0.1 * np.eye(m))
         if is_observable(model.A, model.C):
             return model
+
+
+def run_filter(model, config, init, ys):
+    """The filter's covariance schedule, then its mean pass over ``ys``:
+    one record per observation with the step's gain, theta, filtered mean
+    and covariance, distorted covariance, and predicted mean and
+    covariance."""
+    sched = covariance_schedule(model, config, init.cov, len(ys) - 1)
+    return [SimpleNamespace(gain=sched.gains[t], theta=sched.thetas[t],
+                            mean_filt=x_f, cov_filt=sched.cov_filt[t],
+                            cov_distorted=sched.cov_distorted[t],
+                            mean_pred=x_p, cov_pred=sched.cov_pred[t + 1])
+            for t, (x_f, x_p) in enumerate(
+                mean_pass(model, sched.gains, init.mean, ys))]

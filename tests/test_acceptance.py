@@ -15,12 +15,11 @@ from resilientkf import (
     LinearGaussianModel,
 )
 from resilientkf.bench import McConfig, Scenario, run_monte_carlo
-from resilientkf.filters import FilterConfig, covariance_schedule, run_filter
+from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.least_favorable import (
     assemble_lf,
     backward_pass,
     error_cov_recursion,
-    forward_gains,
     one_step_joints,
     simulate_lf,
     steady_state_w,
@@ -41,7 +40,7 @@ from resilientkf.stability import (
     theta_max,
 )
 
-from conftest import random_observable_model
+from conftest import random_observable_model, run_filter
 
 
 def _model_a():
@@ -167,7 +166,8 @@ def test_criterion_03_degenerate_equivalence():
             worst_dev = max(worst_dev, dev[c_hi])
             worst_ratio = max(worst_ratio,
                               abs(dev[c_hi] / dev[c_lo] - 10.0) / 10.0)
-        fwd = forward_gains(model, {"theta": 0.0}, 10)
+        fwd = covariance_schedule(
+            model, FilterConfig(kind="ursf", theta=0.0), np.eye(model.n), 10)
         bwd = backward_pass(fwd, model)
         for t in range(11):
             worst_lf = max(worst_lf, np.abs(bwd.F[t]).max(),
@@ -194,7 +194,7 @@ def test_criterion_04_worst_case_ordering():
     all_ok = True
     details = []
     for c in (1e-2, 5e-2):
-        fwd = forward_gains(model, {"c": c}, N, P0)
+        fwd = covariance_schedule(model, FilterConfig(kind="urkf", c=c), P0, N)
         traces = {}
         for name, fc in (("kf", FilterConfig(kind="kf")),
                          ("prkf", FilterConfig(kind="prkf", c=c))):
@@ -217,7 +217,8 @@ def test_criterion_04_worst_case_ordering():
 def test_criterion_05_kl_budget_exactness():
     model = _model_a()
     c = 5e-2
-    fwd = forward_gains(model, {"c": c}, 300, 0.01 * np.eye(2))
+    fwd = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=c), 0.01 * np.eye(2), 300)
     z = np.zeros(3)
     worst = 0.0
     for t in range(301):
@@ -235,7 +236,7 @@ def test_criterion_06_monte_carlo_analytic_agreement():
     P0 = 0.01 * np.eye(2)
     N = 110
     n_traj = 10000
-    fwd = forward_gains(model, {"c": c}, N, P0)
+    fwd = covariance_schedule(model, FilterConfig(kind="urkf", c=c), P0, N)
     bwd = backward_pass(fwd, model)
     lf = assemble_lf(fwd, bwd, model)
     init = GaussianBelief(mean=np.zeros(2), cov=P0)
@@ -248,7 +249,7 @@ def test_criterion_06_monte_carlo_analytic_agreement():
         if t == 100:
             err = X[:, t] - xf
         xh = xf @ model.A.T
-    Pis = error_cov_recursion(model, fwd.gains, fwd, lf, P0)
+    Pis = error_cov_recursion(model, fwd.gains, fwd, bwd, P0)
     emp = np.trace(np.cov(err.T))
     ana = np.trace(Pis[100][:2, :2])
     rel = abs(emp - ana) / ana
@@ -263,7 +264,8 @@ def test_criterion_06_monte_carlo_analytic_agreement():
 def test_criterion_07_scalar_saddle_oracle():
     model = LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
     c = 0.05
-    fwd = forward_gains(model, {"c": c}, 5, np.eye(1))
+    fwd = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=c), np.eye(1), 5)
     t = 3
     P = fwd.cov_pred[t][0, 0]
     L = fwd.gains[t][0, 0]

@@ -264,6 +264,37 @@ BAD_INPUTS = {
                       "--init {nan_init}"),
     "init_indefinite_cov": ("filter --model {model} --config {config} "
                             "--data {data} --init {indefinite_init}"),
+    "config_not_object":
+        "filter --model {model} --config {list_config} --data {data}",
+    "config_missing_kind":
+        "filter --model {model} --config {empty_config} --data {data}",
+    "config_string_c":
+        "filter --model {model} --config {string_c_config} --data {data}",
+    "config_bool_theta":
+        "filter --model {model} --config {bool_theta_config} --data {data}",
+    "config_huge_c":
+        "filter --model {model} --config {huge_c_config} --data {data}",
+    "config_not_json":
+        "filter --model {model} --config {not_json} --data {data}",
+    "model_not_json": "filter --model {not_json} --config {config} --data {data}",
+    "config_unknown_key":
+        "filter --model {model} --config {typo_config} --data {data}",
+    "config_solver_tol":
+        "filter --model {model} --config {solver_tol_config} --data {data}",
+    "model_not_object":
+        "filter --model {list_model} --config {config} --data {data}",
+    "model_unknown_key":
+        "filter --model {extra_key_model} --config {config} --data {data}",
+    "init_dimension_mismatch": ("filter --model {model} --config {config} "
+                                "--data {data} --init {init_3d}"),
+    "lf_build_init_dimension_mismatch":
+        "lf build --model {model} --c 0.05 --init {init_3d}",
+    "lf_simulate_init_dimension_mismatch":
+        "lf simulate --model {model} --c 0.05 --init {init_3d}",
+    "init_not_object": ("filter --model {model} --config {config} "
+                        "--data {data} --init {list_config}"),
+    "lf_both_indefinite_init":
+        "lf both --model {model} --c 0.05 --init {indefinite_init}",
     "bounds_cmax_k_below_n": "bounds --model {model} --mode cmax --k 1",
     "bounds_cmax_negative_k": "bounds --model {model} --mode cmax --k -5",
     "bounds_cmax_negative_q": "bounds --model {model} --mode cmax --q -1",
@@ -283,6 +314,17 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "inf_data": "0.1\ninf\n",
         "nan_init": '{"mean": [0.0, NaN], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
         "indefinite_init": '{"mean": [0, 0], "cov": [[1, 2], [2, 1]]}',
+        "list_config": "[1]",
+        "empty_config": "{}",
+        "string_c_config": '{"kind": "urkf", "c": "0.1"}',
+        "bool_theta_config": '{"kind": "ursf", "theta": true}',
+        "typo_config": '{"kind": "kf", "thta": 0.1}',
+        "huge_c_config": '{"kind": "urkf", "c": 1%s}' % ("0" * 400),
+        "not_json": "kind: kf",
+        "solver_tol_config": '{"kind": "urkf", "c": 0.1, "solver_tol": -1}',
+        "list_model": "[1, 2]",
+        "extra_key_model": json.dumps(dict(MODEL_A, B=[[1.0], [0.0]])),
+        "init_3d": json.dumps({"mean": [0, 0, 0], "cov": np.eye(3).tolist()}),
     }
     paths = {"model": model_file}
     for name, text in files.items():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_observable_model
+from conftest import random_observable_model, run_filter
 from resilientkf.filters import (
+    ConfigError,
     FilterConfig,
     FilterError,
     _inflate,
-    covariance_schedule,
-    run_filter,
 )
 from resilientkf.model import GaussianBelief, simulate_nominal
 from resilientkf.numerics import NumericsError, gamma, solve_budget
@@ -36,8 +35,11 @@ def test_config_validation():
 
 
 def test_config_from_dict_roundtrip():
-    fc = FilterConfig.from_dict({"kind": "urkf", "c": 0.5, "solver_tol": 1e-12})
+    fc = FilterConfig.from_dict({"kind": "urkf", "c": 0.5})
     assert fc.kind == "urkf" and fc.c == 0.5
+    # the budget solve's tolerance is a constant, not a config key
+    with pytest.raises(ConfigError, match="solver_tol"):
+        FilterConfig.from_dict({"kind": "urkf", "c": 0.5, "solver_tol": 1e-12})
 
 
 def test_degenerate_budgets_match_kf(model_a):
@@ -88,21 +90,6 @@ def test_prkf_distorts_prediction(model_a):
     assert np.abs(ps[0].gain - ks[0].gain).max() > 1e-6
     for s in ps:
         assert s.theta > 0
-
-
-def test_covariance_schedule_matches_run(model_b):
-    init = GaussianBelief(mean=np.zeros(2), cov=0.3 * np.eye(2))
-    traj = simulate_nominal(model_b, init, 25, seed=5)
-    for kind, kw in (("kf", {}), ("urkf", {"c": 0.05}), ("prkf", {"c": 0.05}),
-                     ("ursf", {"theta": 0.002}), ("prsf", {"theta": 0.002})):
-        fc = FilterConfig(kind=kind, **kw)
-        steps = run_filter(model_b, fc, init, traj.observations)
-        sched = covariance_schedule(model_b, fc, init.cov, 25)
-        gains, thetas, filts = sched.gains, sched.thetas, sched.cov_filt
-        for t, s in enumerate(steps):
-            assert np.abs(s.gain - gains[t]).max() < 1e-10
-            assert np.abs(s.cov_filt - filts[t]).max() < 1e-10
-            assert abs(s.theta - thetas[t]) < 1e-10
 
 
 def test_infeasible_theta_raises(model_a):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from resilientkf.filters import FilterConfig, covariance_schedule
+from resilientkf.filters import (
+    ConfigError,
+    FilterConfig,
+    FilterError,
+    covariance_schedule,
+)
 from resilientkf.least_favorable import (
     SynthesisError,
     assemble_lf,
     backward_pass,
     error_cov_recursion,
-    forward_gains,
     injection_covariances,
     one_step_joints,
     simulate_lf,
@@ -20,26 +24,29 @@ from resilientkf.numerics import check_sympd, gaussian_kl, sym
 from conftest import seeded_model
 
 
-def test_forward_gains_tiny_budget_is_kf(model_a):
+def test_update_schedule_tiny_budget_is_kf(model_a):
     P0 = np.eye(2)
-    fwd = forward_gains(model_a, {"c": 1e-14}, 30, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=1e-14), P0, 30)
     kf_gains = covariance_schedule(model_a, FilterConfig(kind="kf"), P0, 30)[0]
     assert max(t for t in fwd.thetas) < 1e-6
     for L, Lk in zip(fwd.gains, kf_gains):
         assert np.abs(L - Lk).max() < 1e-6
 
 
-def test_forward_gains_theta_budget(model_a):
-    fwd = forward_gains(model_a, {"theta": 0.02}, 10)
+def test_update_schedule_theta_budget(model_a):
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="ursf", theta=0.02), np.eye(2), 10)
     assert all(t == 0.02 for t in fwd.thetas)
-    with pytest.raises(SynthesisError):
-        forward_gains(model_a, {}, 10)
-    with pytest.raises(SynthesisError):
-        forward_gains(model_a, {"c": -1.0}, 10)
+    with pytest.raises(ConfigError):
+        FilterConfig(kind="urkf")
+    with pytest.raises(ConfigError):
+        FilterConfig(kind="urkf", c=-1.0)
 
 
 def test_backward_zero_budget_collapse(model_a):
-    fwd = forward_gains(model_a, {"theta": 0.0}, 20)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="ursf", theta=0.0), np.eye(2), 20)
     bwd = backward_pass(fwd, model_a)
     for t in range(21):
         assert np.abs(bwd.F[t]).max() < 1e-12
@@ -50,7 +57,8 @@ def test_backward_zero_budget_collapse(model_a):
 
 def test_backward_omega_forms_agree(model_a):
     # SPD-safe Riccati form vs direct feedback composition
-    fwd = forward_gains(model_a, {"c": 5e-2}, 60, 0.01 * np.eye(2))
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), 0.01 * np.eye(2), 60)
     bwd = backward_pass(fwd, model_a)
     A, C = model_a.A, model_a.C
     for t in range(60, -1, -1):
@@ -64,21 +72,23 @@ def test_backward_omega_forms_agree(model_a):
 
 
 def test_backward_terminal_condition(model_a):
-    fwd = forward_gains(model_a, {"c": 5e-2}, 15, 0.01 * np.eye(2))
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), 0.01 * np.eye(2), 15)
     bwd = backward_pass(fwd, model_a)
     assert np.abs(bwd.W[15] - fwd.thetas[15] * np.eye(2)).max() < 1e-14
 
 
 def test_backward_infeasible_budget(model_b):
-    # an absurdly large fixed theta breaks the synthesis, either in the
-    # forward inflation or in the backward definiteness check
-    with pytest.raises(SynthesisError):
-        fwd = forward_gains(model_b, {"theta": 0.4}, 200)
-        backward_pass(fwd, model_b)
+    # an absurdly large fixed theta breaks the synthesis already in the
+    # forward inflation, at the first step after the prior
+    with pytest.raises(FilterError, match="t=1"):
+        covariance_schedule(
+            model_b, FilterConfig(kind="ursf", theta=0.4), np.eye(2), 200)
 
 
 def test_assemble_lf_structure(model_a):
-    fwd = forward_gains(model_a, {"c": 5e-2}, 10, 0.01 * np.eye(2))
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), 0.01 * np.eye(2), 10)
     bwd = backward_pass(fwd, model_a)
     lf = assemble_lf(fwd, bwd, model_a)
     n, m = 2, 1
@@ -95,7 +105,8 @@ def test_assemble_lf_structure(model_a):
 
 
 def test_zero_budget_lf_matches_nominal_moments(model_a):
-    fwd = forward_gains(model_a, {"theta": 0.0}, 40)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="ursf", theta=0.0), np.eye(2), 40)
     bwd = backward_pass(fwd, model_a)
     lf = assemble_lf(fwd, bwd, model_a)
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
@@ -112,7 +123,8 @@ def test_zero_budget_lf_matches_nominal_moments(model_a):
 
 
 def test_simulate_lf_deterministic(model_a):
-    fwd = forward_gains(model_a, {"c": 5e-2}, 10, 0.01 * np.eye(2))
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), 0.01 * np.eye(2), 10)
     bwd = backward_pass(fwd, model_a)
     lf = assemble_lf(fwd, bwd, model_a)
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
@@ -123,7 +135,8 @@ def test_simulate_lf_deterministic(model_a):
 
 def test_kl_budget_exact_along_pass(model_a):
     c = 5e-2
-    fwd = forward_gains(model_a, {"c": c}, 60, 0.01 * np.eye(2))
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=c), 0.01 * np.eye(2), 60)
     z = np.zeros(3)
     for t in range(61):
         K, Kt = one_step_joints(model_a, fwd, t)
@@ -131,7 +144,8 @@ def test_kl_budget_exact_along_pass(model_a):
 
 
 def test_injection_covariances_psd(model_a):
-    fwd = forward_gains(model_a, {"c": 5e-2}, 30, 0.01 * np.eye(2))
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), 0.01 * np.eye(2), 30)
     Ds = injection_covariances(fwd)
     assert Ds.shape == (31, 2, 2)
     # the stacked form has the bytes of the per-step sym(V_t - P_t)
@@ -143,7 +157,8 @@ def test_injection_covariances_psd(model_a):
 
 def test_worst_case_cov_zero_budget_is_kf(model_a):
     P0 = 0.5 * np.eye(2)
-    fwd = forward_gains(model_a, {"theta": 0.0}, 40, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="ursf", theta=0.0), P0, 40)
     Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     filts = covariance_schedule(
         model_a, FilterConfig(kind="kf"), P0, 40).cov_filt
@@ -155,7 +170,8 @@ def test_worst_case_matched_filter_cov(model_a):
     # under the saddle-achieving model the robust filter is exactly matched:
     # its error covariance equals its own internal distorted covariance
     P0 = 0.01 * np.eye(2)
-    fwd = forward_gains(model_a, {"c": 5e-2}, 120, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), P0, 120)
     Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     for t in (40, 80, 120):
         assert np.abs(Pis[t][:2, :2] - fwd.cov_filt[t]).max() < 1e-9
@@ -163,7 +179,8 @@ def test_worst_case_matched_filter_cov(model_a):
 
 def test_worst_case_psd_and_horizon_check(model_a):
     P0 = 0.01 * np.eye(2)
-    fwd = forward_gains(model_a, {"c": 5e-2}, 20, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), P0, 20)
     Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     for Pi in Pis:
         assert np.linalg.eigvalsh(Pi).min() >= -1e-10
@@ -173,13 +190,14 @@ def test_worst_case_psd_and_horizon_check(model_a):
 
 def test_channel_pi_recursion_psd_and_mismatch(model_a):
     P0 = 0.01 * np.eye(2)
-    fwd = forward_gains(model_a, {"c": 5e-2}, 20, P0)
-    lf = assemble_lf(fwd, backward_pass(fwd, model_a), model_a)
-    Pis = error_cov_recursion(model_a, fwd.gains, fwd, lf, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), P0, 20)
+    bwd = backward_pass(fwd, model_a)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, bwd, P0)
     for Pi in Pis:
         assert np.linalg.eigvalsh(Pi).min() >= -1e-10
     with pytest.raises(SynthesisError):
-        error_cov_recursion(model_a, fwd.gains[:-1], fwd, lf, P0)
+        error_cov_recursion(model_a, fwd.gains[:-1], fwd, bwd, P0)
 
 
 def test_channel_mc_agrees_with_pi(model_a):
@@ -187,7 +205,8 @@ def test_channel_mc_agrees_with_pi(model_a):
     # trajectories vs the Lyapunov recursion
     P0 = 0.01 * np.eye(2)
     N = 60
-    fwd = forward_gains(model_a, {"c": 5e-2}, N, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), P0, N)
     bwd = backward_pass(fwd, model_a)
     lf = assemble_lf(fwd, bwd, model_a)
     init = GaussianBelief(mean=np.zeros(2), cov=P0)
@@ -200,7 +219,7 @@ def test_channel_mc_agrees_with_pi(model_a):
         if t == 50:
             err_t = X[:, t] - xf
         xh = xf @ model_a.A.T
-    Pis = error_cov_recursion(model_a, fwd.gains, fwd, lf, P0)
+    Pis = error_cov_recursion(model_a, fwd.gains, fwd, bwd, P0)
     emp = np.cov(err_t.T)
     ana = Pis[50][:2, :2]
     assert abs(np.trace(emp) - np.trace(ana)) / np.trace(ana) < 0.05
@@ -209,7 +228,8 @@ def test_channel_mc_agrees_with_pi(model_a):
 def test_worst_case_mc_agrees_with_pi(model_a):
     P0 = 0.01 * np.eye(2)
     N = 60
-    fwd = forward_gains(model_a, {"c": 5e-2}, N, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), P0, N)
     init = GaussianBelief(mean=np.zeros(2), cov=P0)
     X, Y = simulate_worst_case(model_a, fwd, init, 20000, seed=9)
     xh = np.zeros((20000, 2))
@@ -226,16 +246,21 @@ def test_worst_case_mc_agrees_with_pi(model_a):
     assert abs(np.trace(emp) - np.trace(ana)) / np.trace(ana) < 0.05
 
 
+def _steady_state_residual(model, L, theta, W):
+    """W's residual in W = Abar^T (W^{-1} - L R L^T)^{-1} Abar + theta I."""
+    Abar = (np.eye(model.n) - L @ model.C) @ model.A
+    core = np.linalg.inv(np.linalg.inv(W) - L @ model.R @ L.T)
+    return Abar.T @ core @ Abar + theta * np.eye(model.n) - W
+
+
 def test_steady_state_w(model_a):
     P0 = 0.01 * np.eye(2)
     N = 2000
-    fwd = forward_gains(model_a, {"c": 5e-2}, N, P0)
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), P0, N)
     L, theta = fwd.gains[-1], fwd.thetas[-1]
     W, J, rad = steady_state_w(model_a, L, theta)
-    # fixed-point residual
-    Abar = (np.eye(2) - L @ model_a.C) @ model_a.A
-    core = np.linalg.inv(np.linalg.inv(W) - L @ model_a.R @ L.T)
-    res = Abar.T @ core @ Abar + theta * np.eye(2) - W
+    res = _steady_state_residual(model_a, L, theta, W)
     assert np.abs(res).max() < 1e-8
     assert rad < 1.0
     # matches the tail of a long-horizon backward pass
@@ -247,6 +272,25 @@ def test_steady_state_w_zero_theta(model_a):
     W, J, rad = steady_state_w(model_a, np.zeros((2, 1)), 0.0)
     assert np.abs(W).max() == 0.0
     assert rad < 1.0 or rad >= 0.0
+
+
+def test_steady_state_w_solves_to_roundoff():
+    # the former fixed-point loop stopped at a residual of 6.3e-9 relative
+    model = seeded_model(8, 5, 1)
+    fwd = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=1e-2), np.eye(5), 400)
+    L, theta = fwd.gains[-1], fwd.thetas[-1]
+    W, _, _ = steady_state_w(model, L, theta)
+    res = _steady_state_residual(model, L, theta, W)
+    assert np.abs(res).max() <= 1e-12 * np.abs(W).max()
+
+
+def test_steady_state_w_infeasible_theta():
+    model = seeded_model(11, 4, 2)
+    fwd = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=0.05), np.eye(4), 400)
+    with pytest.raises(SynthesisError):
+        steady_state_w(model, fwd.gains[-1], 20 * fwd.thetas[-1])
 
 
 # The two recursions error_cov_recursion replaced, kept as references.
@@ -325,16 +369,17 @@ def test_error_cov_recursion_matches_references(which, channel, gains,
              "seeded_1_3_2": seeded_model(1, 3, 2)}[which]
     N = 200
     P0 = 0.5 * np.eye(model.n)
-    fwd = forward_gains(model, {"c": 1e-2}, N, P0)
+    fwd = covariance_schedule(model, FilterConfig(kind="urkf", c=1e-2), P0, N)
     schedule = (fwd.gains if gains == "robust" else covariance_schedule(
         model, FilterConfig(kind="kf"), P0, N).gains)
     if channel:
-        lf = assemble_lf(fwd, backward_pass(fwd, model), model)
-        ref = _ref_channel_error_cov(model, schedule, fwd, lf, P0)
+        bwd = backward_pass(fwd, model)
+        ref = _ref_channel_error_cov(model, schedule, fwd,
+                                     assemble_lf(fwd, bwd, model), P0)
     else:
-        lf = None
+        bwd = None
         ref = _ref_worst_case_error_cov(model, schedule, fwd, P0)
-    new = error_cov_recursion(model, schedule, fwd, lf, P0)
+    new = error_cov_recursion(model, schedule, fwd, bwd, P0)
     assert len(new) == len(ref) == N + 1
     for Pi, Pr in zip(new, ref):
         assert np.abs(Pi - Pr).max() <= 1e-12 * np.abs(Pr).max()

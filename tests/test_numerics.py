@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resilientkf import numerics
 from resilientkf.numerics import (
     NumericsError,
     chol_solve,
@@ -123,10 +124,11 @@ def test_solve_budget_bracket_collapse():
     assert abs(res.achieved_budget - c) <= min(c - below, above - c)
 
 
-def test_solve_budget_raises_on_non_convergence(model_a):
+def test_solve_budget_raises_on_non_convergence(model_a, monkeypatch):
     P = _solver_matrices(model_a)["pbar_a"]
+    monkeypatch.setattr(numerics, "BUDGET_MAX_ITER", 1)
     with pytest.raises(NumericsError, match="did not converge.*sigma_max"):
-        solve_budget(P, 0.1, max_iter=1)
+        solve_budget(P, 0.1)
 
 
 def test_solve_budget_rejects_bad_budget():

@@ -7,12 +7,7 @@ import pytest
 
 from resilientkf import filters
 from resilientkf.filters import FilterConfig, covariance_schedule
-from resilientkf.least_favorable import (
-    assemble_lf,
-    backward_pass,
-    error_cov_recursion,
-    forward_gains,
-)
+from resilientkf.least_favorable import backward_pass, error_cov_recursion
 
 from conftest import seeded_model
 
@@ -78,17 +73,15 @@ def test_schedule_matches_full_loop(which, model_a, monkeypatch):
 def test_backward_and_error_cov_match_full_loop(budget, model_a, monkeypatch):
     N = 200
     P0 = np.eye(2)
-    fwd = forward_gains(model_a, budget, N, P0)
-    prkf = covariance_schedule(
-        model_a, FilterConfig(kind="prsf" if "theta" in budget else "prkf",
-                              **budget), P0, N)
+    kinds = ("ursf", "prsf") if "theta" in budget else ("urkf", "prkf")
+    fwd, prkf = (covariance_schedule(
+        model_a, FilterConfig(kind=kind, **budget), P0, N) for kind in kinds)
     gains = (fwd.gains, prkf.gains)
 
     def run():
         bwd = backward_pass(fwd, model_a)
-        lf = assemble_lf(fwd, bwd, model_a)
         return bwd, [error_cov_recursion(model_a, g, fwd, adversary)
-                     for g in gains for adversary in (None, lf)]
+                     for g in gains for adversary in (None, bwd)]
 
     fills = _count_fills(monkeypatch)
     bwd, pis = run()

@@ -6,6 +6,7 @@ from resilientkf import LinearGaussianModel
 from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.numerics import chol_solve, gamma, solve_filter_dare, sym
 from resilientkf.stability import (
+    PHI_TOL,
     SIGMA_COND_MAX,
     StabilityError,
     build_gramian_parts,
@@ -65,8 +66,8 @@ def test_rk_symmetry_and_small_phi_limit(model_a):
 
 def test_phi_max_bracketing(model_a):
     parts = build_gramian_parts(model_a, 10)
-    tol = 1e-6
-    phik = phi_max(model_a, 10, tol=tol)
+    tol = PHI_TOL
+    phik = phi_max(model_a, 10)
     assert 0.090 <= phik <= 0.100
     lo = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 - 10 * tol))).min()
     hi = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 + 10 * tol))).min()
@@ -86,9 +87,9 @@ def test_phi_max_is_certified(name, request):
     # so the scan starts at the provable lower bound instead
     model = (request.getfixturevalue(name) if isinstance(name, str)
              else seeded_model(*name))
-    tol = 1e-6
+    tol = PHI_TOL
     parts = build_gramian_parts(model, 10)
-    phik = phi_max(parts, 10, tol=tol)
+    phik = phi_max(parts, 10)
     assert np.linalg.eigvalsh(rk_matrix(parts, phik)).min() > 0
     assert np.linalg.eigvalsh(rk_matrix(parts, phik + tol)).min() <= 0
     if name == (8, 5, 1):
