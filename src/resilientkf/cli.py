@@ -11,9 +11,9 @@ Subcommands:
 
 Every artifact is written atomically (temp file + rename) and accompanied
 by a ``<name>.manifest.json`` recording the command, configuration hash,
-seed, and outputs, so reruns are verifiable.  Exit codes: 0 success,
-2 validation error (including non-finite or out-of-range inputs and unknown
-filter names), 3 numerical failure, 4 I/O error.
+seed, outputs and numpy and scipy versions, so reruns are verifiable.  Exit
+codes: 0 success, 2 validation error (including non-finite or out-of-range
+inputs and unknown filter names), 3 numerical failure, 4 I/O error.
 """
 
 import argparse
@@ -27,12 +27,14 @@ import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .model import (
     GaussianBelief,
     ModelError,
     belief_from_dict,
+    load_json,
     load_model,
 )
 from .numerics import NumericsError
@@ -95,6 +97,8 @@ def _write_manifest(out_path, command, inputs, outputs, seed=None, **record):
         "command": command,
         "config_hash": digest,
         "tool_version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "seed": seed,
         "outputs": outputs,
         **record,
@@ -106,8 +110,7 @@ def _write_manifest(out_path, command, inputs, outputs, seed=None, **record):
 def _load_init(args, model):
     if not args.init:
         return GaussianBelief(mean=np.zeros(model.n), cov=np.eye(model.n))
-    with open(args.init) as f:
-        init = belief_from_dict(json.load(f))
+    init = belief_from_dict(load_json(args.init))
     if init.mean.shape != (model.n,):
         raise ModelError(f"initial belief has shape {init.mean.shape}, "
                          f"the model has {model.n} states")
@@ -203,8 +206,7 @@ def cmd_worstcase(args):
 
 def cmd_filter(args):
     model = load_model(args.model)
-    with open(args.config) as f:
-        fc = FilterConfig.from_dict(json.load(f))
+    fc = FilterConfig.from_dict(load_json(args.config))
     init = _load_init(args, model)
     ys = []
     with open(args.data) as f:
@@ -401,7 +403,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, BenchError, ConfigError, json.JSONDecodeError) as e:
+    except (ModelError, BenchError, ConfigError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericsError, FilterError, SynthesisError, StabilityError) as e:

@@ -270,14 +270,24 @@ def model_from_dict(d):
                          f"{sorted(keys)}")
     try:
         model = LinearGaussianModel(**d)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ModelError(f"model entries must be numeric matrices: {e}")
     return validate(model)
 
 
-def load_model(path):
+def load_json(path):
+    """The parsed contents of a JSON input file.  Text that is not JSON, or
+    that holds an integer too long to convert (Python caps integer strings
+    at 4300 digits), raises ModelError."""
     with open(path) as f:
-        return model_from_dict(json.load(f))
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise ModelError(str(e)) from e
+
+
+def load_model(path):
+    return model_from_dict(load_json(path))
 
 
 def save_model(model, path):
@@ -289,7 +299,11 @@ def belief_from_dict(d):
     if not isinstance(d, dict):
         raise ModelError("belief file must hold a JSON object")
     try:
-        return GaussianBelief(mean=np.asarray(d["mean"], dtype=float),
-                              cov=np.asarray(d["cov"], dtype=float))
+        mean, cov = d["mean"], d["cov"]
     except KeyError as e:
         raise ModelError(f"belief file missing key {e}")
+    try:
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ModelError(f"belief entries must be numeric arrays: {e}")
+    return GaussianBelief(mean=mean, cov=cov)

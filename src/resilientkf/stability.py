@@ -294,9 +294,10 @@ def sigma_beta(model, G, alpha, rho):
 SIGMA_COND_MAX = 1e8
 
 
-# theta_max sweeps beta*(alpha, rho) over ALPHAS x RHOS, SWEEP_ROWS alpha
-# rows per batched Riccati solve (faster, and at a lower peak memory, than
-# one 20 000-pair batch), then refines rho at the best alpha on
+# theta_max sweeps beta*(alpha, rho) over ALPHAS x RHOS, pruning BOX x
+# BOX-cell boxes by a bound (``_sweep``) and solving at most SWEEP_ROWS *
+# len(RHOS) pairs per batched Riccati solve (a lower peak memory than one
+# 20 000-pair batch), then refines rho at the best alpha on
 # RHO_REFINE_POINTS points between the neighbours of the best grid rho.
 # The last alpha is 1, so the same sweep gives the alpha = 1 diagnostic.
 ALPHAS = np.linspace(0.01, 1.0, 100)
@@ -312,6 +313,7 @@ RHO_HI = 20.0
 _RHO_EXPONENTS = np.arange(1, 201) / 200.0
 RHOS = RHO_HI ** _RHO_EXPONENTS  # log-spaced in (1, RHO_HI]
 SWEEP_ROWS = 10
+BOX = 5
 RHO_REFINE_POINTS = 201
 
 
@@ -342,22 +344,71 @@ def _beta_star(model, alphas, rhos):
     return beta, Sig
 
 
+def _corners(size):
+    """Indices 0, BOX, 2 BOX, ... and size - 1 of a grid axis: the box
+    corners of the pruned sweep."""
+    return np.union1d(np.arange(0, size, BOX), [size - 1])
+
+
 def _sweep(model):
     """The best beta* in every alpha row of ALPHAS x RHOS, its rho index,
-    and the number of pairs whose Riccati solve overflowed."""
-    best = np.empty(len(ALPHAS))
-    where = np.empty(len(ALPHAS), dtype=int)
-    overflowed = 0
-    for start in range(0, len(ALPHAS), SWEEP_ROWS):
-        rows = ALPHAS[start:start + SWEEP_ROWS]
-        beta, Sig = _beta_star(model, np.repeat(rows, len(RHOS)),
-                               np.tile(RHOS, len(rows)))
+    the number of solved pairs whose Riccati solve overflowed, and the
+    number of pairs solved.
+
+    A two-level search, exact on the rows theta_max reads.  Level 1 solves
+    the corners of the BOX x BOX-cell boxes of the grid.  On a box
+    [a_lo, a_hi] x [r_lo, r_hi] every beta* is at most
+    lambda_min((1 - r_hi^-2) Sigma*(a_hi, r_lo)^{-1} + (1 - a_lo^2) C^T R^{-1} C):
+    Sigma* decreases in alpha and increases in rho (the Riccati map is
+    X -> A (rho^-2 X^{-1} + alpha^2 C^T R^{-1} C)^{-1} A^T + Q), and the
+    SIGMA_COND_MAX cap and overflow only lower beta* to -inf.  Level 2
+    solves the rest of every box whose bound reaches the best corner beta*
+    (the incumbent), and likewise of every alpha = 1 segment against the
+    best alpha = 1 corner.  A pruned pair lies below an incumbent, which is
+    at most the grid maximum, so every pair attaining the maximum is
+    solved, and so is every maximiser in the alpha = 1 row: ``best`` and
+    ``where`` equal the full grid's in the winning row and the alpha = 1
+    row; other rows may read lower.  Each pair's beta* is the full grid's
+    bit for bit, because a converged equation leaves the doubling batch.
+    """
+    na, nr = len(ALPHAS), len(RHOS)
+    beta = np.full((na, nr), -np.inf)
+    ia, jr = _corners(na), _corners(nr)
+    I, J = np.meshgrid(ia, jr, indexing="ij")
+    corner, Sig = _beta_star(model, ALPHAS[I.ravel()], RHOS[J.ravel()])
+    beta[I, J] = corner.reshape(I.shape)
+    overflowed = int(np.isnan(Sig[:, 0, 0]).sum())
+    # box rows [ALPHAS[lo], ALPHAS[hi]] by corner rows k_lo, k_hi; the last
+    # box row is the alpha = 1 row alone, against its own incumbent
+    k = np.arange(len(ia))
+    k_lo, k_hi = np.append(k[:-1], k[-1]), np.append(k[1:], k[-1])
+    lo, hi = ia[k_lo], ia[k_hi]
+    incumbent = np.append(np.full(len(ia) - 1, corner.max()),
+                          beta[-1, jr].max())
+    # each box's bound from Sigma* at its (a_hi, r_lo) corner; it stays +inf
+    # where that Sigma* is not finite and positive definite
+    S = Sig.reshape(len(ia), len(jr), model.n, model.n)[k_hi, :-1]
+    bound = np.full(S.shape[:2], np.inf)
+    ok = np.isfinite(S).all(axis=(-2, -1))
+    ok[ok] = np.linalg.eigvalsh(S[ok])[:, 0] > 0
+    p, q = np.nonzero(ok)
+    CRC = sym(model.C.T @ chol_solve(model.R, model.C))
+    M = ((1.0 - RHOS[jr[q + 1]] ** -2.0)[:, None, None] * np.linalg.inv(S[ok])
+         + (1.0 - ALPHAS[lo[p]] ** 2)[:, None, None] * CRC)
+    bound[ok] = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+    need = np.zeros((na, nr), dtype=bool)
+    # the 1e-9 slack only keeps boxes whose bound ties the incumbent
+    for p, q in zip(*np.nonzero(bound * (1.0 + 1e-9) >= incumbent[:, None])):
+        need[lo[p]:hi[p] + 1, jr[q]:jr[q + 1] + 1] = True
+    need[I, J] = False
+    rows, cols = np.nonzero(need)
+    for s in range(0, len(rows), SWEEP_ROWS * nr):
+        r, c = rows[s:s + SWEEP_ROWS * nr], cols[s:s + SWEEP_ROWS * nr]
+        beta[r, c], Sig = _beta_star(model, ALPHAS[r], RHOS[c])
         overflowed += int(np.isnan(Sig[:, 0, 0]).sum())
-        beta = beta.reshape(len(rows), len(RHOS))
-        j = np.argmax(beta, axis=1)
-        where[start:start + len(rows)] = j
-        best[start:start + len(rows)] = beta[np.arange(len(rows)), j]
-    return best, where, overflowed
+    where = np.argmax(beta, axis=1)
+    return (beta[np.arange(na), where], where, overflowed,
+            ia.size * jr.size + rows.size)
 
 
 def _refined_certificate(model, alpha, j):
@@ -407,10 +458,12 @@ def theta_max(model, k=10):
     Sigma* C^T + R)^{-1}; lambda_min is monotone, so G* maximises beta.
     No grid over G is needed, and the work does not grow with n * m.
 
-    beta* is swept over ALPHAS x RHOS by one batched doubling solve per
-    SWEEP_ROWS alpha rows, then rho is refined at the best alpha (and, for
-    ``search["alpha1"]``, at alpha = 1, the restriction that corresponds to
-    robustifying the prediction instead of the update).  The reported beta
+    beta* is swept over ALPHAS x RHOS by batched doubling solves that skip
+    the boxes of the grid whose monotone upper bound falls below the best
+    box corner (``_sweep``); the winner is the full grid's, bit for bit.
+    Then rho is refined at the best alpha (and, for ``search["alpha1"]``,
+    at alpha = 1, the restriction that corresponds to robustifying the
+    prediction instead of the update).  The reported beta
     and Sigma are those of ``sigma_beta`` at (alpha, G*, rho).  Each
     certificate is re-verified with prop6_guard at its theta_max from
     P0 = Sigma; the verdict, its reason and cond(Sigma) are recorded under
@@ -418,12 +471,14 @@ def theta_max(model, k=10):
     and a failed verification raises StabilityError.
     ``search["rho_hi_limits_beta"]`` is true when the winner sits at
     RHO_HI with beta < phi_k, where a wider rho range might raise the bound.
-    ``search["overflowed_pairs"]``, present only when nonzero, counts the
-    swept pairs whose Riccati solve overflowed; they count as beta* = -inf.
+    ``search["riccati_solves"]`` counts the (alpha, rho) pairs solved, by
+    the sweep and the refinements.  ``search["overflowed_pairs"]``, present
+    only when nonzero, counts the solved sweep pairs whose Riccati solve
+    overflowed; they count as beta* = -inf.
     """
     parts = build_gramian_parts(model, k)
     phik = phi_max(parts, k)
-    best, where, overflowed = _sweep(model)
+    best, where, overflowed, solves = _sweep(model)
     i = int(np.argmax(best))
     if not np.isfinite(best[i]):
         raise StabilityError("empty admissible search set for theta_max")
@@ -431,6 +486,7 @@ def theta_max(model, k=10):
     rho, G = _refined_certificate(model, alpha, where[i])
     Sigma, beta = sigma_beta(model, G, alpha, rho)
     tmax = float(min(beta, phik))
+    solves += RHO_REFINE_POINTS * (1 + bool(np.isfinite(best[-1])))
     alpha1 = {"beta": -np.inf, "theta_max": None, "alpha": 1.0, "G": None,
               "rho": None}
     if np.isfinite(best[-1]):
@@ -449,6 +505,7 @@ def theta_max(model, k=10):
         "rho_hi_limits_beta": bool(rho == RHO_HI and beta < phik),
         "verification": _verify_certificate(model, tmax, Sigma, G, alpha, rho),
         "alpha1": alpha1,
+        "riccati_solves": solves,
     }
     if overflowed:
         search["overflowed_pairs"] = overflowed
@@ -467,7 +524,8 @@ def prop6_guard(model, theta, P0, G, alpha, rho):
     Checks 0 < P0 <= Sigma and theta <= beta for the given certificate
     arguments; when both hold, runs the fixed-theta covariance recursion
     for GUARD_HORIZON steps and verifies every distorted covariance stays
-    positive definite and every predicted covariance stays below Sigma.
+    positive definite and every predicted covariance stays below Sigma
+    (once the recursion cycles, only its distinct entries are checked).
     Returns (ok, certificate-dict); never raises on a failed check.
     """
     cert = {"theta": float(theta), "alpha": float(alpha), "rho": float(rho)}
@@ -492,9 +550,11 @@ def prop6_guard(model, theta, P0, G, alpha, rho):
             model, FilterConfig(kind="ursf", theta=theta), P0, GUARD_HORIZON)
     except (FilterError, NumericsError) as e:
         return False, {**cert, "reason": f"covariance recursion failed: {e}"}
-    worst_pd = np.linalg.eigvalsh(np.array(sched.cov_distorted))[:, 0].min()
+    # entries from start + period on are copies of earlier ones
+    k = sum(sched.cycle) if sched.cycle else None
+    worst_pd = np.linalg.eigvalsh(np.array(sched.cov_distorted[:k]))[:, 0].min()
     worst_gap = np.linalg.eigvalsh(
-        Sigma[None] - np.array(sched.cov_pred))[:, 0].min()
+        Sigma[None] - np.array(sched.cov_pred[:k]))[:, 0].min()
     cert["min_eig_distorted"] = float(worst_pd)
     cert["min_eig_sigma_minus_pred"] = float(worst_gap)
     if worst_pd <= 0:

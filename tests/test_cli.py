@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
 from resilientkf.cli import main
 from resilientkf.filters import FilterConfig, covariance_schedule
@@ -33,7 +34,9 @@ def test_bounds_cmax(model_file, tmp_path):
     rep = json.loads(open(out).read())
     assert 0.090 <= rep["phi_k"] <= 0.100
     assert rep["c_max"] > 0
-    assert os.path.exists(out + ".manifest.json")
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
 
 
 @pytest.mark.parametrize("name", ["model_a", "random_3x2"])
@@ -299,6 +302,18 @@ BAD_INPUTS = {
     "bounds_cmax_negative_k": "bounds --model {model} --mode cmax --k -5",
     "bounds_cmax_negative_q": "bounds --model {model} --mode cmax --q -1",
     "bounds_thetamax_k_below_n": "bounds --model {model} --mode thetamax --k 1",
+    # integers past the 4300 digits Python converts, or too large for a float
+    "config_5001_digit_c":
+        "filter --model {model} --config {long_int_config} --data {data}",
+    "model_5001_digit_entry":
+        "bounds --model {long_int_model} --mode thetamax",
+    "init_5001_digit_mean": ("filter --model {model} --config {config} "
+                             "--data {data} --init {long_int_init}"),
+    "model_400_digit_entry": "bounds --model {huge_model} --mode cmax",
+    "init_400_digit_mean": ("filter --model {model} --config {config} "
+                            "--data {data} --init {huge_init}"),
+    "init_string_mean": ("filter --model {model} --config {config} "
+                         "--data {data} --init {string_init}"),
 }
 
 
@@ -325,6 +340,12 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "list_model": "[1, 2]",
         "extra_key_model": json.dumps(dict(MODEL_A, B=[[1.0], [0.0]])),
         "init_3d": json.dumps({"mean": [0, 0, 0], "cov": np.eye(3).tolist()}),
+        "long_int_config": '{"kind": "urkf", "c": 1%s}' % ("0" * 5000),
+        "long_int_model": json.dumps(MODEL_A).replace("0.6]", "1%s]" % ("0" * 5000)),
+        "long_int_init": '{"mean": [0, 1%s], "cov": [[1, 0], [0, 1]]}' % ("0" * 5000),
+        "huge_model": json.dumps(MODEL_A).replace("0.6]", "1%s]" % ("0" * 400)),
+        "huge_init": '{"mean": [0, 1%s], "cov": [[1, 0], [0, 1]]}' % ("0" * 400),
+        "string_init": '{"mean": [0, "a"], "cov": [[1, 0], [0, 1]]}',
     }
     paths = {"model": model_file}
     for name, text in files.items():

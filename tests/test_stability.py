@@ -186,6 +186,28 @@ def test_prop6_guard_certifies(model_b):
     assert cert["min_eig_sigma_minus_pred"] >= -1e-8
 
 
+@pytest.mark.parametrize("name", ["model_a", "model_b"])
+def test_prop6_guard_checks_distinct_entries(name, request):
+    # the guard reads the schedule only up to start + period of its cycle;
+    # its minima equal those over all GUARD_HORIZON + 1 entries bit for bit
+    import resilientkf.stability as stab
+
+    model = request.getfixturevalue(name)
+    rep = theta_max(model, k=10)
+    ok, cert = prop6_guard(model, rep.theta_max, rep.sigma, rep.G, rep.alpha,
+                           rep.rho)
+    assert ok and cert["reason"] == "certified"
+    sched = covariance_schedule(
+        model, FilterConfig(kind="ursf", theta=rep.theta_max), rep.sigma,
+        stab.GUARD_HORIZON)
+    assert sum(sched.cycle) < stab.GUARD_HORIZON
+    Sigma, _ = sigma_beta(model, rep.G, rep.alpha, rep.rho)
+    assert cert["min_eig_distorted"] == float(
+        np.linalg.eigvalsh(np.array(sched.cov_distorted))[:, 0].min())
+    assert cert["min_eig_sigma_minus_pred"] == float(np.linalg.eigvalsh(
+        Sigma[None] - np.array(sched.cov_pred))[:, 0].min())
+
+
 def test_prop6_guard_rejections(model_b):
     G = np.array([[0.5], [0.4]])
     Sigma, beta = sigma_beta(model_b, G, 0.8, 1.02)
@@ -339,6 +361,54 @@ def _named_model(name, request):
     return seeded_model(5, 2, 1) if name == "random_2x1" else seeded_model(6, 3, 2)
 
 
+def _full_grid(model):
+    """beta* and Sigma* over ALPHAS x RHOS in one batch, as (alpha, rho)
+    grids."""
+    import resilientkf.stability as stab
+
+    na, nr = len(stab.ALPHAS), len(stab.RHOS)
+    beta, Sig = stab._beta_star(model, np.repeat(stab.ALPHAS, nr),
+                                np.tile(stab.RHOS, na))
+    return beta.reshape(na, nr), Sig.reshape(na, nr, model.n, model.n)
+
+
+def _assert_sweep_exact(model, monkeypatch):
+    """The pruned sweep against one batch over ALPHAS x RHOS: every pair it
+    solves is the full grid's bit for bit, every pair it skips lies strictly
+    below the incumbent it was pruned against, and the global winner and
+    the alpha = 1 row's best agree."""
+    import resilientkf.stability as stab
+
+    full, _ = _full_grid(model)
+    solved = np.zeros(full.shape, dtype=bool)
+    beta_star = stab._beta_star
+
+    def recording(model, alphas, rhos):
+        beta, Sig = beta_star(model, alphas, rhos)
+        i = np.searchsorted(stab.ALPHAS, alphas)
+        j = np.searchsorted(stab.RHOS, rhos)
+        assert np.array_equal(stab.ALPHAS[i], alphas)
+        assert np.array_equal(stab.RHOS[j], rhos)
+        assert np.array_equal(beta, full[i, j])
+        assert not solved[i, j].any()
+        solved[i, j] = True
+        return beta, Sig
+
+    monkeypatch.setattr(stab, "_beta_star", recording)
+    best, where, _, solves = stab._sweep(model)
+    monkeypatch.setattr(stab, "_beta_star", beta_star)
+    assert solves == solved.sum() < full.size
+    ia = stab._corners(len(stab.ALPHAS))
+    jr = stab._corners(len(stab.RHOS))
+    incumbent = full[np.ix_(ia, jr)].max()
+    assert np.all(full[:-1][~solved[:-1]] < incumbent)
+    assert np.all(full[-1][~solved[-1]] < full[-1, jr].max())
+    i = int(np.argmax(best))
+    assert (i, where[i]) == np.unravel_index(np.argmax(full), full.shape)
+    assert best[i] == full.max()
+    assert (best[-1], where[-1]) == (full[-1].max(), np.argmax(full[-1]))
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("fix_alpha", [None, 1.0])
 @pytest.mark.parametrize("name", sorted(DOMINANCE_GRIDS))
@@ -365,15 +435,9 @@ def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
          + (1.0 - al ** 2)[:, None, None] * CRC[None])
     star = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
     assert np.all(star >= beta - 1e-9 * np.abs(beta))
-    best, where, _ = stab._sweep(model)
     if fix_alpha is None:
-        # the batched sweep, bit for bit, is one batch over ALPHAS x RHOS
-        full, _ = stab._beta_star(model,
-                                  np.repeat(stab.ALPHAS, len(stab.RHOS)),
-                                  np.tile(stab.RHOS, len(stab.ALPHAS)))
-        full = full.reshape(len(stab.ALPHAS), len(stab.RHOS))
-        assert np.array_equal(where, np.argmax(full, axis=1))
-        assert np.array_equal(best, full.max(axis=1))
+        _assert_sweep_exact(model, monkeypatch)
+    best, where, _, _ = stab._sweep(model)
     # the sweep's certificate beats the grid's winner, and on models A, B
     # and random_2x1 the winner of the former 21^(n m) gain grid search
     i = len(best) - 1 if fix_alpha else int(np.argmax(best))
@@ -392,6 +456,7 @@ def test_theta_max_rho_range(name, at_edge, request):
 
     model = _named_model(name, request)
     rep = theta_max(model, k=10)
+    assert rep.search["riccati_solves"] < 20000
     assert rep.search["rho_hi_limits_beta"] == at_edge
     assert "overflowed_pairs" not in rep.search
     if at_edge:
@@ -405,3 +470,78 @@ def test_theta_max_rho_range(name, at_edge, request):
     j = int(np.argmax(beta))
     assert 0 < j < len(stab.RHOS) - 1 and beta[-1] < beta[j]
     assert stab.RHOS[j - 1] <= rep.rho <= stab.RHOS[j + 1]
+
+
+BOUND_MODELS = (["model_a", "model_b"] + [(s, 2, 1) for s in range(1, 11)]
+                + [(s, 4, 2) for s in range(1, 4)])
+
+
+@pytest.mark.parametrize("name", BOUND_MODELS, ids=str)
+def test_box_bound_is_sound(name, request):
+    # on [a_lo, a_hi] x [r_lo, r_hi], beta* <= lambda_min((1 - r_hi^-2)
+    # Sigma*(a_hi, r_lo)^{-1} + (1 - a_lo^2) C^T R^{-1} C), also on the
+    # alpha = 1 segments, where a_lo = a_hi = 1
+    import resilientkf.stability as stab
+
+    model = (request.getfixturevalue(name) if isinstance(name, str)
+             else seeded_model(*name))
+    full, Sig = _full_grid(model)
+    CRC = sym(model.C.T @ chol_solve(model.R, model.C))
+    ia = stab._corners(len(stab.ALPHAS))
+    jr = stab._corners(len(stab.RHOS))
+    boxes = [(a0, a1, r0, r1) for a0, a1 in zip(ia[:-1], ia[1:])
+             for r0, r1 in zip(jr[:-1], jr[1:])]
+    boxes += [(ia[-1], ia[-1], r0, r1) for r0, r1 in zip(jr[:-1], jr[1:])]
+    checked = 0
+    for a0, a1, r0, r1 in boxes:
+        S = Sig[a1, r0]
+        if not np.isfinite(S).all() or np.linalg.eigvalsh(S)[0] <= 0:
+            continue
+        M = ((1.0 - stab.RHOS[r1] ** -2.0) * np.linalg.inv(S)
+             + (1.0 - stab.ALPHAS[a0] ** 2) * CRC)
+        bound = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
+        assert full[a0:a1 + 1, r0:r1 + 1].max() <= bound
+        checked += 1
+    assert checked > len(boxes) // 2
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("name", ["model_a", "model_b"])
+def test_sweep_chunk_invariance(name, rows, request, monkeypatch):
+    import resilientkf.stability as stab
+
+    model = request.getfixturevalue(name)
+    best, where, overflowed, solves = stab._sweep(model)
+    monkeypatch.setattr(stab, "SWEEP_ROWS", rows)
+    other = stab._sweep(model)
+    assert np.array_equal(best, other[0]) and np.array_equal(where, other[1])
+    assert (overflowed, solves) == other[2:]
+
+
+# bounds --mode thetamax winners (alpha, rho, beta, alpha = 1 row's rho); the
+# pruned sweep finds the full grid's
+THETAMAX_WINNERS = {
+    "model_a": (0.33, 1.9133882253359162, 0.16040046141070508,
+                1.6332161350033885),
+    "model_b": (0.01, 3.1607538298069073, 0.005647153499208968, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETAMAX_WINNERS))
+def test_thetamax_winners(name, request, tmp_path):
+    import json
+
+    from resilientkf.cli import main
+    from resilientkf.model import save_model
+
+    path, out = str(tmp_path / "model.json"), str(tmp_path / "theta.json")
+    save_model(request.getfixturevalue(name), path)
+    assert main(["bounds", "--model", path, "--mode", "thetamax",
+                 "--out", out]) == 0
+    rep = json.loads(open(out).read())
+    alpha, rho, beta, rho1 = THETAMAX_WINNERS[name]
+    assert rep["alpha"] == alpha
+    assert rep["rho"] == pytest.approx(rho, rel=1e-12)
+    assert rep["beta"] == pytest.approx(beta, rel=1e-12)
+    if rho1 is not None:
+        assert rep["search"]["alpha1"]["rho"] == pytest.approx(rho1, rel=1e-12)
