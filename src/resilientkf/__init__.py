@@ -10,11 +10,9 @@ bounds that certify gain convergence.
 from .model import (
     LinearGaussianModel,
     GaussianBelief,
-    Trajectory,
     MsdParams,
     validate,
     msd_discretize,
-    simulate_nominal,
 )
 from .numerics import (
     gamma,
@@ -37,7 +35,6 @@ from .least_favorable import (
     assemble_lf,
     simulate_lf,
     error_cov_recursion,
-    simulate_worst_case,
     one_step_joints,
     steady_state_w,
 )
@@ -47,8 +44,6 @@ from .bench import (
     MseReport,
     sample_measurement,
     run_monte_carlo,
-    oracle_sweep,
-    default_oracle_grid,
 )
 from .stability import (
     GramianParts,

@@ -3,8 +3,7 @@
 Generates trajectories from the physical (continuous-time, sampled) plant,
 corrupts the displacement sensor with one of four fault scenarios, runs the
 configured filters designed on the simpler nominal model, and reports the
-average displacement mean-squared error over trials.  Also provides the
-truth-assisted oracle sweep that picks the best tolerance per realization.
+average displacement mean-squared error over trials.
 """
 
 import hashlib
@@ -12,10 +11,24 @@ import json
 import numpy as np
 from dataclasses import dataclass, field
 
-from .model import MsdParams, msd_discretize, validate
+from .model import MEASUREMENT_VAR, MsdParams, msd_discretize
 from .filters import FilterConfig, covariance_schedule, mean_pass
 
 SCENARIO_KINDS = ("drift", "uniform", "deadzone", "outlier", "nominal")
+
+# The sensor of every scenario (see Scenario): noise variance, drift bias,
+# uniform-noise interval, dead-zone half-width, and the outlier mixture's
+# nominal weight and variance factor.
+BASE_R = 0.25
+DRIFT_MEAN = 0.1
+UNIFORM_LO, UNIFORM_HI = -0.9, 1.1
+DEAD_ZONE = 0.1
+MIXTURE_WEIGHT = 0.9
+OUTLIER_FACTOR = 5.0
+
+# The plant of every benchmark run and the scale of its initial covariance.
+MSD = MsdParams(force_var=0.9, disturbance_var=0.09)
+INIT_COV_SCALE = 0.05
 
 
 class BenchError(ValueError):
@@ -27,31 +40,20 @@ class Scenario:
     """Sensor-uncertainty scenario for the displacement measurement.
 
     - drift: additive Gaussian noise with a constant bias,
-      noise ~ N(drift_mean, base_R)
-    - uniform: additive uniform noise on [uniform_lo, uniform_hi]
-    - deadzone: the noisy reading p + N(0, base_R) is zeroed when its
-      magnitude falls below dead_zone
-    - outlier: Gaussian mixture, N(0, base_R) with probability
-      mixture_weight, else N(0, outlier_factor * base_R)
-    - nominal: exact N(0, base_R) sensor (control case)
+      noise ~ N(DRIFT_MEAN, BASE_R)
+    - uniform: additive uniform noise on [UNIFORM_LO, UNIFORM_HI]
+    - deadzone: the noisy reading p + N(0, BASE_R) is zeroed when its
+      magnitude falls below DEAD_ZONE
+    - outlier: Gaussian mixture, N(0, BASE_R) with probability
+      MIXTURE_WEIGHT, else N(0, OUTLIER_FACTOR * BASE_R)
+    - nominal: exact N(0, BASE_R) sensor (control case)
     """
 
     kind: str
-    base_R: float = 0.25
-    drift_mean: float = 0.1
-    uniform_lo: float = -0.9
-    uniform_hi: float = 1.1
-    dead_zone: float = 0.1
-    mixture_weight: float = 0.9
-    outlier_factor: float = 5.0
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise BenchError(f"unknown scenario kind {self.kind!r}")
-        if not 0.0 <= self.mixture_weight <= 1.0:
-            raise BenchError("mixture weight must lie in [0, 1]")
-        if self.base_R <= 0:
-            raise BenchError("base_R must be positive")
 
 
 def sample_measurement(scenario, p, rng):
@@ -60,18 +62,17 @@ def sample_measurement(scenario, p, rng):
     Vectorized: p may be a scalar or an array; the output has p's shape.
     """
     p = np.asarray(p, dtype=float)
-    sd = np.sqrt(scenario.base_R)
+    sd = np.sqrt(BASE_R)
     if scenario.kind == "drift":
-        return p + scenario.drift_mean + sd * rng.standard_normal(p.shape)
+        return p + DRIFT_MEAN + sd * rng.standard_normal(p.shape)
     if scenario.kind == "uniform":
-        return p + rng.uniform(scenario.uniform_lo, scenario.uniform_hi, p.shape)
+        return p + rng.uniform(UNIFORM_LO, UNIFORM_HI, p.shape)
     if scenario.kind == "deadzone":
         z = p + sd * rng.standard_normal(p.shape)
-        return np.where(np.abs(z) < scenario.dead_zone, 0.0, z)
+        return np.where(np.abs(z) < DEAD_ZONE, 0.0, z)
     if scenario.kind == "outlier":
-        var = np.where(rng.random(p.shape) < scenario.mixture_weight,
-                       scenario.base_R,
-                       scenario.outlier_factor * scenario.base_R)
+        var = np.where(rng.random(p.shape) < MIXTURE_WEIGHT, BASE_R,
+                       OUTLIER_FACTOR * BASE_R)
         return p + np.sqrt(var) * rng.standard_normal(p.shape)
     # nominal
     return p + sd * rng.standard_normal(p.shape)
@@ -88,10 +89,6 @@ class McConfig:
         "kf": FilterConfig(kind="kf"),
         "urkf": FilterConfig(kind="urkf", c=0.5),
     })
-    measurement_var: float = 0.25
-    init_cov_scale: float = 0.05
-    msd: MsdParams = field(
-        default_factory=lambda: MsdParams(force_var=0.9, disturbance_var=0.09))
 
     def __post_init__(self):
         if self.trials < 1 or self.horizon < 1:
@@ -101,9 +98,9 @@ class McConfig:
         """Stable hash of the configuration for report metadata."""
         payload = {
             "trials": self.trials, "horizon": self.horizon, "seed": self.seed,
-            "measurement_var": self.measurement_var,
-            "init_cov_scale": self.init_cov_scale,
-            "msd": vars(self.msd),
+            "measurement_var": MEASUREMENT_VAR,
+            "init_cov_scale": INIT_COV_SCALE,
+            "msd": vars(MSD),
             "filters": {k: {"kind": f.kind, "c": f.c, "theta": f.theta}
                         for k, f in sorted(self.filters.items())},
         }
@@ -150,10 +147,10 @@ def run_monte_carlo(cfg, scenarios):
     once, and the generator state after it is restored before each of that
     plant's scenarios draws its readings.
     """
-    nominal, actual = msd_discretize(cfg.msd, cfg.measurement_var)
+    nominal, actual = msd_discretize(MSD)
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
-    P0 = cfg.init_cov_scale * np.eye(n)
+    P0 = INIT_COV_SCALE * np.eye(n)
     schedules = {name: covariance_schedule(nominal, fc, P0, N - 1).gains
                  for name, fc in cfg.filters.items()}
 
@@ -198,40 +195,3 @@ def run_monte_carlo(cfg, scenarios):
         del pos
     return reports
 
-
-def default_oracle_grid(c_upper, points=10):
-    """Ten log-spaced tolerance values spanning under- to over-robust."""
-    hi = min(float(c_upper), 2.0)
-    if hi <= 1e-3:
-        raise BenchError("oracle grid upper endpoint must exceed 1e-3")
-    return np.geomspace(1e-3, hi, points)
-
-
-def oracle_sweep(model, kind, grid, observations, truth, init):
-    """Truth-assisted tolerance selection for a budgeted filter family.
-
-    Runs the filter at every tolerance in ``grid`` on the given realization
-    and returns (best tolerance, per-tolerance MSE array), where MSE is the
-    mean squared filtered state error against ``truth``.  Ties break toward
-    the smallest tolerance.
-    """
-    validate(model)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise BenchError("oracle grid is empty")
-    truth = np.asarray(truth, dtype=float)
-    observations = np.asarray(observations, dtype=float)
-    if len(truth) != len(observations):
-        raise BenchError("oracle sweep requires truth aligned with observations")
-    mses = np.zeros(grid.size)
-    for i in range(grid.size):
-        c = grid[i]
-        config = FilterConfig(kind=kind, c=float(c))
-        sched = covariance_schedule(model, config, init.cov,
-                                    len(observations) - 1)
-        means = mean_pass(model, sched.gains, init.mean, observations)
-        est = np.array([x_f for x_f, _ in means])
-        mses[i] = float(np.mean(np.sum((est - truth) ** 2, axis=1)))
-    # smallest tolerance wins ties
-    best = min(range(grid.size), key=lambda i: (mses[i], grid[i]))
-    return float(grid[best]), mses

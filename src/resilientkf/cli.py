@@ -157,6 +157,10 @@ def cmd_worstcase(args):
     if not budgets:
         raise ModelError("worstcase requires at least one --c or --theta")
     filters = [f.strip() for f in args.filters.split(",") if f.strip()]
+    if not filters:
+        raise ModelError("--filters names no filter")
+    if len(set(filters)) < len(filters):
+        raise ModelError(f"--filters repeats a filter: {args.filters!r}")
     unknown = [f for f in filters if f not in _WORSTCASE_FAMILY]
     if unknown:
         raise ModelError(f"unknown --filters name(s): {', '.join(unknown)}; "

@@ -4,14 +4,14 @@ Two adversarial constructions are provided, both driven by the same forward
 pass: the covariance schedule of the update-resilient filter (urkf, or ursf
 at a fixed theta), from ``filters.covariance_schedule``:
 
-1. ``simulate_worst_case`` — the saddle-achieving adversary.  The
-   per-step minimax game is solved in terms of the conditional joint law
-   of (state, measurement) given the past; its maximizer inflates the
-   filtered state covariance from P_filt to
+1. ``error_cov_recursion`` with ``bwd=None`` — the saddle-achieving
+   adversary.  The per-step minimax game is solved in terms of the
+   conditional joint law of (state, measurement) given the past; its
+   maximizer inflates the filtered state covariance from P_filt to
    V = (P_filt^{-1} - theta I)^{-1} while leaving the measurement
-   statistics and filter gain unchanged.  That law is
-   realized by injecting extra state noise d_t ~ N(0, V_t - P_filt_t) after
-   each measurement update, invisible to the sensor at injection time.
+   statistics and filter gain unchanged.  That law is realized by
+   injecting extra state noise d_t ~ N(0, V_t - P_filt_t) after each
+   measurement update, invisible to the sensor at injection time.
    Under this model the update-resilient filter is the exactly matched
    Kalman filter, so it is worst-case optimal by construction; any other
    gain schedule does strictly worse.
@@ -56,33 +56,6 @@ def injection_covariances(fwd):
     saddle-achieving adversary, stacked over the steps as (N+1, n, n)."""
     D = np.asarray(fwd.cov_distorted) - np.asarray(fwd.cov_filt)
     return 0.5 * (D + D.swapaxes(-1, -2))
-
-
-def simulate_worst_case(model, fwd, init, n_traj, seed):
-    """Draw trajectories from the saddle-achieving worst-case law.
-
-    x_{t+1} = A (x_t + d_t) + w_t with d_t ~ N(0, V_t - P_filt_t) injected
-    after the measurement at t, y_t = C x_t + v_t with nominal v_t.
-    Returns (states, observations) with shapes (n_traj, N+1, n) and
-    (n_traj, N+1, m).
-    """
-    rng = np.random.default_rng(seed)
-    n, m = model.n, model.m
-    N = fwd.horizon
-    Ds = injection_covariances(fwd)
-    Lq = spd_sqrt(model.Q)
-    Lr = spd_sqrt(model.R)
-    Lp = np.linalg.cholesky(init.cov + 1e-15 * np.eye(n))
-    x = init.mean + rng.standard_normal((n_traj, n)) @ Lp.T
-    X = np.zeros((n_traj, N + 1, n))
-    Y = np.zeros((n_traj, N + 1, m))
-    for t in range(N + 1):
-        X[:, t] = x
-        Y[:, t] = x @ model.C.T + rng.standard_normal((n_traj, m)) @ Lr.T
-        Ld = np.linalg.cholesky(Ds[t] + 1e-15 * np.eye(n))
-        d = rng.standard_normal((n_traj, n)) @ Ld.T
-        x = (x + d) @ model.A.T + rng.standard_normal((n_traj, n)) @ Lq.T
-    return X, Y
 
 
 def one_step_joints(model, fwd, t):

@@ -1,9 +1,8 @@
-"""State-space model representations, validation, and simulation.
+"""State-space model representations, validation and file formats.
 
-Provides the nominal time-invariant linear-Gaussian model, Gaussian beliefs,
-trajectory containers, mass-spring-damper discretization (both the nominal
-design model and the continuous-time "actual" generator used by the
-benchmark), and nominal-model simulation.
+Provides the nominal time-invariant linear-Gaussian model, Gaussian beliefs
+and mass-spring-damper discretization (both the nominal design model and the
+continuous-time "actual" generator used by the benchmark).
 """
 
 import json
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 from scipy.linalg import expm
 
-from .numerics import NumericsError, check_sympd, sym, spd_sqrt
+from .numerics import NumericsError, check_sympd, sym
 
 
 class ModelError(ValueError):
@@ -66,29 +65,11 @@ class GaussianBelief:
             raise ModelError("belief mean/covariance dimension mismatch")
 
 
-@dataclass
-class Trajectory:
-    """Simulated states x_0..x_N and observations y_0..y_N."""
-
-    states: np.ndarray       # (N+1, n)
-    observations: np.ndarray  # (N+1, m)
-    seed: int
-
-    def __post_init__(self):
-        if len(self.states) != len(self.observations):
-            raise ModelError("state/observation horizon mismatch")
-
-
-def observability_matrix(A, C):
-    n = A.shape[0]
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
-
-
 def is_observable(A, C):
-    return np.linalg.matrix_rank(observability_matrix(A, C)) == A.shape[0]
+    blocks = [C]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(blocks[-1] @ A)
+    return np.linalg.matrix_rank(np.vstack(blocks)) == A.shape[0]
 
 
 def validate(model):
@@ -190,7 +171,13 @@ class ActualMsdDynamics:
         return np.linalg.cholesky(self.Qw + 1e-15 * np.eye(self.Qw.shape[0]))
 
 
-def msd_discretize(p, measurement_var=0.25, jitter=1e-10):
+# The designer's displacement-sensor variance, and the diagonal jitter that
+# keeps the nominal process-noise covariance positive definite.
+MEASUREMENT_VAR = 0.25
+Q_JITTER = 1e-10
+
+
+def msd_discretize(p):
     """Discretize the mass-spring-damper system.
 
     Returns (nominal, actual):
@@ -198,9 +185,9 @@ def msd_discretize(p, measurement_var=0.25, jitter=1e-10):
     - ``nominal`` is the designer's model: exact zero-order-hold dynamics
       A = expm(Ac Ts) with the force modeled as *discrete-time* white noise
       of variance ``nominal_force_var`` injected through the sampled input channel
-      (plus a tiny diagonal jitter so Q stays positive definite), no damper
-      disturbance, displacement measurement C = [1 0] with variance
-      ``measurement_var``.
+      (plus the diagonal ``Q_JITTER`` so Q stays positive definite), no
+      damper disturbance, displacement measurement C = [1 0] with variance
+      ``MEASUREMENT_VAR``.
     - ``actual`` generates the physical system: the same A, but with the
       sampled covariance of the continuous-time force (intensity
       ``force_var``) and damper disturbance (force intensity
@@ -217,32 +204,14 @@ def msd_discretize(p, measurement_var=0.25, jitter=1e-10):
     Ts = p.sample_time
     A = expm(Ac * Ts)
     Bd = zoh_input(Ac, Bc, Ts)
-    Qnom = sym(Bd @ Bd.T * p.nominal_force_var + jitter * np.eye(2))
+    Qnom = sym(Bd @ Bd.T * p.nominal_force_var + Q_JITTER * np.eye(2))
     C = np.array([[1.0, 0.0]])
-    R = np.array([[measurement_var]])
+    R = np.array([[MEASUREMENT_VAR]])
     nominal = validate(LinearGaussianModel(A=A, C=C, Q=Qnom, R=R))
     psd_total = p.force_var + p.damping ** 2 * p.disturbance_var
     Qact = van_loan_cov(Ac, Bc, psd_total, Ts)
     actual = ActualMsdDynamics(A=A, Qw=Qact)
     return nominal, actual
-
-
-def simulate_nominal(model, init, N, seed):
-    """Simulate the nominal model for N steps; deterministic per seed."""
-    validate(model)
-    rng = np.random.default_rng(seed)
-    n, m = model.n, model.m
-    Lq = spd_sqrt(model.Q)
-    Lr = spd_sqrt(model.R)
-    Lp = np.linalg.cholesky(init.cov + 1e-15 * np.eye(n))
-    x = init.mean + Lp @ rng.standard_normal(n)
-    states = np.zeros((N + 1, n))
-    obs = np.zeros((N + 1, m))
-    for t in range(N + 1):
-        states[t] = x
-        obs[t] = model.C @ x + Lr @ rng.standard_normal(m)
-        x = model.A @ x + Lq @ rng.standard_normal(n)
-    return Trajectory(states=states, observations=obs, seed=seed)
 
 
 # ---------------------------------------------------------------------------

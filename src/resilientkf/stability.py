@@ -52,16 +52,15 @@ class GramianParts:
     """Stacks entering the matrix R_k over a window of length k.
 
     obs is the observability stack [ (CA^{k-1}); ...; CA; C ], obs_r the
-    reachability-style stack [ A^{k-1}; ...; A; I ], Qk = I_k kron Q,
-    Rk_noise = I_k kron R, and Hk / Lk the strictly upper block-triangular
-    Toeplitz matrices with first block rows (0, H_1, ..., H_{k-1}) and
-    (0, L_1, ..., L_{k-1}), H_j = C A^{j-1} Q^{1/2}, L_j = A^{j-1} Q^{1/2}.
+    reachability-style stack [ A^{k-1}; ...; A; I ], Rk_noise = I_k kron R,
+    and Hk / Lk the strictly upper block-triangular Toeplitz matrices with
+    first block rows (0, H_1, ..., H_{k-1}) and (0, L_1, ..., L_{k-1}),
+    H_j = C A^{j-1} Q^{1/2}, L_j = A^{j-1} Q^{1/2}.
     """
 
     k: int
     obs: np.ndarray      # km x n
     obs_r: np.ndarray    # kn x n
-    Qk: np.ndarray       # kn x kn
     Rk_noise: np.ndarray  # km x km
     Hk: np.ndarray       # km x kn
     Lk: np.ndarray       # kn x kn
@@ -99,7 +98,6 @@ def build_gramian_parts(model, k):
     Lb = [powers[j - 1] @ Qh for j in range(1, k)]
     Hk = _block_toeplitz(Hb, k, m, n)
     Lk = _block_toeplitz(Lb, k, n, n)
-    Qk = np.kron(np.eye(k), model.Q)
     Rk_noise = np.kron(np.eye(k), model.R)
     W = sym(Rk_noise + Hk @ Hk.T)
     T1 = sym(obs.T @ chol_solve(W, obs))
@@ -107,7 +105,7 @@ def build_gramian_parts(model, k):
     Minner = sym(Lk @ chol_solve(inner, Lk.T))
     Jk = obs_r - Lk @ Hk.T @ chol_solve(W, obs)
     _, phi_sup = spectral_extrema(Minner)
-    return GramianParts(k=k, obs=obs, obs_r=obs_r, Qk=Qk, Rk_noise=Rk_noise,
+    return GramianParts(k=k, obs=obs, obs_r=obs_r, Rk_noise=Rk_noise,
                         Hk=Hk, Lk=Lk, T1=T1, Minner=Minner, Jk=Jk,
                         phi_sup=float(phi_sup))
 
@@ -141,8 +139,9 @@ def _min_eig_rk(parts, phi):
 PHI_TOL = 1e-6
 
 
-def phi_max(model, k):
-    """Largest phi for which R_k(phi) is positive definite.
+def phi_max(parts):
+    """Largest phi for which R_k(phi) of the window stacks ``parts`` is
+    positive definite.
 
     R_k(phi) decreases in phi, and its minimum eigenvalue is positive for
     small phi (under observability) and crosses zero before the upper
@@ -155,7 +154,6 @@ def phi_max(model, k):
     lambda_min(R_k(phi)) >= lambda_min(T1) - phi ||Jk||^2 /
     (1 - phi sigma_max(Minner)).
     """
-    parts = model if isinstance(model, GramianParts) else build_gramian_parts(model, k)
     if parts.phi_sup <= 0.0:
         # degenerate window (Lk = 0): R_k = T1 - phi Jk^T Jk is linear in
         # phi, so the positive-definiteness boundary has a closed form
@@ -247,7 +245,7 @@ def c_max(model, k=10, q=20):
     """Budget bound c_max = gamma(P_bar_{q|q}, phi_k) certifying gain
     convergence of the update-resilient filter for any c in (0, c_max]."""
     parts = build_gramian_parts(model, k)
-    phik = phi_max(parts, k)
+    phik = phi_max(parts)
     Pq = pbar_filtered(model, q)
     val = gamma(Pq, phik)
     return BoundReport(phi_k=phik, c_max=float(val), pbar_qq=Pq,
@@ -477,7 +475,7 @@ def theta_max(model, k=10):
     overflowed; they count as beta* = -inf.
     """
     parts = build_gramian_parts(model, k)
-    phik = phi_max(parts, k)
+    phik = phi_max(parts)
     best, where, overflowed, solves = _sweep(model)
     i = int(np.argmax(best))
     if not np.isfinite(best[i]):

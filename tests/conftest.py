@@ -6,6 +6,7 @@ import pytest
 from resilientkf import LinearGaussianModel
 from resilientkf.filters import covariance_schedule, mean_pass
 from resilientkf.model import is_observable
+from resilientkf.numerics import spd_sqrt
 
 
 @pytest.fixture
@@ -62,6 +63,22 @@ def seeded_model(seed, n, m):
                                     R=D @ D.T + 0.1 * np.eye(m))
         if is_observable(model.A, model.C):
             return model
+
+
+def nominal_observations(model, init, N, seed):
+    """Observations y_0..y_N, shape (N+1, m), of one nominal-model
+    trajectory from x_0 ~ init; deterministic per seed."""
+    rng = np.random.default_rng(seed)
+    n, m = model.n, model.m
+    Lq = spd_sqrt(model.Q)
+    Lr = spd_sqrt(model.R)
+    Lp = np.linalg.cholesky(init.cov + 1e-15 * np.eye(n))
+    x = init.mean + Lp @ rng.standard_normal(n)
+    obs = np.zeros((N + 1, m))
+    for t in range(N + 1):
+        obs[t] = model.C @ x + Lr @ rng.standard_normal(m)
+        x = model.A @ x + Lq @ rng.standard_normal(n)
+    return obs
 
 
 def run_filter(model, config, init, ys):

@@ -8,7 +8,6 @@ full picture is visible even when a criterion fails.
 import time
 
 import numpy as np
-import pytest
 
 from resilientkf import (
     GaussianBelief,
@@ -34,7 +33,6 @@ from resilientkf.numerics import (
 )
 from resilientkf.stability import (
     c_max,
-    phi_max,
     prop6_guard,
     sigma_beta,
     theta_max,

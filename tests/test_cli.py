@@ -244,6 +244,9 @@ def test_risk_sensitive_worstcase(tmp_path):
 BAD_INPUTS = {
     "unknown_filter_name":
         "worstcase --model {model} --c 0.1 --filters kf,prkf,bogus",
+    "worstcase_no_filters": "worstcase --model {model} --c 0.1 --filters ,",
+    "worstcase_repeated_filter":
+        "worstcase --model {model} --c 0.1 --filters kf,kf",
     "worstcase_negative_c": "worstcase --model {model} --c -1",
     "worstcase_negative_theta": "worstcase --model {model} --theta -0.1",
     "worstcase_infinite_theta": "worstcase --model {model} --theta inf",

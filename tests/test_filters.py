@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_observable_model, run_filter
+from conftest import nominal_observations, random_observable_model, run_filter
 from resilientkf.filters import (
     ConfigError,
     FilterConfig,
     FilterError,
     _inflate,
 )
-from resilientkf.model import GaussianBelief, simulate_nominal
+from resilientkf.model import GaussianBelief
 from resilientkf.numerics import NumericsError, gamma, solve_budget
 
 
@@ -44,8 +44,7 @@ def test_config_from_dict_roundtrip():
 
 def test_degenerate_budgets_match_kf(model_a):
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    traj = simulate_nominal(model_a, init, 40, seed=1)
-    ys = traj.observations
+    ys = nominal_observations(model_a, init, 40, seed=1)
     ref = _run(model_a, "kf", ys, init)
     # theta = 0 variants coincide with the plain filter exactly
     for kind in ("ursf", "prsf"):
@@ -66,9 +65,9 @@ def test_degenerate_budgets_match_kf(model_a):
 
 def test_urkf_budget_spent_exactly(model_a):
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    traj = simulate_nominal(model_a, init, 30, seed=2)
+    ys = nominal_observations(model_a, init, 30, seed=2)
     c = 0.05
-    for s in _run(model_a, "urkf", traj.observations, init, c=c):
+    for s in _run(model_a, "urkf", ys, init, c=c):
         assert gamma(s.cov_filt, s.theta) == pytest.approx(c, abs=1e-10)
         # distorted covariance dominates the filtered one
         assert np.linalg.eigvalsh(s.cov_distorted - s.cov_filt).min() >= -1e-12
@@ -76,16 +75,16 @@ def test_urkf_budget_spent_exactly(model_a):
 
 def test_ursf_theta_constant(model_a):
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    traj = simulate_nominal(model_a, init, 20, seed=3)
-    steps = _run(model_a, "ursf", traj.observations, init, theta=0.02)
+    ys = nominal_observations(model_a, init, 20, seed=3)
+    steps = _run(model_a, "ursf", ys, init, theta=0.02)
     assert all(s.theta == 0.02 for s in steps)
 
 
 def test_prkf_distorts_prediction(model_a):
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    traj = simulate_nominal(model_a, init, 20, seed=4)
-    ks = _run(model_a, "kf", traj.observations, init)
-    ps = _run(model_a, "prkf", traj.observations, init, c=0.05)
+    ys = nominal_observations(model_a, init, 20, seed=4)
+    ks = _run(model_a, "kf", ys, init)
+    ps = _run(model_a, "prkf", ys, init, c=0.05)
     # distinct gains from the first step (prediction covariance inflated)
     assert np.abs(ps[0].gain - ks[0].gain).max() > 1e-6
     for s in ps:
@@ -94,10 +93,10 @@ def test_prkf_distorts_prediction(model_a):
 
 def test_infeasible_theta_raises(model_a):
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    traj = simulate_nominal(model_a, init, 5, seed=6)
+    ys = nominal_observations(model_a, init, 5, seed=6)
     with pytest.raises(FilterError):
         run_filter(model_a, FilterConfig(kind="ursf", theta=1e3),
-                   init, traj.observations)
+                   init, ys)
 
 
 def test_kf_step_shapes(model_a):
@@ -148,7 +147,7 @@ def test_run_filter_matches_reference_loop(model_b):
     for model in models:
         n = model.n
         init = GaussianBelief(mean=0.1 * np.ones(n), cov=0.3 * np.eye(n))
-        ys = simulate_nominal(model, init, 25, seed=5).observations
+        ys = nominal_observations(model, init, 25, seed=5)
         for kind, value in (("kf", None), ("urkf", 0.05), ("prkf", 0.05),
                             ("ursf", 0.002), ("prsf", 0.002)):
             kw = {} if value is None else {

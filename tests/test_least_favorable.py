@@ -15,11 +15,10 @@ from resilientkf.least_favorable import (
     injection_covariances,
     one_step_joints,
     simulate_lf,
-    simulate_worst_case,
     steady_state_w,
 )
 from resilientkf.model import GaussianBelief
-from resilientkf.numerics import check_sympd, gaussian_kl, sym
+from resilientkf.numerics import check_sympd, gaussian_kl, spd_sqrt, sym
 
 from conftest import seeded_model
 
@@ -230,15 +229,24 @@ def test_worst_case_mc_agrees_with_pi(model_a):
     N = 60
     fwd = covariance_schedule(
         model_a, FilterConfig(kind="urkf", c=5e-2), P0, N)
-    init = GaussianBelief(mean=np.zeros(2), cov=P0)
-    X, Y = simulate_worst_case(model_a, fwd, init, 20000, seed=9)
+    # the saddle law: d_t ~ N(0, V_t - P_filt_t) is injected after the
+    # measurement at t; the process and measurement noises are nominal
+    rng = np.random.default_rng(9)
+    Ds = injection_covariances(fwd)
+    Lq, Lr = spd_sqrt(model_a.Q), spd_sqrt(model_a.R)
+    Lp = np.linalg.cholesky(P0 + 1e-15 * np.eye(2))
+    x = rng.standard_normal((20000, 2)) @ Lp.T
     xh = np.zeros((20000, 2))
     err_t = None
     for t in range(N + 1):
-        innov = Y[:, t] - xh @ model_a.C.T
+        y = x @ model_a.C.T + rng.standard_normal((20000, 1)) @ Lr.T
+        innov = y - xh @ model_a.C.T
         xf = xh + innov @ fwd.gains[t].T
         if t == 50:
-            err_t = X[:, t] - xf
+            err_t = x - xf
+        Ld = np.linalg.cholesky(Ds[t] + 1e-15 * np.eye(2))
+        d = rng.standard_normal((20000, 2)) @ Ld.T
+        x = (x + d) @ model_a.A.T + rng.standard_normal((20000, 2)) @ Lq.T
         xh = xf @ model_a.A.T
     Pis = error_cov_recursion(model_a, fwd.gains, fwd, P0=P0)
     emp = np.cov(err_t.T)

@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from resilientkf.model import (
-    GaussianBelief,
     LinearGaussianModel,
     ModelError,
     MsdParams,
@@ -15,7 +12,6 @@ from resilientkf.model import (
     model_to_dict,
     msd_discretize,
     save_model,
-    simulate_nominal,
     validate,
     van_loan_cov,
     zoh_input,
@@ -74,18 +70,6 @@ def test_van_loan_matches_quadrature():
         E = expm(Ac * mid)
         acc += (b - a) * E @ Bc @ Bc.T @ E.T
     assert np.allclose(van_loan_cov(Ac, Bc, 1.0, Ts), acc, atol=1e-8)
-
-
-def test_simulate_nominal_deterministic(model_a):
-    init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    t1 = simulate_nominal(model_a, init, 50, seed=9)
-    t2 = simulate_nominal(model_a, init, 50, seed=9)
-    t3 = simulate_nominal(model_a, init, 50, seed=10)
-    assert np.array_equal(t1.states, t2.states)
-    assert np.array_equal(t1.observations, t2.observations)
-    assert not np.array_equal(t1.states, t3.states)
-    assert t1.states.shape == (51, 2)
-    assert t1.observations.shape == (51, 1)
 
 
 def test_model_json_roundtrip(tmp_path, model_a):

@@ -28,7 +28,6 @@ def test_gramian_shapes(model_a):
     assert parts.obs_r.shape == (k * n, n)
     assert parts.Hk.shape == (k * m, k * n)
     assert parts.Lk.shape == (k * n, k * n)
-    assert parts.Qk.shape == (k * n, k * n)
     assert parts.Rk_noise.shape == (k * m, k * m)
     # stack ordering: top block is C A^{k-1}, bottom is C
     assert np.allclose(parts.obs[-m:], model_a.C)
@@ -67,7 +66,7 @@ def test_rk_symmetry_and_small_phi_limit(model_a):
 def test_phi_max_bracketing(model_a):
     parts = build_gramian_parts(model_a, 10)
     tol = PHI_TOL
-    phik = phi_max(model_a, 10)
+    phik = phi_max(parts)
     assert 0.090 <= phik <= 0.100
     lo = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 - 10 * tol))).min()
     hi = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 + 10 * tol))).min()
@@ -75,7 +74,7 @@ def test_phi_max_bracketing(model_a):
 
 
 def test_phi_max_second_model(model_b):
-    phik = phi_max(model_b, 10)
+    phik = phi_max(build_gramian_parts(model_b, 10))
     assert abs(phik - 0.0052) <= 2e-4
 
 
@@ -89,7 +88,7 @@ def test_phi_max_is_certified(name, request):
              else seeded_model(*name))
     tol = PHI_TOL
     parts = build_gramian_parts(model, 10)
-    phik = phi_max(parts, 10)
+    phik = phi_max(parts)
     assert np.linalg.eigvalsh(rk_matrix(parts, phik)).min() > 0
     assert np.linalg.eigvalsh(rk_matrix(parts, phik + tol)).min() <= 0
     if name == (8, 5, 1):
