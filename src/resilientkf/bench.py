@@ -93,6 +93,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1 or self.horizon < 1:
             raise BenchError("trials and horizon must be at least 1")
+        if self.seed < 0:
+            raise BenchError(f"seed must be nonnegative, got {self.seed}")
 
     def digest(self):
         """Stable hash of the configuration for report metadata."""

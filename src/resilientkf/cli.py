@@ -78,14 +78,14 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def _write_csv(path, header, lead, block):
+    """Write ``header``, then per row of the 2-D float array ``block`` its
+    index columns ``lead[i]`` (already joined) and its floats as ``repr``
+    writes them, the text ``csv.writer`` gives a float."""
+    lines = [",".join(header)]
+    lines += [f"{i},{','.join(map(repr, row.tolist()))}"
+              for i, row in zip(lead, np.asarray(block, dtype=float))]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(out_path, command, inputs, outputs, seed=None, **record):
@@ -178,8 +178,7 @@ def cmd_worstcase(args):
     # the kf schedule does not depend on the budget
     kf = (covariance_schedule(model, FilterConfig(kind="kf"), P0, N)
           if "kf" in families else None)
-    rows, cycles = [], []
-    header = ["budget_kind", "budget", "t", "theta"] + [f"var_{f}" for f in filters]
+    lead, blocks, cycles = [], [], []
     for (kind, val), (prediction, update) in zip(budgets, configs):
         fwd = covariance_schedule(model, update, P0, N)
         schedules = {"kf": kf, "update": fwd}
@@ -190,16 +189,13 @@ def cmd_worstcase(args):
                        **{family: sched.cycle for family, sched
                           in schedules.items() if sched is not None}})
         bwd = backward_pass(fwd, model) if args.channel else None
-        series = []
-        for name in filters:
-            Pis = error_cov_recursion(
-                model, schedules[_WORSTCASE_FAMILY[name]].gains, fwd, bwd)
-            series.append([float(np.trace(Pi[:model.n, :model.n]))
-                           for Pi in Pis])
-        for t in range(N + 1):
-            rows.append([kind, val, t, fwd.thetas[t]]
-                        + [series[i][t] for i in range(len(filters))])
-    _write_csv(args.out, header, rows)
+        traces = [np.trace(error_cov_recursion(
+            model, schedules[_WORSTCASE_FAMILY[name]].gains, fwd, bwd)
+            [:, :model.n, :model.n], axis1=1, axis2=2) for name in filters]
+        blocks.append(np.column_stack([fwd.thetas] + traces))
+        lead += [f"{kind},{val!r},{t}" for t in range(N + 1)]
+    _write_csv(args.out, ["budget_kind", "budget", "t", "theta"]
+               + [f"var_{f}" for f in filters], lead, np.vstack(blocks))
     _write_manifest(args.out, "worstcase",
                     {"model": args.model, "budgets": budgets,
                      "horizon": N, "filters": filters,
@@ -212,34 +208,38 @@ def cmd_filter(args):
     model = load_model(args.model)
     fc = FilterConfig.from_dict(load_json(args.config))
     init = _load_init(args, model)
+    try:
+        with open(args.data, encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ModelError(f"data file {args.data}: {e}")
     ys = []
-    with open(args.data) as f:
-        for i, row in enumerate(csv.reader(f)):
-            if not row or (i == 0 and any(not _is_number(v) for v in row)):
-                continue  # skip blank lines and a header row
-            if len(row) != model.m:
-                raise ModelError(
-                    f"data line {i + 1}: expected {model.m} columns, got {len(row)}")
-            try:
-                y = [float(v) for v in row]
-            except ValueError:
-                raise ModelError(f"data line {i + 1}: non-numeric value")
-            if not all(map(math.isfinite, y)):
-                raise ModelError(f"data line {i + 1}: non-finite value")
-            ys.append(y)
-    sched = covariance_schedule(model, fc, init.cov, len(ys) - 1)
-    header = (["t", "theta"]
-              + [f"gain_{i}_{j}" for i in range(model.n) for j in range(model.m)]
-              + [f"mean_filt_{i}" for i in range(model.n)]
-              + [f"mean_pred_{i}" for i in range(model.n)]
-              + [f"cov_filt_{i}_{j}" for i in range(model.n) for j in range(model.n)])
-    rows = []
+    for i, row in enumerate(rows):
+        if not row or (i == 0 and any(not _is_number(v) for v in row)):
+            continue  # skip blank lines and a header row
+        if len(row) != model.m:
+            raise ModelError(
+                f"data line {i + 1}: expected {model.m} columns, got {len(row)}")
+        try:
+            y = [float(v) for v in row]
+        except ValueError:
+            raise ModelError(f"data line {i + 1}: non-numeric value")
+        if not all(map(math.isfinite, y)):
+            raise ModelError(f"data line {i + 1}: non-finite value")
+        ys.append(y)
+    T, n, m = len(ys), model.n, model.m
+    sched = covariance_schedule(model, fc, init.cov, T - 1)
     means = mean_pass(model, sched.gains, init.mean, np.asarray(ys))
-    for t, (x_f, x_p) in enumerate(means):
-        rows.append([t, sched.thetas[t]] + sched.gains[t].ravel().tolist()
-                    + x_f.tolist() + x_p.tolist()
-                    + sched.cov_filt[t].ravel().tolist())
-    _write_csv(args.out, header, rows)
+    header = (["t", "theta"]
+              + [f"gain_{i}_{j}" for i in range(n) for j in range(m)]
+              + [f"mean_filt_{i}" for i in range(n)]
+              + [f"mean_pred_{i}" for i in range(n)]
+              + [f"cov_filt_{i}_{j}" for i in range(n) for j in range(n)])
+    block = np.hstack([np.reshape(sched.thetas, (T, 1)),
+                       np.reshape(sched.gains, (T, n * m)),
+                       np.reshape(list(means), (T, 2 * n)),
+                       np.reshape(sched.cov_filt, (T, n * n))])
+    _write_csv(args.out, header, map(str, range(T)), block)
     _write_manifest(args.out, "filter",
                     {"model": args.model, "config": args.config,
                      "data": args.data},
@@ -274,9 +274,8 @@ def cmd_bench(args):
     for rep in run_monte_carlo(cfg, runs):
         base = os.path.join(args.out, f"bench_{rep.scenario}")
         names = sorted(rep.mse_t)
-        rows = [[t] + [rep.mse_t[nm][t] for nm in names]
-                for t in range(rep.horizon)]
-        _write_csv(base + ".csv", ["t"] + names, rows)
+        _write_csv(base + ".csv", ["t"] + names, map(str, range(rep.horizon)),
+                   np.column_stack([rep.mse_t[nm] for nm in names]))
         _atomic_write(base + ".json", json.dumps(rep.to_dict(), indent=2) + "\n")
         outputs += [base + ".csv", base + ".json"]
     manifest_base = os.path.join(args.out, "bench")
@@ -297,8 +296,9 @@ def cmd_lf(args):
     # the adversary's update-side filter; building it validates the budget
     config = FilterConfig(kind="urkf" if args.c is not None else "ursf",
                           **budget)
-    if args.horizon < 0 or args.trajectories < 1:
-        raise ModelError("lf requires --horizon >= 0 and --trajectories >= 1")
+    if args.horizon < 0 or args.trajectories < 1 or args.seed < 0:
+        raise ModelError("lf requires --horizon >= 0, --trajectories >= 1 "
+                         "and --seed >= 0")
     # validated before any output is written
     init = _load_init(args, model)
     fwd = covariance_schedule(model, config, np.eye(model.n), args.horizon)
@@ -309,10 +309,10 @@ def cmd_lf(args):
         payload = {
             "n": lf.n, "m": lf.m, "N": lf.N,
             "Xi": lf.Xi.tolist(),
-            "Abar": [M.tolist() for M in lf.Abar],
-            "Bbar": [M.tolist() for M in lf.Bbar],
-            "Cbar": [M.tolist() for M in lf.Cbar],
-            "Dbar": [M.tolist() for M in lf.Dbar],
+            "Abar": lf.Abar.tolist(),
+            "Bbar": lf.Bbar.tolist(),
+            "Cbar": lf.Cbar.tolist(),
+            "Dbar": lf.Dbar.tolist(),
         }
         path = args.out + ".json" if args.action == "both" else args.out
         _atomic_write(path, json.dumps(payload) + "\n")
@@ -324,12 +324,11 @@ def cmd_lf(args):
                   + [f"x_{i}" for i in range(model.n)]
                   + [f"y_{i}" for i in range(model.m)]
                   + [f"eta_{i}" for i in range(3 * model.n)])
-        rows = []
-        for r in range(X.shape[0]):
-            for t in range(X.shape[1]):
-                rows.append([r, t] + X[r, t].tolist() + Y[r, t].tolist()
-                            + etas[r, t].tolist())
-        _write_csv(path, header, rows)
+        block = np.concatenate([X, Y, etas], axis=2)
+        _write_csv(path, header,
+                   [f"{r},{t}" for r in range(block.shape[0])
+                    for t in range(block.shape[1])],
+                   block.reshape(-1, block.shape[2]))
         outputs.append(path)
     _write_manifest(args.out, "lf",
                     {"model": args.model, "budget": budget,

@@ -80,6 +80,9 @@ class FilterConfig:
                 raise ConfigError(f"{self.kind} takes theta, not c")
         elif self.c is not None or self.theta is not None:
             raise ConfigError("kf takes neither c nor theta")
+        # a JSON integer budget is kept, and written, as a float
+        self.c, self.theta = (None if v is None else float(v)
+                              for v in (self.c, self.theta))
 
     @classmethod
     def from_dict(cls, d):

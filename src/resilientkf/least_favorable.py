@@ -178,12 +178,13 @@ def backward_pass(fwd, model):
 class LeastFavorableModel:
     """Hostile observation-channel model on the augmented state
     eta_t = [x_t; e_{t-1}; w_{t-1}] (3n-dimensional), driven by noise
-    v_t = [w_t; u_t] with covariance Xi = blockdiag(Q, I_m)."""
+    v_t = [w_t; u_t] with covariance Xi = blockdiag(Q, I_m).  The four
+    per-step matrices are stacked over t = 0..N."""
 
-    Abar: list  # 3n x 3n per step
-    Bbar: list  # 3n x (n+m) per step
-    Cbar: list  # m x 3n per step
-    Dbar: list  # m x (n+m) per step
+    Abar: np.ndarray  # (N+1, 3n, 3n)
+    Bbar: np.ndarray  # (N+1, 3n, n+m)
+    Cbar: np.ndarray  # (N+1, m, 3n)
+    Dbar: np.ndarray  # (N+1, m, n+m)
     Xi: np.ndarray
     n: int
     m: int
@@ -200,28 +201,22 @@ def assemble_lf(fwd, bwd, model):
         [Q, np.zeros((n, m))],
         [np.zeros((m, n)), np.eye(m)],
     ])
-    Abars, Bbars, Cbars, Dbars = [], [], [], []
-    for t in range(N + 1):
-        L = fwd.gains[t]
-        # physical-unit feedback and noise shaping (bwd stores whitened)
-        F = bwd.r_half @ bwd.F[t]
-        Ups = bwd.r_half @ bwd.Ups[t]
-        Abar = np.zeros((3 * n, 3 * n))
-        Abar[:n, :n] = A
-        Abar[n:2 * n, n:2 * n] = A - L @ C @ A - L @ F @ A
-        Abar[n:2 * n, 2 * n:] = I - L @ F - L @ C
-        Bbar = np.zeros((3 * n, n + m))
-        Bbar[:n, :n] = I
-        Bbar[n:2 * n, n:] = -L @ Ups
-        Bbar[2 * n:, :n] = I
-        Cbar = np.hstack([C, F @ A, F])
-        Dbar = np.hstack([np.zeros((m, n)), Ups])
-        Abars.append(Abar)
-        Bbars.append(Bbar)
-        Cbars.append(Cbar)
-        Dbars.append(Dbar)
-    return LeastFavorableModel(Abar=Abars, Bbar=Bbars, Cbar=Cbars,
-                               Dbar=Dbars, Xi=Xi, n=n, m=m, N=N)
+    L = np.asarray(fwd.gains)
+    # physical-unit feedback and noise shaping (bwd stores whitened)
+    F = bwd.r_half @ np.asarray(bwd.F)
+    Ups = bwd.r_half @ np.asarray(bwd.Ups)
+    Abar = np.zeros((N + 1, 3 * n, 3 * n))
+    Abar[:, :n, :n] = A
+    Abar[:, n:2 * n, n:2 * n] = A - L @ C @ A - L @ F @ A
+    Abar[:, n:2 * n, 2 * n:] = I - L @ F - L @ C
+    Bbar = np.zeros((N + 1, 3 * n, n + m))
+    Bbar[:, :n, :n] = I
+    Bbar[:, n:2 * n, n:] = -L @ Ups
+    Bbar[:, 2 * n:, :n] = I
+    Cbar = np.concatenate([np.broadcast_to(C, F.shape), F @ A, F], axis=2)
+    Dbar = np.concatenate([np.zeros((N + 1, m, n)), Ups], axis=2)
+    return LeastFavorableModel(Abar=Abar, Bbar=Bbar, Cbar=Cbar, Dbar=Dbar,
+                               Xi=Xi, n=n, m=m, N=N)
 
 
 def simulate_lf(lf, init, seed, n_traj=1):

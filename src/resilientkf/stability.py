@@ -49,26 +49,13 @@ class StabilityError(RuntimeError):
 
 @dataclass
 class GramianParts:
-    """Stacks entering the matrix R_k over a window of length k.
+    """The compositions of R_k over a window of length k (the stacks are
+    those of ``build_gramian_parts``)."""
 
-    obs is the observability stack [ (CA^{k-1}); ...; CA; C ], obs_r the
-    reachability-style stack [ A^{k-1}; ...; A; I ], Rk_noise = I_k kron R,
-    and Hk / Lk the strictly upper block-triangular Toeplitz matrices with
-    first block rows (0, H_1, ..., H_{k-1}) and (0, L_1, ..., L_{k-1}),
-    H_j = C A^{j-1} Q^{1/2}, L_j = A^{j-1} Q^{1/2}.
-    """
-
-    k: int
-    obs: np.ndarray      # km x n
-    obs_r: np.ndarray    # kn x n
-    Rk_noise: np.ndarray  # km x km
-    Hk: np.ndarray       # km x kn
-    Lk: np.ndarray       # kn x kn
-    # cached compositions used by rk_matrix
-    T1: np.ndarray = None       # obs^T (Rk_noise + Hk Hk^T)^{-1} obs
-    Minner: np.ndarray = None   # Lk (I + Hk^T Rk_noise^{-1} Hk)^{-1} Lk^T
-    Jk: np.ndarray = None       # obs_r - Lk Hk^T (Rk_noise + Hk Hk^T)^{-1} obs
-    phi_sup: float = None       # sigma_max(Minner), open upper endpoint for phi
+    T1: np.ndarray       # obs^T (Rk_noise + Hk Hk^T)^{-1} obs
+    Minner: np.ndarray   # Lk (I + Hk^T Rk_noise^{-1} Hk)^{-1} Lk^T
+    Jk: np.ndarray       # obs_r - Lk Hk^T (Rk_noise + Hk Hk^T)^{-1} obs
+    phi_sup: float       # sigma_max(Minner), open upper endpoint for phi
 
 
 def _block_toeplitz(blocks, k, br, bc):
@@ -82,7 +69,14 @@ def _block_toeplitz(blocks, k, br, bc):
 
 
 def build_gramian_parts(model, k):
-    """Materialize the window-k stacks and cache the compositions of R_k."""
+    """The compositions of R_k from the window-k stacks.
+
+    obs is the observability stack [ (CA^{k-1}); ...; CA; C ], obs_r the
+    reachability-style stack [ A^{k-1}; ...; A; I ], Rk_noise = I_k kron R,
+    and Hk / Lk the strictly upper block-triangular Toeplitz matrices with
+    first block rows (0, H_1, ..., H_{k-1}) and (0, L_1, ..., L_{k-1}),
+    H_j = C A^{j-1} Q^{1/2}, L_j = A^{j-1} Q^{1/2}.
+    """
     validate(model)
     n, m = model.n, model.m
     if k < n:
@@ -105,9 +99,7 @@ def build_gramian_parts(model, k):
     Minner = sym(Lk @ chol_solve(inner, Lk.T))
     Jk = obs_r - Lk @ Hk.T @ chol_solve(W, obs)
     _, phi_sup = spectral_extrema(Minner)
-    return GramianParts(k=k, obs=obs, obs_r=obs_r, Rk_noise=Rk_noise,
-                        Hk=Hk, Lk=Lk, T1=T1, Minner=Minner, Jk=Jk,
-                        phi_sup=float(phi_sup))
+    return GramianParts(T1=T1, Minner=Minner, Jk=Jk, phi_sup=float(phi_sup))
 
 
 def rk_matrix(parts, phi):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from resilientkf.cli import main
+from resilientkf.cli import _write_csv, main
 from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.model import LinearGaussianModel, save_model, validate
 from resilientkf.stability import prop6_guard
@@ -59,6 +61,22 @@ def test_bounds_thetamax(name, model_file, tmp_path):
     ok, cert = prop6_guard(model, rep["theta_max"], Sigma, G, rep["alpha"],
                            rep["rho"])
     assert ok, cert
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # repr is the text csv.writer gives a float, for every kind of value
+    block = np.array([[0.1, -0.0, 1e-320, 2.5e300],
+                      [np.inf, -np.inf, np.nan, 1 / 3]])
+    lead = ["c,0.05,0", "c,0.05,1"]
+    out = tmp_path / "x.csv"
+    _write_csv(str(out), ["budget_kind", "budget", "t", "a", "b", "c", "d"],
+               lead, block)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["budget_kind", "budget", "t", "a", "b", "c", "d"])
+    writer.writerows([["c", 0.05, t] + row
+                      for t, row in enumerate(block.tolist())])
+    assert out.read_text() == buf.getvalue()
 
 
 def test_bounds_missing_model(tmp_path):
@@ -128,6 +146,23 @@ def test_filter_roundtrip(model_file, tmp_path):
     it = header.index("theta")
     thetas = {float(l.split(",")[it]) for l in lines[1:]}
     assert thetas == {0.01}
+
+
+@pytest.mark.parametrize("kind", ["ursf", "prsf"])
+def test_filter_integer_theta_writes_float(kind, model_file, tmp_path):
+    # a JSON integer theta is the float it stands for, in every cell
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.random.default_rng(1).standard_normal((5, 1)),
+               delimiter=",")
+    outputs = []
+    for theta in ("0", "0.0"):
+        cfg = tmp_path / f"fc{theta}.json"
+        cfg.write_text('{"kind": "%s", "theta": %s}' % (kind, theta))
+        out = tmp_path / f"steps{theta}.csv"
+        assert main(["filter", "--model", model_file, "--config", str(cfg),
+                     "--data", str(data), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_filter_empty_data(model_file, tmp_path):
@@ -317,6 +352,14 @@ BAD_INPUTS = {
                             "--data {data} --init {huge_init}"),
     "init_string_mean": ("filter --model {model} --config {config} "
                          "--data {data} --init {string_init}"),
+    "bench_negative_seed":
+        "bench --trials 5 --horizon 5 --seed -1 --scenarios drift",
+    "lf_simulate_negative_seed": "lf simulate --model {model} --c 0.05 --seed -1",
+    "lf_both_negative_seed": "lf both --model {model} --c 0.05 --seed -1",
+    "data_not_utf8":
+        "filter --model {model} --config {config} --data {not_utf8_data}",
+    "data_oversized_field":
+        "filter --model {model} --config {config} --data {oversized_data}",
 }
 
 
@@ -349,11 +392,17 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "huge_model": json.dumps(MODEL_A).replace("0.6]", "1%s]" % ("0" * 400)),
         "huge_init": '{"mean": [0, 1%s], "cov": [[1, 0], [0, 1]]}' % ("0" * 400),
         "string_init": '{"mean": [0, "a"], "cov": [[1, 0], [0, 1]]}',
+        "not_utf8_data": b"0.1\n\xff\n",
+        # one field past the csv module's 131072-character limit
+        "oversized_data": "0.1\n" + "0" * 140000 + "\n",
     }
     paths = {"model": model_file}
     for name, text in files.items():
         paths[name] = str(tmp_path / name)
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     out = str(tmp_path / "out")
     argv = [w.format(**paths) for w in BAD_INPUTS[case].split()]
     assert main(argv + ["--out", out]) == 2

@@ -103,6 +103,34 @@ def test_assemble_lf_structure(model_a):
     assert np.allclose(lf.Xi[n:, n:], np.eye(m))
 
 
+@pytest.mark.parametrize("which", ["a", "seeded_5_4_2"])
+def test_assemble_lf_matches_per_step_loop(which, model_a):
+    # the stacked assembly does each step's arithmetic unchanged: bit for bit
+    model = model_a if which == "a" else seeded_model(5, 4, 2)
+    n, m = model.n, model.m
+    A, C, I = model.A, model.C, np.eye(n)
+    fwd = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=5e-3), np.eye(n), 30)
+    bwd = backward_pass(fwd, model)
+    lf = assemble_lf(fwd, bwd, model)
+    for t in range(31):
+        L = fwd.gains[t]
+        F = bwd.r_half @ bwd.F[t]
+        Ups = bwd.r_half @ bwd.Ups[t]
+        Abar = np.zeros((3 * n, 3 * n))
+        Abar[:n, :n] = A
+        Abar[n:2 * n, n:2 * n] = A - L @ C @ A - L @ F @ A
+        Abar[n:2 * n, 2 * n:] = I - L @ F - L @ C
+        Bbar = np.zeros((3 * n, n + m))
+        Bbar[:n, :n] = I
+        Bbar[n:2 * n, n:] = -L @ Ups
+        Bbar[2 * n:, :n] = I
+        assert np.array_equal(lf.Abar[t], Abar)
+        assert np.array_equal(lf.Bbar[t], Bbar)
+        assert np.array_equal(lf.Cbar[t], np.hstack([C, F @ A, F]))
+        assert np.array_equal(lf.Dbar[t], np.hstack([np.zeros((m, n)), Ups]))
+
+
 def test_zero_budget_lf_matches_nominal_moments(model_a):
     fwd = covariance_schedule(
         model_a, FilterConfig(kind="ursf", theta=0.0), np.eye(2), 40)

@@ -23,27 +23,25 @@ from resilientkf.stability import (
 def test_gramian_shapes(model_a):
     k = 10
     parts = build_gramian_parts(model_a, k)
-    n, m = 2, 1
-    assert parts.obs.shape == (k * m, n)
-    assert parts.obs_r.shape == (k * n, n)
-    assert parts.Hk.shape == (k * m, k * n)
-    assert parts.Lk.shape == (k * n, k * n)
-    assert parts.Rk_noise.shape == (k * m, k * m)
-    # stack ordering: top block is C A^{k-1}, bottom is C
-    assert np.allclose(parts.obs[-m:], model_a.C)
-    assert np.allclose(parts.obs[:m],
-                       model_a.C @ np.linalg.matrix_power(model_a.A, k - 1))
-    # strict upper-triangular Toeplitz: zero diagonal blocks
-    for i in range(k):
-        assert np.abs(parts.Hk[i * m:(i + 1) * m, i * n:(i + 1) * n]).max() == 0.0
+    n = 2
+    assert parts.T1.shape == (n, n)
+    assert parts.Minner.shape == (k * n, k * n)
+    assert parts.Jk.shape == (k * n, n)
+    # the bottom block row of obs_r is I and that of Lk is zero, so the
+    # stack order shows in Jk's bottom block, exactly
+    assert np.array_equal(parts.Jk[-n:], np.eye(n))
 
 
 def test_gramian_identity_model():
     model = LinearGaussianModel(A=np.eye(2), C=np.eye(2), Q=np.eye(2), R=np.eye(2))
     parts = build_gramian_parts(model, 2)
-    # H_1 = C Q^{1/2} = I in the single off-diagonal block
-    assert np.allclose(parts.Hk[:2, 2:], np.eye(2))
-    assert np.allclose(parts.obs, np.vstack([np.eye(2), np.eye(2)]))
+    I, Z = np.eye(2), np.zeros((2, 2))
+    # with k = 2: obs = obs_r = [I; I], Hk = Lk = [[0, I], [0, 0]], Rk_noise = I
+    assert np.allclose(parts.T1, 1.5 * I, rtol=0, atol=1e-14)
+    assert np.allclose(parts.Minner, np.block([[I / 2, Z], [Z, Z]]),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(parts.Jk, np.vstack([I / 2, I]), rtol=0, atol=1e-14)
+    assert parts.phi_sup == pytest.approx(0.5, rel=0, abs=1e-14)
 
 
 def test_gramian_rejects_small_window(model_a):
