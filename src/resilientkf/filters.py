@@ -28,13 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from dataclasses import dataclass
 
-from .numerics import (
-    NumericsError,
-    chol_solve,
-    check_sympd,
-    solve_budget,
-    sym,
-)
+from .numerics import (NumericsError, _cholesky, check_sympd, solve_budget,
+                       sym)
 
 FILTER_KINDS = ("kf", "urkf", "prkf", "ursf", "prsf")
 
@@ -122,6 +117,14 @@ def _inflate(P, theta):
     return check_sympd((U * (lams / (1.0 - theta * lams))) @ U.T)
 
 
+def _gain(S, CP):
+    """The gain P C^T S^{-1}, as the transpose of S^{-1} (C P), for the
+    innovation covariance S; a Cholesky factorisation guards that S is
+    positive definite."""
+    _cholesky(S)
+    return np.linalg.solve(S, CP).T
+
+
 class Schedule(NamedTuple):
     """Gain/covariance schedule of one filter over t = 0..N.
 
@@ -181,6 +184,7 @@ class _Repeats:
         return self.same[lag][v]
 
 
+@np.errstate(over="raise", invalid="raise")
 def covariance_schedule(model, config, P0, N):
     """Data-free update, inflation and prediction recursion over N + 1 steps.
 
@@ -188,7 +192,8 @@ def covariance_schedule(model, config, P0, N):
     The prediction-side kinds (prkf, prsf) inflate the predicted covariance
     before the update, the others the filtered covariance after it; theta
     is the budget solve when ``config.c`` is set, else ``config.theta``
-    (0 for kf).  A failure at step t is raised as FilterError naming t.
+    (0 for kf).  A failure at step t, including a covariance that
+    overflows or turns NaN, is raised as FilterError naming t.
 
     A step depends only on the predicted covariance entering it, so once
     that repeats bit for bit the remaining entries are copied from one
@@ -219,12 +224,12 @@ def covariance_schedule(model, config, P0, N):
             if pre:
                 theta, P = inflate(P)
             S = sym(C @ P @ C.T + R)
-            L = chol_solve(S, C @ P).T
+            L = _gain(S, C @ P)
             Pf = sym(P - L @ C @ P)
             theta, V = (theta, Pf) if pre else inflate(Pf)
-        except (FilterError, NumericsError) as e:
+            P = sym(A @ V @ A.T + Q)
+        except (FilterError, NumericsError, FloatingPointError) as e:
             raise FilterError(f"filter step failed at t={t}: {e}") from e
-        P = sym(A @ V @ A.T + Q)
         for a in (L, Pf, V, P):
             a.flags.writeable = False
         for seq, value in zip(seqs, (L, theta, Pf, V, P)):

@@ -38,8 +38,8 @@ and the injected noise added to the process noise.
 import numpy as np
 from dataclasses import dataclass
 
-from .numerics import (NumericsError, _doubling, check_sympd, spd_sqrt,
-                       spectral_extrema, sym)
+from .numerics import (NumericsError, _cholesky, _doubling, check_sympd,
+                       check_symmetric, spd_sqrt, sym)
 from .filters import _Repeats
 
 
@@ -143,31 +143,33 @@ def backward_pass(fwd, model):
         L = fwd.gains[t]
         Lw = L @ Rh
         theta = fwd.thetas[t]
+        # W, Oinv and core come out of sym exactly symmetric, so each is
+        # checked once: by its smallest eigenvalue or by its factorisation
         W = sym(theta * np.eye(n) + omega_inv[t + 1])
         Oinv = sym(np.eye(m) - Lw.T @ W @ Lw)
-        mn, _ = spectral_extrema(Oinv)
-        if mn <= 0:
+        if np.linalg.eigvalsh(Oinv)[0] <= 0:
             raise SynthesisError(
                 f"channel synthesis infeasible at t={t}: "
                 "I - L^T W L is not positive definite (budget too large)"
             )
-        O = check_sympd(np.linalg.inv(Oinv))
-        F = -O @ Lw.T @ W @ (np.eye(n) - L @ C)
-        Abar = (np.eye(n) - L @ C) @ A
+        O = check_symmetric(np.linalg.inv(Oinv))
+        Ups = _cholesky(O)
+        ILC = np.eye(n) - L @ C
+        F = -O @ Lw.T @ W @ ILC
+        Abar = ILC @ A
         if theta == 0.0 and np.abs(omega_inv[t + 1]).max() == 0.0:
             omega = np.zeros((n, n))
         else:
-            Winv = np.linalg.inv(check_sympd(W))
-            core = sym(Winv - Lw @ Lw.T)
-            mnc, _ = spectral_extrema(core)
-            if mnc <= 0:
+            _cholesky(W)
+            core = sym(np.linalg.inv(W) - Lw @ Lw.T)
+            if np.linalg.eigvalsh(core)[0] <= 0:
                 raise SynthesisError(
                     f"channel synthesis infeasible at t={t}: "
                     "W^{-1} - L L^T is not positive definite"
                 )
             omega = sym(Abar.T @ np.linalg.inv(core) @ Abar)
         for seq, a in zip((omega_inv, Ws, Os, Fs, Upss),
-                          (omega, W, O, F, spd_sqrt(O))):
+                          (omega, W, O, F, Ups)):
             a.flags.writeable = False
             seq[t] = a
     return BackwardPass(omega_inv=omega_inv, W=Ws, O=Os, F=Fs, Ups=Upss,

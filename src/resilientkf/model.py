@@ -9,8 +9,6 @@ import json
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.linalg import expm
-
 from .numerics import NumericsError, check_sympd, sym
 
 
@@ -141,6 +139,8 @@ def van_loan_cov(Ac, Bc, psd, Ts):
     """Process-noise covariance of the sampled system via the augmented
     matrix-exponential construction, for continuous white noise of intensity
     ``psd`` injected through Bc."""
+    from scipy.linalg import expm
+
     n = Ac.shape[0]
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = -Ac
@@ -153,6 +153,8 @@ def van_loan_cov(Ac, Bc, psd, Ts):
 
 def zoh_input(Ac, Bc, Ts):
     """Discrete input matrix for a zero-order-hold input: int_0^Ts e^{Ac s} ds Bc."""
+    from scipy.linalg import expm
+
     return np.linalg.solve(Ac, (expm(Ac * Ts) - np.eye(Ac.shape[0]))) @ Bc
 
 
@@ -200,6 +202,8 @@ def msd_discretize(p):
     understated process noise is the model mismatch the robust filters are
     meant to absorb.
     """
+    from scipy.linalg import expm
+
     Ac, Bc = _continuous_matrices(p)
     Ts = p.sample_time
     A = expm(Ac * Ts)

@@ -46,18 +46,30 @@ def check_symmetric(S):
     return sym(S)
 
 
+def _cholesky(P):
+    """Lower Cholesky factor of an exactly symmetric P; NumericsError when P
+    is not positive definite."""
+    try:
+        return np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise NumericsError("matrix is not positive definite")
+
+
 def check_sympd(P):
     """Validate a symmetric positive-definite matrix and return it symmetrized."""
     P = check_symmetric(P)
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        raise NumericsError("matrix is not positive definite")
+    _cholesky(P)
     return P
 
 
 def chol_solve(P, B):
-    """Solve P X = B for symmetric positive-definite P via Cholesky."""
+    """Solve P X = B for symmetric positive-definite P via Cholesky.
+
+    scipy's LAPACK Cholesky, imported here so that only the commands that
+    solve with it (the bounds) load scipy.linalg.  The theta_max
+    certificates are pinned to its rounding: model B's beta is conditioned
+    at about 1e7, and a numpy solve moves it by about 1e-8 relative.
+    """
     from scipy.linalg import cho_factor, cho_solve as _cho_solve
 
     try:
@@ -76,8 +88,7 @@ def spectral_extrema(S):
 
 def spd_sqrt(P):
     """Lower-triangular L with L L^T = P (Cholesky convention)."""
-    P = check_sympd(P)
-    return np.linalg.cholesky(P)
+    return _cholesky(check_symmetric(P))
 
 
 def _gamma_terms(lams, theta):

@@ -22,8 +22,6 @@ Two certified bounds:
 import numpy as np
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
-
 from .model import validate, is_observable
 from .numerics import (
     NumericsError,
@@ -167,6 +165,8 @@ def phi_max(parts):
     prev = lo
     for g in np.geomspace(lo, ub, 200)[1:]:
         if _min_eig_rk(parts, g) <= 0:
+            from scipy.optimize import brentq
+
             phi = brentq(lambda p: _min_eig_rk(parts, p), prev, g,
                          xtol=PHI_TOL)
             if _min_eig_rk(parts, phi) <= 0:

@@ -410,6 +410,29 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
                    for ext in ("", ".json", ".csv", ".manifest.json"))
 
 
+# a model whose unobserved first state grows tenfold per step: the
+# predicted covariance overflows after about 150 steps
+DIVERGENT = {"A": [[10, 0], [0, 0.5]], "C": [[0, 1]],
+             "Q": [[1, 0], [0, 1]], "R": [[1]]}
+
+
+@pytest.mark.parametrize("command", [
+    "filter --model {model} --config {config} --data {data}",
+    "worstcase --model {model} --theta 0.01 --horizon 400 --filters kf",
+], ids=["filter", "worstcase"])
+def test_overflowing_covariance_is_numerical_failure(command, tmp_path,
+                                                     capsys):
+    paths = {name: str(tmp_path / name) for name in ("model", "config", "data")}
+    (tmp_path / "model").write_text(json.dumps(DIVERGENT))
+    (tmp_path / "config").write_text('{"kind": "kf"}')
+    (tmp_path / "data").write_text("0.1\n" * 400)
+    out = str(tmp_path / "out")
+    argv = [w.format(**paths) for w in command.split()]
+    assert main(argv + ["--out", out]) == 3
+    assert "filter step failed at t=" in capsys.readouterr().err
+    assert not any(os.path.exists(out + ext) for ext in ("", ".manifest.json"))
+
+
 @pytest.mark.parametrize("scenarios", ["", " , ", "drift,drift"])
 def test_bench_empty_or_repeated_scenarios_write_nothing(scenarios, tmp_path):
     out = tmp_path / "out"

@@ -97,9 +97,9 @@ def test_backward_and_error_cov_match_full_loop(budget, model_a, monkeypatch):
 
 def test_schedule_computes_only_until_the_cycle(model_a, monkeypatch):
     calls = []
-    chol_solve = filters.chol_solve
-    monkeypatch.setattr(filters, "chol_solve",
-                        lambda S, B: calls.append(1) or chol_solve(S, B))
+    gain = filters._gain
+    monkeypatch.setattr(filters, "_gain",
+                        lambda S, CP: calls.append(1) or gain(S, CP))
     sched = covariance_schedule(model_a, FilterConfig(kind="kf"),
                                 np.eye(2), 2000)
     assert len(sched.gains) == 2001 and len(sched.cov_pred) == 2002
