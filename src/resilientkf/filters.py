@@ -101,14 +101,17 @@ class FilterConfig:
 
 
 def _inflate(P, theta):
-    """Distorted covariance (P^{-1} - theta I)^{-1}.
+    """Distorted covariance (P^{-1} - theta I)^{-1} of an exactly symmetric P.
 
     From one eigendecomposition P = U diag(lambda) U^T as
-    U diag(lambda / (1 - theta lambda)) U^T, with no explicit inverse.
+    U diag(lambda / (1 - theta lambda)) U^T, with no explicit inverse; its
+    smallest eigenvalue guards that P is positive definite.
     """
     if theta == 0.0:
-        return sym(P)
-    lams, U = np.linalg.eigh(check_sympd(P))
+        return P
+    lams, U = np.linalg.eigh(P)
+    if lams[0] <= 0.0:
+        raise NumericsError("matrix is not positive definite")
     smax = lams[-1]
     if theta * smax >= 1.0:
         raise FilterError(
@@ -132,20 +135,21 @@ class Schedule(NamedTuple):
     ``cov_filt[t]`` the filtered covariance before distortion and
     ``cov_distorted[t]`` the covariance that drives the prediction (the
     inflated one for urkf/ursf, else ``cov_filt[t]``).  ``cov_pred[t]`` is
-    the prediction entering step t; it has N + 2 entries, the last being the
-    prediction after step N.
+    the prediction entering step t; it has N + 2 rows, the last being the
+    prediction after step N.  The fields are read-only arrays of shapes
+    (N+1, n, m), (N+1,), (N+1, n, n), (N+1, n, n) and (N+2, n, n).
 
     ``cycle`` is (start, period) when the recursion repeated bit for bit:
-    from step ``start`` on, every entry equals the one ``period`` steps
-    later.  It is None when no predicted covariance repeated.  Repeated
-    entries are the same array objects, so every array is read-only.
+    from step ``start`` on, every row equals the one ``period`` steps
+    later, and is copied from it instead of recomputed.  It is None when no
+    predicted covariance repeated.
     """
 
-    gains: list
-    thetas: list
-    cov_filt: list
-    cov_distorted: list
-    cov_pred: list
+    gains: np.ndarray
+    thetas: np.ndarray
+    cov_filt: np.ndarray
+    cov_distorted: np.ndarray
+    cov_pred: np.ndarray
     cycle: tuple = None
 
     @property
@@ -168,8 +172,8 @@ class _Repeats:
         """|t - s| for the first step s whose state had these bytes, else 0.
 
         Keyed by the hash of the bytes, with the state kept by reference
-        (the recursion keeps it anyway), so a long run that never repeats
-        holds no second copy of its states.
+        (a row of the recursion's own output stack), so a long run that
+        never repeats holds no second copy of its states.
         """
         key = state.tobytes()
         s, first = self.seen.setdefault(hash(key), (t, state))
@@ -196,8 +200,8 @@ def covariance_schedule(model, config, P0, N):
     overflows or turns NaN, is raised as FilterError naming t.
 
     A step depends only on the predicted covariance entering it, so once
-    that repeats bit for bit the remaining entries are copied from one
-    period earlier instead of recomputed (see ``Schedule.cycle``).
+    that repeats bit for bit the remaining rows are copied from one period
+    earlier instead of recomputed (see ``Schedule.cycle``).
     """
     A, C, Q, R = model.A, model.C, model.Q, model.R
     pre = config.kind in ("prkf", "prsf")
@@ -209,17 +213,23 @@ def covariance_schedule(model, config, P0, N):
             theta = 0.0 if config.theta is None else config.theta
         return theta, _inflate(P, theta)
 
-    P = check_sympd(P0)
-    P.flags.writeable = False
-    seqs = ([], [], [], [], [P])
-    repeats, lag, cycle = _Repeats(), 0, None
+    n, m = model.n, model.m
+    # gains[t] is the transpose of a C-ordered solve, as from _gain, so that
+    # mean_pass's L.T reaches BLAS C-ordered and sums in the same order
+    gains = np.empty((N + 1, m, n)).transpose(0, 2, 1)
+    thetas = np.empty(N + 1)
+    cov_filt, cov_distorted = np.empty((2, N + 1, n, n))
+    cov_pred = np.empty((N + 2, n, n))
+    out = (gains, thetas, cov_filt, cov_distorted, cov_pred)
+    P = cov_pred[0] = check_sympd(P0)
+    repeats, cycle = _Repeats(), None
     for t in range(N + 1):
-        lag = lag or repeats.lag(t, P)
+        lag = repeats.lag(t, cov_pred[t])
         if lag:
-            cycle = cycle or (t - lag, lag)
-            for seq in seqs:
-                seq.append(seq[-lag])
-            continue
+            cycle = (t - lag, lag)
+            for a in out:
+                a[t:] = a[t - lag + np.arange(len(a) - t) % lag]
+            break
         try:
             if pre:
                 theta, P = inflate(P)
@@ -230,11 +240,11 @@ def covariance_schedule(model, config, P0, N):
             P = sym(A @ V @ A.T + Q)
         except (FilterError, NumericsError, FloatingPointError) as e:
             raise FilterError(f"filter step failed at t={t}: {e}") from e
-        for a in (L, Pf, V, P):
-            a.flags.writeable = False
-        for seq, value in zip(seqs, (L, theta, Pf, V, P)):
-            seq.append(value)
-    return Schedule(*seqs, cycle=cycle)
+        gains[t], thetas[t], cov_filt[t], cov_distorted[t] = L, theta, Pf, V
+        cov_pred[t + 1] = P
+    for a in out:
+        a.flags.writeable = False
+    return Schedule(*out, cycle=cycle)
 
 
 def mean_pass(model, gains, x0, ys):

@@ -54,7 +54,7 @@ class SynthesisError(RuntimeError):
 def injection_covariances(fwd):
     """Extra state-noise covariances D_t = V_t - P_filt_t of the
     saddle-achieving adversary, stacked over the steps as (N+1, n, n)."""
-    D = np.asarray(fwd.cov_distorted) - np.asarray(fwd.cov_filt)
+    D = fwd.cov_distorted - fwd.cov_filt
     return 0.5 * (D + D.swapaxes(-1, -2))
 
 
@@ -96,14 +96,16 @@ class BackwardPass:
     ``O[t]`` (m x m PD) the whitened hostile measurement-noise covariance
     (identity at zero budget), ``F[t]`` (m x n) its feedback onto the
     filter's error, ``Ups[t]`` the lower-triangular square root of
-    ``O[t]``.  ``r_half`` maps whitened outputs back to physical units.
+    ``O[t]``.  Each is a read-only stack over the steps: ``omega_inv`` has
+    N + 2 rows, the last zero, the others N + 1.  ``r_half`` maps whitened
+    outputs back to physical units.
     """
 
-    omega_inv: list
-    W: list
-    O: list
-    F: list
-    Ups: list
+    omega_inv: np.ndarray
+    W: np.ndarray
+    O: np.ndarray
+    F: np.ndarray
+    Ups: np.ndarray
     r_half: np.ndarray  # R^{1/2}, lower triangular
 
 
@@ -124,20 +126,18 @@ def backward_pass(fwd, model):
     N = fwd.horizon
     A, C = model.A, model.C
     Rh = spd_sqrt(model.R)
-    omega_inv = [None] * (N + 2)
-    Ws = [None] * (N + 1)
-    Os = [None] * (N + 1)
-    Fs = [None] * (N + 1)
-    Upss = [None] * (N + 1)
-    omega_inv[N + 1] = np.zeros((n, n))
-    omega_inv[N + 1].flags.writeable = False
+    omega_inv = np.zeros((N + 2, n, n))
+    Ws = np.empty((N + 1, n, n))
+    Os, Upss = np.empty((2, N + 1, m, m))
+    Fs = np.empty((N + 1, m, n))
+    out = (omega_inv, Ws, Os, Fs, Upss)
     repeats, lag = _Repeats(fwd.gains, fwd.thetas), 0
     for t in range(N, -1, -1):
         # once omega repeats with the inputs, step t is step t + lag again
         lag = lag or repeats.lag(t, omega_inv[t + 1])
         if lag and repeats.inputs_repeat(lag, t):
-            for seq in (omega_inv, Ws, Os, Fs, Upss):
-                seq[t] = seq[t + lag]
+            for a in out:
+                a[t] = a[t + lag]
             continue
         lag = 0
         L = fwd.gains[t]
@@ -168,10 +168,9 @@ def backward_pass(fwd, model):
                     "W^{-1} - L L^T is not positive definite"
                 )
             omega = sym(Abar.T @ np.linalg.inv(core) @ Abar)
-        for seq, a in zip((omega_inv, Ws, Os, Fs, Upss),
-                          (omega, W, O, F, Ups)):
-            a.flags.writeable = False
-            seq[t] = a
+        omega_inv[t], Ws[t], Os[t], Fs[t], Upss[t] = omega, W, O, F, Ups
+    for a in out:
+        a.flags.writeable = False
     return BackwardPass(omega_inv=omega_inv, W=Ws, O=Os, F=Fs, Ups=Upss,
                         r_half=Rh)
 
@@ -203,10 +202,10 @@ def assemble_lf(fwd, bwd, model):
         [Q, np.zeros((n, m))],
         [np.zeros((m, n)), np.eye(m)],
     ])
-    L = np.asarray(fwd.gains)
+    L = fwd.gains
     # physical-unit feedback and noise shaping (bwd stores whitened)
-    F = bwd.r_half @ np.asarray(bwd.F)
-    Ups = bwd.r_half @ np.asarray(bwd.Ups)
+    F = bwd.r_half @ bwd.F
+    Ups = bwd.r_half @ bwd.Ups
     Abar = np.zeros((N + 1, 3 * n, 3 * n))
     Abar[:, :n, :n] = A
     Abar[:, n:2 * n, n:2 * n] = A - L @ C @ A - L @ F @ A
@@ -278,15 +277,15 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
     A, C, Q = model.A, model.C, model.Q
     I = np.eye(n)
-    K, L = np.asarray(eval_gains, dtype=float), np.asarray(fwd.gains)
+    K, L = np.asarray(eval_gains, dtype=float), fwd.gains
     # per-step F_t, Ups_t Ups_t^T and Qxi_t, or one matrix for every step
     if bwd is None:
         F = np.zeros((model.m, n))
         UU = model.R
         Qxi = Q + A @ injection_covariances(fwd) @ A.T
     else:
-        F = bwd.r_half @ np.asarray(bwd.F)
-        Ups = bwd.r_half @ np.asarray(bwd.Ups)
+        F = bwd.r_half @ bwd.F
+        Ups = bwd.r_half @ bwd.Ups
         UU = Ups @ Ups.transpose(0, 2, 1)
         Qxi = Q
     FC = F + C

@@ -73,13 +73,16 @@ def is_observable(A, C):
 def validate(model):
     """Validate a LinearGaussianModel; returns the model on success.
 
-    Requires finite A, C, Q, R, Q > 0, R > 0 and consistent dimensions.
+    Requires finite 2-D A, C, Q, R, Q > 0, R > 0 and consistent dimensions.
     Observability of (A, C) is not required here (plain filtering does not
     need it); the convergence bounds check it.  Q > 0 implies reachability
     of (A, Q).
     """
     for name in ("A", "C", "Q", "R"):
-        if not np.isfinite(getattr(model, name)).all():
+        M = getattr(model, name)
+        if M.ndim != 2:
+            raise ModelError(f"{name} must be a matrix, got shape {M.shape}")
+        if not np.isfinite(M).all():
             raise ModelError(f"{name} has non-finite entries")
     n = model.A.shape[0]
     if model.A.shape != (n, n):
@@ -231,6 +234,14 @@ def model_to_dict(model):
     }
 
 
+def _numbers(value):
+    """Whether a parsed JSON value is a number or nested lists of numbers:
+    strings, bools and nulls are not."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return type(value) in (int, float)
+
+
 def model_from_dict(d):
     """The validated model of a parsed JSON object with exactly the keys A,
     C, Q and R; any other shape, key or non-numeric entry raises
@@ -241,6 +252,8 @@ def model_from_dict(d):
     if set(d) != keys:
         raise ModelError(f"model file keys {sorted(d)}, expected "
                          f"{sorted(keys)}")
+    if not all(map(_numbers, d.values())):
+        raise ModelError("model entries must be numeric matrices")
     try:
         model = LinearGaussianModel(**d)
     except (TypeError, ValueError, OverflowError) as e:
@@ -275,6 +288,8 @@ def belief_from_dict(d):
         mean, cov = d["mean"], d["cov"]
     except KeyError as e:
         raise ModelError(f"belief file missing key {e}")
+    if not (_numbers(mean) and _numbers(cov)):
+        raise ModelError("belief entries must be numeric arrays")
     try:
         mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:

@@ -40,10 +40,15 @@ def sym(X):
 
 def check_symmetric(S):
     S = _as_matrix(S)
-    scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > SYM_TOL * scale:
+    scale = float(np.abs(S).max())
+    if not math.isfinite(scale):
+        raise NumericsError("matrix has non-finite entries")
+    asym = np.abs(S - S.T).max()
+    if asym > SYM_TOL * max(1.0, scale):
         raise NumericsError("matrix is not symmetric to tolerance")
-    return sym(S)
+    # sym of an exactly symmetric matrix is that matrix bit for bit, but
+    # overflows where an entry exceeds half the largest float
+    return S.copy() if asym == 0.0 else sym(S)
 
 
 def _cholesky(P):
@@ -72,11 +77,14 @@ def chol_solve(P, B):
     """
     from scipy.linalg import cho_factor, cho_solve as _cho_solve
 
+    P, B = sym(P), np.asarray(B, dtype=float)
+    if not (np.isfinite(P).all() and np.isfinite(B).all()):
+        raise NumericsError("chol_solve of a matrix with non-finite entries")
     try:
-        c = cho_factor(sym(P), lower=True)
+        c = cho_factor(P, lower=True)
     except np.linalg.LinAlgError:
         raise NumericsError("matrix is not positive definite")
-    return _cho_solve(c, np.asarray(B, dtype=float))
+    return _cho_solve(c, B)
 
 
 def spectral_extrema(S):

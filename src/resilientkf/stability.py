@@ -66,6 +66,7 @@ def _block_toeplitz(blocks, k, br, bc):
     return M
 
 
+@np.errstate(over="raise", invalid="raise")
 def build_gramian_parts(model, k):
     """The compositions of R_k from the window-k stacks.
 
@@ -73,7 +74,8 @@ def build_gramian_parts(model, k):
     reachability-style stack [ A^{k-1}; ...; A; I ], Rk_noise = I_k kron R,
     and Hk / Lk the strictly upper block-triangular Toeplitz matrices with
     first block rows (0, H_1, ..., H_{k-1}) and (0, L_1, ..., L_{k-1}),
-    H_j = C A^{j-1} Q^{1/2}, L_j = A^{j-1} Q^{1/2}.
+    H_j = C A^{j-1} Q^{1/2}, L_j = A^{j-1} Q^{1/2}.  Stacks that overflow
+    or turn NaN raise StabilityError.
     """
     validate(model)
     n, m = model.n, model.m
@@ -81,22 +83,25 @@ def build_gramian_parts(model, k):
         raise StabilityError(f"window k={k} must be at least the state dimension {n}")
     if not is_observable(model.A, model.C):
         raise StabilityError("(A, C) must be observable")
-    A, C = model.A, model.C
-    Qh = spd_sqrt(model.Q)
-    powers = [np.linalg.matrix_power(A, j) for j in range(k)]
-    obs = np.vstack([C @ powers[j] for j in range(k - 1, -1, -1)])
-    obs_r = np.vstack([powers[j] for j in range(k - 1, -1, -1)])
-    Hb = [C @ powers[j - 1] @ Qh for j in range(1, k)]
-    Lb = [powers[j - 1] @ Qh for j in range(1, k)]
-    Hk = _block_toeplitz(Hb, k, m, n)
-    Lk = _block_toeplitz(Lb, k, n, n)
-    Rk_noise = np.kron(np.eye(k), model.R)
-    W = sym(Rk_noise + Hk @ Hk.T)
-    T1 = sym(obs.T @ chol_solve(W, obs))
-    inner = sym(np.eye(k * n) + Hk.T @ chol_solve(Rk_noise, Hk))
-    Minner = sym(Lk @ chol_solve(inner, Lk.T))
-    Jk = obs_r - Lk @ Hk.T @ chol_solve(W, obs)
-    _, phi_sup = spectral_extrema(Minner)
+    try:
+        A, C = model.A, model.C
+        Qh = spd_sqrt(model.Q)
+        powers = [np.linalg.matrix_power(A, j) for j in range(k)]
+        obs = np.vstack([C @ powers[j] for j in range(k - 1, -1, -1)])
+        obs_r = np.vstack([powers[j] for j in range(k - 1, -1, -1)])
+        Hb = [C @ powers[j - 1] @ Qh for j in range(1, k)]
+        Lb = [powers[j - 1] @ Qh for j in range(1, k)]
+        Hk = _block_toeplitz(Hb, k, m, n)
+        Lk = _block_toeplitz(Lb, k, n, n)
+        Rk_noise = np.kron(np.eye(k), model.R)
+        W = sym(Rk_noise + Hk @ Hk.T)
+        T1 = sym(obs.T @ chol_solve(W, obs))
+        inner = sym(np.eye(k * n) + Hk.T @ chol_solve(Rk_noise, Hk))
+        Minner = sym(Lk @ chol_solve(inner, Lk.T))
+        Jk = obs_r - Lk @ Hk.T @ chol_solve(W, obs)
+        _, phi_sup = spectral_extrema(Minner)
+    except FloatingPointError as e:
+        raise StabilityError(f"window-{k} stacks are not finite: {e}") from e
     return GramianParts(T1=T1, Minner=Minner, Jk=Jk, phi_sup=float(phi_sup))
 
 
@@ -542,9 +547,8 @@ def prop6_guard(model, theta, P0, G, alpha, rho):
         return False, {**cert, "reason": f"covariance recursion failed: {e}"}
     # entries from start + period on are copies of earlier ones
     k = sum(sched.cycle) if sched.cycle else None
-    worst_pd = np.linalg.eigvalsh(np.array(sched.cov_distorted[:k]))[:, 0].min()
-    worst_gap = np.linalg.eigvalsh(
-        Sigma[None] - np.array(sched.cov_pred[:k]))[:, 0].min()
+    worst_pd = np.linalg.eigvalsh(sched.cov_distorted[:k])[:, 0].min()
+    worst_gap = np.linalg.eigvalsh(Sigma[None] - sched.cov_pred[:k])[:, 0].min()
     cert["min_eig_distorted"] = float(worst_pd)
     cert["min_eig_sigma_minus_pred"] = float(worst_gap)
     if worst_pd <= 0:

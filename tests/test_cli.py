@@ -360,7 +360,20 @@ BAD_INPUTS = {
         "filter --model {model} --config {config} --data {not_utf8_data}",
     "data_oversized_field":
         "filter --model {model} --config {config} --data {oversized_data}",
+    # a 3-D C, and string or bool entries that numpy would read as 1.0
+    "model_3d_c_filter":
+        "filter --model {model_3d_c} --config {config} --data {data}",
+    "model_3d_c_worstcase": "worstcase --model {model_3d_c} --c 0.1",
+    "model_3d_c_bounds": "bounds --model {model_3d_c} --mode cmax",
+    "model_string_entry":
+        "filter --model {string_model} --config {config} --data {data}",
+    "model_bool_entry":
+        "filter --model {bool_model} --config {config} --data {data}",
+    "init_string_number_mean": ("filter --model {model} --config {config} "
+                                "--data {data} --init {string_number_init}"),
 }
+
+SCALAR = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -392,6 +405,10 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "huge_model": json.dumps(MODEL_A).replace("0.6]", "1%s]" % ("0" * 400)),
         "huge_init": '{"mean": [0, 1%s], "cov": [[1, 0], [0, 1]]}' % ("0" * 400),
         "string_init": '{"mean": [0, "a"], "cov": [[1, 0], [0, 1]]}',
+        "model_3d_c": json.dumps(dict(SCALAR, C=[[[1.0]]])),
+        "string_model": json.dumps(dict(SCALAR, Q=[["1"]])),
+        "bool_model": json.dumps(dict(SCALAR, A=[[True]])),
+        "string_number_init": '{"mean": [0, "1"], "cov": [[1, 0], [0, 1]]}',
         "not_utf8_data": b"0.1\n\xff\n",
         # one field past the csv module's 131072-character limit
         "oversized_data": "0.1\n" + "0" * 140000 + "\n",
@@ -416,20 +433,31 @@ DIVERGENT = {"A": [[10, 0], [0, 0.5]], "C": [[0, 1]],
              "Q": [[1, 0], [0, 1]], "R": [[1]]}
 
 
-@pytest.mark.parametrize("command", [
-    "filter --model {model} --config {config} --data {data}",
-    "worstcase --model {model} --theta 0.01 --horizon 400 --filters kf",
-], ids=["filter", "worstcase"])
-def test_overflowing_covariance_is_numerical_failure(command, tmp_path,
-                                                     capsys):
+# finite models whose bound computations overflow: Q^{1/2} squares past the
+# largest float in the window stacks, and the solves with R = 1e-320 do
+HUGE_Q = dict(SCALAR, Q=[[1e308]])
+TINY_R = dict(SCALAR, R=[[1e-320]])
+
+
+@pytest.mark.parametrize("command, model, message", [
+    ("filter --model {model} --config {config} --data {data}", DIVERGENT,
+     "filter step failed at t="),
+    ("worstcase --model {model} --theta 0.01 --horizon 400 --filters kf",
+     DIVERGENT, "filter step failed at t="),
+] + [(f"bounds --model {{model}} --mode {mode}", model, "stacks are not finite")
+     for model in (HUGE_Q, TINY_R) for mode in ("cmax", "thetamax")],
+    ids=["filter", "worstcase", "bounds_cmax_huge_q", "bounds_thetamax_huge_q",
+         "bounds_cmax_tiny_r", "bounds_thetamax_tiny_r"])
+def test_overflowing_covariance_is_numerical_failure(command, model, message,
+                                                     tmp_path, capsys):
     paths = {name: str(tmp_path / name) for name in ("model", "config", "data")}
-    (tmp_path / "model").write_text(json.dumps(DIVERGENT))
+    (tmp_path / "model").write_text(json.dumps(model))
     (tmp_path / "config").write_text('{"kind": "kf"}')
     (tmp_path / "data").write_text("0.1\n" * 400)
     out = str(tmp_path / "out")
     argv = [w.format(**paths) for w in command.split()]
     assert main(argv + ["--out", out]) == 3
-    assert "filter step failed at t=" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not any(os.path.exists(out + ext) for ext in ("", ".manifest.json"))
 
 

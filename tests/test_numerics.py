@@ -253,3 +253,23 @@ def test_spd_helpers():
         check_sympd(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
     assert np.allclose(sym([[1.0, 2.0], [0.0, 1.0]]),
                        [[1.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_sympd([[math.nan]]),
+    lambda: check_sympd([[math.inf]]),
+    lambda: gamma([[math.nan]], 0.1),
+    lambda: solve_budget([[2.0, math.nan], [math.nan, 1.0]], 0.1),
+    lambda: chol_solve([[math.inf]], [[1.0]]),
+    lambda: chol_solve([[1.0]], [[math.nan]]),
+], ids=["check_sympd_nan", "check_sympd_inf", "gamma_nan", "solve_budget_nan",
+        "chol_solve_inf_p", "chol_solve_nan_b"])
+def test_kernels_reject_non_finite(call):
+    with pytest.raises(NumericsError, match="non-finite"):
+        call()
+
+
+def test_check_sympd_keeps_entries_beyond_half_the_largest_float():
+    # sym would overflow them; an exactly symmetric matrix needs no sym
+    assert check_sympd([[1e308, 0.0], [0.0, 1.0]]).tolist() == [[1e308, 0.0],
+                                                               [0.0, 1.0]]

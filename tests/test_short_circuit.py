@@ -106,7 +106,8 @@ def test_schedule_computes_only_until_the_cycle(model_a, monkeypatch):
     assert len(calls) <= 40
     start, period = sched.cycle
     assert len(calls) == start + period
-    assert sched.gains[-1] is sched.gains[start + (2000 - start) % period]
+    assert (sched.gains[-1].tobytes()
+            == sched.gains[start + (2000 - start) % period].tobytes())
 
 
 def test_repeated_entries_are_read_only(model_a):
@@ -118,6 +119,24 @@ def test_repeated_entries_are_read_only(model_a):
                 bwd.Ups):
         with pytest.raises(ValueError, match="read-only"):
             seq[-1][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("which", ["a", "r"])
+def test_fields_are_read_only_stacks(which, model_a):
+    model = model_a if which == "a" else seeded_model(4, 9, 3)
+    n, m, N = model.n, model.m, 60
+    shapes = {"gains": (N + 1, n, m), "thetas": (N + 1,),
+              "cov_filt": (N + 1, n, n), "cov_distorted": (N + 1, n, n),
+              "cov_pred": (N + 2, n, n), "omega_inv": (N + 2, n, n),
+              "W": (N + 1, n, n), "O": (N + 1, m, m), "Ups": (N + 1, m, m),
+              "F": (N + 1, m, n)}
+    sched = covariance_schedule(model, FilterConfig(kind="ursf", theta=0.001),
+                                np.eye(n), N)
+    bwd = backward_pass(sched, model)
+    for name, shape in shapes.items():
+        a = getattr(sched if hasattr(sched, name) else bwd, name)
+        assert isinstance(a, np.ndarray) and a.shape == shape, name
+        assert not a.flags.writeable, name
 
 
 def test_hash_collisions_are_not_repeats(model_a, monkeypatch):

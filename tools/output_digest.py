@@ -1,0 +1,160 @@
+"""Digest of every CLI output on a fixed command set.
+
+    PYTHONPATH=src python tools/output_digest.py OUT_DIR > digest.txt
+
+Writes seeded inputs under ``OUT_DIR/in``, runs a fixed list of commands
+in-process through ``resilientkf.cli.main`` with outputs under
+``OUT_DIR/out``, then prints one ``exit <code>  <command>`` line per command
+and one ``<sha256>  <path>`` line per output file (manifests excluded: they
+hold timestamps), paths relative to ``OUT_DIR/out``.  The package is the one
+on ``PYTHONPATH``, so two checkouts compare by running this script once
+against each ``src/`` and diffing the two digests.
+
+The command set:
+
+- ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
+  model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
+  with ``--init`` on model A;
+- ``worstcase``: two ``--c`` and two ``--theta`` budgets, each with and
+  without ``--channel``, on models A and B and the two seeded models;
+- ``lf both``: model A at a ``--c`` and a ``--theta`` budget, and the two
+  seeded models at a ``--c`` budget;
+- one small ``bench`` over every scenario;
+- ``bounds``: cmax and thetamax on models A and B.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+
+from resilientkf.cli import main
+
+SEED = 20240601
+
+# Models A and B of the acceptance tests.
+MODEL_A = {"A": [[0.1, 1.0], [0.0, 0.6]], "C": [[1.0, -1.0]],
+           "Q": [[0.9050, 0.8150], [0.8150, 0.7450]], "R": [[1.0]]}
+MODEL_B = {"A": [[0.1, 1.0], [0.0, 0.95]], "C": [[1.0, -1.0]],
+           "Q": [[0.9050, 0.8575], [0.8575, 1.7225]], "R": [[1.0]]}
+
+
+def seeded_model(rng, n, m):
+    """A stable, observable n-state, m-output model with PD noises."""
+    while True:
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+        C = rng.standard_normal((m, n))
+        obs = np.vstack([C @ np.linalg.matrix_power(A, j) for j in range(n)])
+        B, D = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        if np.linalg.matrix_rank(obs) == n:
+            return {"A": A.tolist(), "C": C.tolist(),
+                    "Q": (B @ B.T / n + 0.1 * np.eye(n)).tolist(),
+                    "R": (D @ D.T / m + 0.1 * np.eye(m)).tolist()}
+
+
+def measurements(model, T, rng):
+    """T observations of the model started from N(0, I), as CSV text."""
+    A, C, Q, R = (np.array(model[k]) for k in "ACQR")
+    Lq, Lr = np.linalg.cholesky(Q), np.linalg.cholesky(R)
+    x = rng.standard_normal(len(A))
+    rows = []
+    for _ in range(T):
+        rows.append(",".join(map(repr, (C @ x + Lr @ rng.standard_normal(len(R)))
+                                 .tolist())))
+        x = A @ x + Lq @ rng.standard_normal(len(A))
+    return "\n".join(rows) + "\n"
+
+
+def commands(inp, out):
+    """Write the inputs under ``inp``; the argv of every command."""
+    rng = np.random.default_rng(SEED)
+
+    def write(name, text):
+        path = os.path.join(inp, name)
+        with open(path, "w") as f:
+            f.write(text)
+        return path
+
+    # tag -> (model, filter steps, fixed theta of ursf/prsf); at larger
+    # theta the fixed-theta recursion can diverge on the 9 x 3 model
+    models = {"a": (MODEL_A, 300, 0.05), "b": (MODEL_B, None, None),
+              "r4": (seeded_model(rng, 4, 2), 200, 0.01),
+              "r9": (seeded_model(rng, 9, 3), 100, 0.001)}
+    paths = {tag: write(f"model_{tag}.json", json.dumps(model))
+             for tag, (model, _, _) in models.items()}
+    cmds = []
+    for tag, (model, T, theta) in models.items():
+        if T is None:
+            continue
+        data = write(f"y_{tag}.csv", measurements(model, T, rng))
+        budgets = {"kf": {}, "urkf": {"c": 0.1}, "prkf": {"c": 0.1},
+                   "ursf": {"theta": theta}, "prsf": {"theta": theta}}
+        for kind, budget in budgets.items():
+            config = write(f"{kind}_{tag}.json",
+                           json.dumps({"kind": kind, **budget}))
+            cmds.append(["filter", "--model", paths[tag], "--config", config,
+                         "--data", data,
+                         "--out", os.path.join(out, f"filter_{kind}_{tag}.csv")])
+    init = write("init_a.json", json.dumps(
+        {"mean": [1.0, -0.5], "cov": [[2.0, 0.3], [0.3, 0.5]]}))
+    cmds.append(["filter", "--model", paths["a"], "--config",
+                 os.path.join(inp, "urkf_a.json"), "--data",
+                 os.path.join(inp, "y_a.csv"), "--init", init,
+                 "--out", os.path.join(out, "filter_urkf_a_init.csv")])
+    for tag in models:
+        for kind, values in (("c", ("0.01", "0.05")),
+                             ("theta", ("0.001", "0.02"))):
+            for channel in ((), ("--channel",)):
+                name = f"worstcase_{kind}_{tag}{'_channel' if channel else ''}"
+                budgets = [w for v in values for w in (f"--{kind}", v)]
+                cmds.append(["worstcase", "--model", paths[tag], "--horizon",
+                             "100", *budgets, *channel,
+                             "--out", os.path.join(out, name + ".csv")])
+    for tag, kind, value in (("a", "c", "0.05"), ("a", "theta", "0.05"),
+                             ("r4", "c", "0.05"), ("r9", "c", "0.05")):
+        cmds.append(["lf", "both", "--model", paths[tag], f"--{kind}", value,
+                     "--horizon", "100", "--trajectories", "20", "--seed", "7",
+                     "--out", os.path.join(out, f"lf_{kind}_{tag}")])
+    cmds.append(["bench", "--trials", "50", "--horizon", "50", "--seed", "3",
+                 "--out", os.path.join(out, "bench")])
+    for tag in ("a", "b"):
+        for mode in ("cmax", "thetamax"):
+            cmds.append(["bounds", "--model", paths[tag], "--mode", mode,
+                         "--out", os.path.join(out, f"bounds_{mode}_{tag}.json")])
+    return cmds
+
+
+def digest(root):
+    """``<sha256>  <path>`` of every non-manifest file under ``root``."""
+    lines = []
+    for d, _, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if not name.endswith(".manifest.json"):
+                path = os.path.join(d, name)
+                with open(path, "rb") as f:
+                    sha = hashlib.sha256(f.read()).hexdigest()
+                lines.append(f"{sha}  {os.path.relpath(path, root)}")
+    return lines
+
+
+def run(root):
+    inp, out = os.path.join(root, "in"), os.path.join(root, "out")
+    os.makedirs(inp, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
+    if os.listdir(out):
+        raise SystemExit(f"{out} is not empty")
+    lines = []
+    for argv in commands(inp, out):
+        code = main(argv)
+        target = argv[argv.index("--out") + 1]
+        lines.append(f"exit {code}  {argv[0]} {os.path.relpath(target, out)}")
+    return lines + digest(out)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    print("\n".join(run(sys.argv[1])))
