@@ -11,9 +11,10 @@ Subcommands:
 
 Every artifact is written atomically (temp file + rename) and accompanied
 by a ``<name>.manifest.json`` recording the command, configuration hash,
-seed, outputs and numpy and scipy versions, so reruns are verifiable.  Exit
-codes: 0 success, 2 validation error (including non-finite or out-of-range
-inputs and unknown filter names), 3 numerical failure, 4 I/O error.
+seed, outputs and numpy version, so reruns are verifiable; numpy is the
+only dependency.  Exit codes: 0 success, 2 validation error (including
+non-finite or out-of-range inputs and unknown filter names), 3 numerical
+failure, 4 I/O error.
 """
 
 import argparse
@@ -27,7 +28,6 @@ import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .model import (
@@ -98,7 +98,6 @@ def _write_manifest(out_path, command, inputs, outputs, seed=None, **record):
         "config_hash": digest,
         "tool_version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "seed": seed,
         "outputs": outputs,
         **record,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SYM_TOL = 1e-10
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 # gamma switches to its power series below this |theta * lambda|; the series
 # is cut after x^9, whose first omitted term is below 1e-18 of the leading
@@ -43,12 +44,18 @@ def check_symmetric(S):
     scale = float(np.abs(S).max())
     if not math.isfinite(scale):
         raise NumericsError("matrix has non-finite entries")
-    asym = np.abs(S - S.T).max()
-    if asym > SYM_TOL * max(1.0, scale):
+    # S - S.T and S + S.T overflow where an entry exceeds half the largest
+    # float, so such a matrix is compared and averaged in halves
+    h = 1.0 if scale <= _HALF_MAX else 0.5
+    H = S if h == 1.0 else h * S
+    asym = np.abs(H - H.T).max()
+    if asym > h * SYM_TOL * max(1.0, scale):
         raise NumericsError("matrix is not symmetric to tolerance")
-    # sym of an exactly symmetric matrix is that matrix bit for bit, but
-    # overflows where an entry exceeds half the largest float
-    return S.copy() if asym == 0.0 else sym(S)
+    # an exactly symmetric matrix is returned unchanged; averaging it in
+    # halves would round its subnormal entries
+    if asym == 0.0 and (h == 1.0 or np.array_equal(S, S.T)):
+        return S.copy()
+    return (0.5 / h) * (H + H.T)
 
 
 def _cholesky(P):
@@ -70,21 +77,23 @@ def check_sympd(P):
 def chol_solve(P, B):
     """Solve P X = B for symmetric positive-definite P via Cholesky.
 
-    scipy's LAPACK Cholesky, imported here so that only the commands that
-    solve with it (the bounds) load scipy.linalg.  The theta_max
-    certificates are pinned to its rounding: model B's beta is conditioned
-    at about 1e7, and a numpy solve moves it by about 1e-8 relative.
+    numpy's Cholesky factor L, then a forward substitution with L and a
+    back substitution with L^T, row by row; B is a vector or a matrix.
+    Substitution, not np.linalg.solve on the factor, whose pivoted LU
+    rounds differently: the theta_max certificates are conditioned at
+    about 1e7 on model B and move with the rounding of this solve.
     """
-    from scipy.linalg import cho_factor, cho_solve as _cho_solve
-
     P, B = sym(P), np.asarray(B, dtype=float)
     if not (np.isfinite(P).all() and np.isfinite(B).all()):
         raise NumericsError("chol_solve of a matrix with non-finite entries")
-    try:
-        c = cho_factor(P, lower=True)
-    except np.linalg.LinAlgError:
-        raise NumericsError("matrix is not positive definite")
-    return _cho_solve(c, B)
+    L = _cholesky(P)
+    n = L.shape[0]
+    X = np.empty(B.shape)
+    for i in range(n):
+        X[i] = (B[i] - L[i, :i] @ X[:i]) / L[i, i]
+    for i in range(n - 1, -1, -1):
+        X[i] = (X[i] - L[i + 1:, i] @ X[i + 1:]) / L[i, i]
+    return X
 
 
 def spectral_extrema(S):
@@ -171,7 +180,7 @@ def solve_budget(P, c):
     small c), and an upper bound on where the sigma_max term of gamma alone
     reaches c (close for large c).  The bracket (0, (1 - 1e-9)/sigma_max(P))
     is kept: a step that rounds to no move goes one ulp, and a step that
-    leaves the bracket bisects it.
+    leaves the bracket, or a derivative that is 0 or not finite, bisects it.
 
     Returns once |gamma - c| <= BUDGET_TOL * c, or once no float lies
     strictly inside the bracket, with its end nearer c (near the pole one
@@ -193,8 +202,10 @@ def solve_budget(P, c):
     # sigma_max); that root lies below v + ln(2v) with v = 2c + 1
     v = 2.0 * c + 1.0
     u = v + math.log(2.0 * v)
-    theta = min(hi, 2.0 * math.sqrt(c / math.fsum(lam * lam for lam in lams)),
-                (1.0 - 1.0 / u) / smax)
+    theta = min(hi, (1.0 - 1.0 / u) / smax)
+    tr2 = math.fsum(lam * lam for lam in lams)
+    if 0.0 < tr2 < math.inf:  # tr(P^2) under- or overflows at extreme P
+        theta = min(theta, 2.0 * math.sqrt(c / tr2))
     g = g_hi
     for it in range(1, BUDGET_MAX_ITER + 1):
         g, dg = _gamma_terms(lams, theta)
@@ -204,7 +215,10 @@ def solve_budget(P, c):
             lo, g_lo = theta, g
         else:
             hi, g_hi = theta, g
-        nxt = theta - (g - c) / dg
+        if not 0.0 < dg < math.inf:  # gamma' underflowed or overflowed
+            nxt = 0.5 * (lo + hi)
+        else:
+            nxt = theta - (g - c) / dg
         if nxt == theta:
             nxt = math.nextafter(theta, lo if g > c else hi)
         if not lo < nxt < hi:
@@ -246,6 +260,21 @@ DOUBLING_TOL = 1e-13
 MAX_DOUBLINGS = 60
 
 
+def _solve_stack(M, B):
+    """np.linalg.solve over a stack of systems (B stacked like M), with NaN
+    for the singular ones instead of a LinAlgError for the whole stack."""
+    try:
+        return np.linalg.solve(M, B)
+    except np.linalg.LinAlgError:
+        X = np.full(B.shape, np.nan)
+        for i in range(len(X)):
+            try:
+                X[i] = np.linalg.solve(M[i], B[i])
+            except np.linalg.LinAlgError:
+                pass
+        return X
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _doubling(Ak, G, H):
     """The structured doubling iteration, batched over a leading axis:
@@ -255,8 +284,8 @@ def _doubling(Ak, G, H):
 
     each H until it moves by at most DOUBLING_TOL relative to its largest
     entry; a converged H leaves the batch, so it does not depend on the others.
-    An H whose step turns non-finite (its iterates overflowed) leaves the
-    batch as NaN instead of failing the others.
+    An H whose step turns non-finite (its iterates overflowed, or I + G H
+    was singular) leaves the batch as NaN instead of failing the others.
     From (A^T, C^T R^{-1} C, Q) H converges to the stabilising solution of
     the filter DARE; G = None stands for G = 0, W = I, Smith's doubling for
     the Lyapunov equation X = A^T X A + Q.
@@ -272,7 +301,7 @@ def _doubling(Ak, G, H):
             Hn = H + AkT @ H @ Ak
             Ak = Ak @ Ak
         else:
-            Z = np.linalg.solve(eye + G @ H, np.concatenate([Ak, G], axis=-1))
+            Z = _solve_stack(eye + G @ H, np.concatenate([Ak, G], axis=-1))
             G = G + Ak @ Z[..., n:] @ AkT
             G = 0.5 * (G + np.swapaxes(G, -1, -2))
             Hn = H + AkT @ H @ Z[..., :n]
@@ -304,16 +333,17 @@ def solve_filter_dare(A, C, Q, R):
     iterates can leave a residual of about 5e-10 relative, so one Newton
     step follows: the Lyapunov equation X = (A - K C) X (A - K C)^T +
     K R K^T + Q, solved by doubling too.  An equation whose doubling
-    overflows comes back as NaN (on seeded 5-state models a few of
-    theta_max's pairs do, in the Newton step); NumericsError is raised when
-    a finite equation has not converged after MAX_DOUBLINGS doublings.
+    overflows or meets a singular system comes back as NaN (on seeded
+    5-state models a few of theta_max's pairs overflow, in the Newton
+    step); NumericsError is raised when a finite equation has not
+    converged after MAX_DOUBLINGS doublings.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     AT, CT = A.transpose(0, 2, 1), C.transpose(0, 2, 1)
     G = CT @ np.linalg.solve(R, C)
     X = _doubling(AT, 0.5 * (G + G.transpose(0, 2, 1)), Q)
-    KT = np.linalg.solve(C @ X @ CT + R, C @ X @ AT)
+    KT = _solve_stack(C @ X @ CT + R, C @ X @ AT)
     K = KT.transpose(0, 2, 1)
     V = K @ R @ KT + Q
     return _doubling(AT - CT @ KT, None, 0.5 * (V + V.transpose(0, 2, 1)))

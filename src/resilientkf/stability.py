@@ -53,7 +53,9 @@ class GramianParts:
     T1: np.ndarray       # obs^T (Rk_noise + Hk Hk^T)^{-1} obs
     Minner: np.ndarray   # Lk (I + Hk^T Rk_noise^{-1} Hk)^{-1} Lk^T
     Jk: np.ndarray       # obs_r - Lk Hk^T (Rk_noise + Hk Hk^T)^{-1} obs
-    phi_sup: float       # sigma_max(Minner), open upper endpoint for phi
+    mu: np.ndarray       # eigenvalues of Minner = U diag(mu) U^T, ascending
+    K: np.ndarray        # U^T Jk
+    phi_sup: float       # sigma_max(Minner) = mu[-1], open upper endpoint for phi
 
 
 def _block_toeplitz(blocks, k, br, bc):
@@ -99,10 +101,26 @@ def build_gramian_parts(model, k):
         inner = sym(np.eye(k * n) + Hk.T @ chol_solve(Rk_noise, Hk))
         Minner = sym(Lk @ chol_solve(inner, Lk.T))
         Jk = obs_r - Lk @ Hk.T @ chol_solve(W, obs)
-        _, phi_sup = spectral_extrema(Minner)
+        mu, U = np.linalg.eigh(Minner)
     except FloatingPointError as e:
         raise StabilityError(f"window-{k} stacks are not finite: {e}") from e
-    return GramianParts(T1=T1, Minner=Minner, Jk=Jk, phi_sup=float(phi_sup))
+    return GramianParts(T1=T1, Minner=Minner, Jk=Jk, mu=mu, K=U.T @ Jk,
+                        phi_sup=float(mu[-1]))
+
+
+def _rk_stack(parts, phis):
+    """R_k at each phi of the 1-D array ``phis``, and a mask of the phis at
+    which S_k is singular (their R_k drop the singular directions).
+
+    With Minner = U diag(mu) U^T and K = U^T Jk, Jk^T S_k^{-1} Jk =
+    K^T diag(1 / (mu - 1/phi)) K, so one eigendecomposition serves every
+    phi and the whole stack is one product.
+    """
+    den = parts.mu - 1.0 / phis[:, None]
+    singular = (den == 0.0).any(axis=1)
+    d = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
+    R = parts.T1 + (parts.K.T * d[:, None, :]) @ parts.K
+    return 0.5 * (R + R.transpose(0, 2, 1)), singular
 
 
 def rk_matrix(parts, phi):
@@ -117,21 +135,28 @@ def rk_matrix(parts, phi):
         raise StabilityError(
             f"phi={phi:.6g} outside the admissible interval (0, {parts.phi_sup:.6g})"
         )
-    S = sym(parts.Minner - (1.0 / phi) * np.eye(parts.Minner.shape[0]))
-    try:
-        X = np.linalg.solve(S, parts.Jk)
-    except np.linalg.LinAlgError:
+    R, singular = _rk_stack(parts, np.array([phi]))
+    if singular[0]:
         raise StabilityError(f"S_k singular at phi={phi:.6g} (breakpoint)")
-    return sym(parts.T1 + parts.Jk.T @ X)
+    return R[0]
 
 
-def _min_eig_rk(parts, phi):
-    mn, _ = spectral_extrema(rk_matrix(parts, phi))
-    return mn
+def _first_failure(parts, phis):
+    """Index of the first phi of the increasing array ``phis`` at which R_k
+    is not positive definite, len(phis) if there is none; StabilityError
+    when S_k is singular there instead."""
+    R, singular = _rk_stack(parts, phis)
+    fail = singular | (np.linalg.eigvalsh(R)[:, 0] <= 0.0)
+    i = int(np.argmax(fail)) if fail.any() else len(phis)
+    if i < len(phis) and singular[i]:
+        raise StabilityError(f"S_k singular at phi={phis[i]:.6g} (breakpoint)")
+    return i
 
 
-# Absolute tolerance in phi to which phi_max locates the R_k boundary.
-PHI_TOL = 1e-6
+# phi_max scans PHI_SCAN geometric points, then bisects the bracket of the
+# R_k boundary to a width of PHI_RTOL relative to phi.
+PHI_SCAN = 200
+PHI_RTOL = 1e-12
 
 
 def phi_max(parts):
@@ -140,14 +165,14 @@ def phi_max(parts):
 
     R_k(phi) decreases in phi, and its minimum eigenvalue is positive for
     small phi (under observability) and crosses zero before the upper
-    endpoint.  The sign change is located by a coarse geometric scan and
-    pinned down by brentq to absolute tolerance PHI_TOL; the returned phi_k
-    is on the positive-definite side, within PHI_TOL of the boundary.  The
-    scan starts at 1e-6 sigma_max(Minner), or, if R_k already fails there,
-    at the provably positive-definite phi_lo = lambda_min(T1) /
-    (||Jk||^2 + lambda_min(T1) sigma_max(Minner)), from
-    lambda_min(R_k(phi)) >= lambda_min(T1) - phi ||Jk||^2 /
-    (1 - phi sigma_max(Minner)).
+    endpoint.  The sign change is located by one stacked evaluation of R_k
+    at PHI_SCAN geometric points, then bisected until the bracket is at
+    most PHI_RTOL phi wide or no float lies inside it; the returned phi_k
+    is its positive-definite end.  The scan starts at 1e-6
+    sigma_max(Minner), or, if R_k already fails there, at the provably
+    positive-definite phi_lo = lambda_min(T1) / (||Jk||^2 + lambda_min(T1)
+    sigma_max(Minner)), from lambda_min(R_k(phi)) >= lambda_min(T1) -
+    phi ||Jk||^2 / (1 - phi sigma_max(Minner)).
     """
     if parts.phi_sup <= 0.0:
         # degenerate window (Lk = 0): R_k = T1 - phi Jk^T Jk is linear in
@@ -158,39 +183,31 @@ def phi_max(parts):
             raise StabilityError("R_k stays positive definite for every phi")
         return float(1.0 / lam)
     ub = parts.phi_sup * (1.0 - 1e-9)
-    lo = 1e-6 * parts.phi_sup
-    if _min_eig_rk(parts, lo) <= 0:
+    phis = np.geomspace(1e-6 * parts.phi_sup, ub, PHI_SCAN)
+    i = _first_failure(parts, phis)
+    if i == 0:
         t1, _ = spectral_extrema(parts.T1)
-        if t1 <= 0:
+        if t1 > 0:
+            lo = t1 / (np.linalg.norm(parts.Jk, 2) ** 2 + t1 * parts.phi_sup)
+            phis = np.geomspace(lo, ub, PHI_SCAN)
+            i = _first_failure(parts, phis)
+        if i == 0:
             raise StabilityError(
                 "R_k is not positive definite even at tiny phi; "
                 "check observability of (A, C)"
             )
-        lo = t1 / (np.linalg.norm(parts.Jk, 2) ** 2 + t1 * parts.phi_sup)
-    prev = lo
-    for g in np.geomspace(lo, ub, 200)[1:]:
-        if _min_eig_rk(parts, g) <= 0:
-            from scipy.optimize import brentq
-
-            phi = brentq(lambda p: _min_eig_rk(parts, p), prev, g,
-                         xtol=PHI_TOL)
-            if _min_eig_rk(parts, phi) <= 0:
-                # brentq's root can land up to PHI_TOL past the boundary:
-                # bisect back onto the positive-definite side, stopping
-                # within PHI_TOL / 1024 of the boundary so phi_k moves little
-                lo, hi = max(prev, phi - PHI_TOL), phi
-                if _min_eig_rk(parts, lo) <= 0:
-                    lo = prev
-                while hi - lo > PHI_TOL / 1024:
-                    mid = 0.5 * (lo + hi)
-                    if _min_eig_rk(parts, mid) > 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                phi = lo
-            return float(phi)
-        prev = g
-    return float(ub)
+    if i == len(phis):
+        return float(ub)
+    lo, hi = float(phis[i - 1]), float(phis[i])
+    while hi - lo > PHI_RTOL * lo:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _first_failure(parts, np.array([mid])):  # R_k(mid) is PD
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +263,7 @@ def c_max(model, k=10, q=20):
     Pq = pbar_filtered(model, q)
     val = gamma(Pq, phik)
     return BoundReport(phi_k=phik, c_max=float(val), pbar_qq=Pq,
-                       search={"k": k, "q": q, "phi_tol": PHI_TOL})
+                       search={"k": k, "q": q, "phi_rtol": PHI_RTOL})
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +486,7 @@ def theta_max(model, k=10):
     ``search["riccati_solves"]`` counts the (alpha, rho) pairs solved, by
     the sweep and the refinements.  ``search["overflowed_pairs"]``, present
     only when nonzero, counts the solved sweep pairs whose Riccati solve
-    overflowed; they count as beta* = -inf.
+    overflowed or met a singular system; they count as beta* = -inf.
     """
     parts = build_gramian_parts(model, k)
     phik = phi_max(parts)
@@ -493,6 +510,7 @@ def theta_max(model, k=10):
             model, alpha1["theta_max"], Sigma1, G1, 1.0, rho1)
     search = {
         "k": k,
+        "phi_rtol": PHI_RTOL,
         "alpha_grid": [float(ALPHAS[0]), float(ALPHAS[-1]), len(ALPHAS)],
         "rho_grid": [float(RHOS[0]), RHO_HI, len(RHOS)],
         "rho_refine_points": RHO_REFINE_POINTS,

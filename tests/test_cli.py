@@ -1,11 +1,11 @@
 import csv
 import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
-import scipy
 
 from resilientkf.cli import _write_csv, main
 from resilientkf.filters import FilterConfig, covariance_schedule
@@ -38,7 +38,7 @@ def test_bounds_cmax(model_file, tmp_path):
     assert rep["c_max"] > 0
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["numpy"] == np.__version__
-    assert manifest["scipy"] == scipy.__version__
+    assert "scipy" not in manifest
 
 
 @pytest.mark.parametrize("name", ["model_a", "random_3x2"])
@@ -371,6 +371,9 @@ BAD_INPUTS = {
         "filter --model {bool_model} --config {config} --data {data}",
     "init_string_number_mean": ("filter --model {model} --config {config} "
                                 "--data {data} --init {string_number_init}"),
+    # S - S.T overflows on the far-from-symmetric covariance
+    "init_asymmetric_huge": ("filter --model {model} --config {config} "
+                             "--data {data} --init {asymmetric_huge_init}"),
 }
 
 SCALAR = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
@@ -409,6 +412,8 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "string_model": json.dumps(dict(SCALAR, Q=[["1"]])),
         "bool_model": json.dumps(dict(SCALAR, A=[[True]])),
         "string_number_init": '{"mean": [0, "1"], "cov": [[1, 0], [0, 1]]}',
+        "asymmetric_huge_init":
+            '{"mean": [0, 0], "cov": [[1, -1e308], [1e308, 1]]}',
         "not_utf8_data": b"0.1\n\xff\n",
         # one field past the csv module's 131072-character limit
         "oversized_data": "0.1\n" + "0" * 140000 + "\n",
@@ -468,3 +473,54 @@ def test_bench_empty_or_repeated_scenarios_write_nothing(scenarios, tmp_path):
                "--scenarios", scenarios, "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+# extreme but finite noises: tr(P^2) of the filter's covariances overflows,
+# and one of theta_max's doubling steps meets a singular I + G H
+EXTREME_NOISE = {"A": [[0.5, 0.1], [0.0, 0.5]], "C": [[1.0, 1.0]],
+                 "Q": [[1e300, 0.0], [0.0, 1.0]], "R": [[1e300]]}
+
+
+def test_budget_solve_at_extreme_noise(tmp_path):
+    (tmp_path / "model").write_text(json.dumps(EXTREME_NOISE))
+    (tmp_path / "config").write_text('{"kind": "urkf", "c": 0.1}')
+    (tmp_path / "data").write_text("0.1\n" * 30)
+    model = str(tmp_path / "model")
+    assert main(["filter", "--model", model, "--config",
+                 str(tmp_path / "config"), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(["worstcase", "--model", model, "--c", "0.01", "--channel",
+                 "--horizon", "30", "--out", str(tmp_path / "w.csv")]) == 0
+    for name in ("f.csv", "w.csv"):
+        with open(tmp_path / name) as f:
+            thetas = [float(row["theta"]) for row in csv.DictReader(f)]
+        assert len(thetas) == (30 if name == "f.csv" else 31)
+        assert all(0.0 < th < math.inf for th in thetas)
+
+
+def test_bounds_thetamax_singular_doubling_step(tmp_path, capsys):
+    # the pair whose doubling meets a singular system counts as
+    # beta* = -inf like an overflowed one; here no pair is left, as the
+    # others fail the SIGMA_COND_MAX cap
+    (tmp_path / "model").write_text(json.dumps(EXTREME_NOISE))
+    out = str(tmp_path / "t.json")
+    assert main(["bounds", "--model", str(tmp_path / "model"),
+                 "--mode", "thetamax", "--out", out]) == 3
+    assert "empty admissible search set" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["model"]
+
+
+def test_filter_init_beyond_half_the_largest_float(model_file, tmp_path,
+                                                   capsys):
+    # the covariance is symmetric to tolerance and positive definite, so it
+    # is a valid belief; the filter's first step then overflows
+    (tmp_path / "init").write_text(
+        '{"mean": [0, 0], "cov": [[1e308, 1.0], [1.0000001, 1.0]]}')
+    (tmp_path / "config").write_text('{"kind": "urkf", "c": 0.1}')
+    (tmp_path / "data").write_text("0.1\n0.2\n")
+    out = str(tmp_path / "f.csv")
+    assert main(["filter", "--model", model_file, "--config",
+                 str(tmp_path / "config"), "--data", str(tmp_path / "data"),
+                 "--init", str(tmp_path / "init"), "--out", out]) == 3
+    assert "filter step failed at t=0" in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -131,6 +131,18 @@ def test_solve_budget_raises_on_non_convergence(model_a, monkeypatch):
         solve_budget(P, 0.1)
 
 
+@pytest.mark.parametrize("lams", [(1e-170, 1e-170), (1e300, 1.0),
+                                  (1e300, 1e300)])
+def test_solve_budget_at_extreme_eigenvalues(lams):
+    # tr(P^2) underflows to 0 or overflows to inf, and with it the Newton
+    # start and the derivative gamma' at theta = 0; both bisect instead
+    P, c = np.diag(lams), 0.1
+    res = solve_budget(P, c)
+    assert 0 < res.theta * max(lams) < 1
+    assert abs(res.achieved_budget - c) <= 1e-12 * c
+    assert gamma(P, res.theta) == pytest.approx(c, rel=1e-12)
+
+
 def test_solve_budget_rejects_bad_budget():
     with pytest.raises(NumericsError):
         solve_budget(np.eye(2), 0.0)
@@ -267,6 +279,30 @@ def test_spd_helpers():
 def test_kernels_reject_non_finite(call):
     with pytest.raises(NumericsError, match="non-finite"):
         call()
+
+
+def test_chol_solve_matches_scipy():
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 20, 90):
+        B = rng.standard_normal((n, n))
+        P = B @ B.T + 0.1 * np.eye(n)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            want = cho_solve(cho_factor(P, lower=True), rhs)
+            got = chol_solve(P, rhs)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.linalg.cond(P) * (
+                np.abs(want).max())
+
+
+def test_check_symmetric_without_overflow():
+    # S - S.T and S + S.T would overflow: the matrix is compared and
+    # averaged in halves, so no RuntimeWarning escapes
+    P = check_sympd([[1e308, 1.0], [1.0000001, 1.0]])
+    assert P.tolist() == [[1e308, 0.5 + 0.50000005], [0.5 + 0.50000005, 1.0]]
+    with pytest.raises(NumericsError, match="not symmetric"):
+        check_sympd([[1.0, -1e308], [1e308, 1.0]])
 
 
 def test_check_sympd_keeps_entries_beyond_half_the_largest_float():

@@ -6,7 +6,7 @@ from resilientkf import LinearGaussianModel
 from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.numerics import chol_solve, gamma, solve_filter_dare, sym
 from resilientkf.stability import (
-    PHI_TOL,
+    PHI_RTOL,
     SIGMA_COND_MAX,
     StabilityError,
     build_gramian_parts,
@@ -63,11 +63,11 @@ def test_rk_symmetry_and_small_phi_limit(model_a):
 
 def test_phi_max_bracketing(model_a):
     parts = build_gramian_parts(model_a, 10)
-    tol = PHI_TOL
+    tol = PHI_RTOL
     phik = phi_max(parts)
     assert 0.090 <= phik <= 0.100
-    lo = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 - 10 * tol))).min()
-    hi = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 + 10 * tol))).min()
+    lo = np.linalg.eigvalsh(rk_matrix(parts, phik)).min()
+    hi = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 + tol))).min()
     assert lo > 0 > hi
 
 
@@ -80,15 +80,15 @@ def test_phi_max_second_model(model_b):
                                   (30, 2, 1), (10, 3, 2), (8, 5, 1)])
 def test_phi_max_is_certified(name, request):
     # phi_k is on the positive-definite side of the R_k boundary, within
-    # tol of it; on (8, 5, 1) R_k already fails at 1e-6 sigma_max(Minner),
-    # so the scan starts at the provable lower bound instead
+    # tol phi_k of it; on (8, 5, 1) R_k already fails at 1e-6
+    # sigma_max(Minner), so the scan starts at the provable lower bound
     model = (request.getfixturevalue(name) if isinstance(name, str)
              else seeded_model(*name))
-    tol = PHI_TOL
+    tol = PHI_RTOL
     parts = build_gramian_parts(model, 10)
     phik = phi_max(parts)
     assert np.linalg.eigvalsh(rk_matrix(parts, phik)).min() > 0
-    assert np.linalg.eigvalsh(rk_matrix(parts, phik + tol)).min() <= 0
+    assert np.linalg.eigvalsh(rk_matrix(parts, phik * (1 + tol))).min() <= 0
     if name == (8, 5, 1):
         assert c_max(model).c_max > 0
 
@@ -257,12 +257,17 @@ def test_theta_max_raises_on_empty_sweep(model_b, monkeypatch):
         theta_max(model_b, k=10)
 
 
-@pytest.mark.parametrize("seed, bound", [(8, 5.4866e-6), (10, 2.8766e-6)])
+@pytest.mark.parametrize("seed, bound", [(8, 5.5571e-6), (10, 2.8770e-6)])
 def test_theta_max_with_overflowing_pairs(seed, bound):
     # the Newton step's Lyapunov doubling overflows for some (alpha, rho)
     # pairs of these 5-state models; they count as beta* = -inf and the rest
-    # of the sweep still yields a verified certificate
-    rep = theta_max(seeded_model(seed, 5, 1), k=10)
+    # of the sweep still yields a verified certificate.  ``bound`` is the
+    # R_k boundary (bisected to one ulp: 5.557103106e-6 and 2.876974665e-6)
+    model = seeded_model(seed, 5, 1)
+    parts = build_gramian_parts(model, 10)
+    assert np.linalg.eigvalsh(rk_matrix(parts, bound * (1 - 1e-4)))[0] > 0
+    assert np.linalg.eigvalsh(rk_matrix(parts, bound * (1 + 1e-4)))[0] <= 0
+    rep = theta_max(model, k=10)
     assert rep.search["overflowed_pairs"] > 0
     assert rep.search["verification"]["ok"]
     assert rep.theta_max == rep.phi_k == pytest.approx(bound, rel=1e-4)

@@ -1,6 +1,6 @@
-"""Only ``bench`` and ``bounds`` load scipy's linalg and optimize
-subpackages: importing the CLI and running ``filter``, ``worstcase`` and
-``lf`` must not, so those commands start without paying for them."""
+"""The package needs numpy alone: with every scipy import made to fail,
+importing the CLI, running each of its five commands (``bounds`` in both
+modes) and running the demos must still succeed."""
 
 import json
 import os
@@ -8,16 +8,21 @@ import subprocess
 import sys
 import textwrap
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+import pytest
 
-SCRIPT = textwrap.dedent("""
-    import json, pathlib, sys
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+# a None entry in sys.modules makes every ``import scipy...`` raise
+NO_SCIPY = 'import sys; sys.modules["scipy"] = None\n'
+
+SCRIPT = NO_SCIPY + textwrap.dedent("""
+    import json, pathlib
     import resilientkf.cli as cli
 
     def loaded():
-        return sorted(m for m in ("scipy.linalg", "scipy.optimize")
-                      if m in sys.modules)
+        return sorted(m for m, mod in sys.modules.items()
+                      if m.split(".")[0] == "scipy" and mod is not None)
 
     report = {"import": loaded()}
     pathlib.Path("model.json").write_text(json.dumps({
@@ -32,25 +37,38 @@ SCRIPT = textwrap.dedent("""
                   "--horizon", "20", "--channel", "--out", "w.csv"]),
         cli.main(["lf", "both", "--model", "model.json", "--theta", "0.05",
                   "--horizon", "20", "--out", "lf"]),
-    ]
-    report["commands"] = loaded()
-    report["rc"] += [
         cli.main(["bench", "--trials", "3", "--horizon", "5",
                   "--scenarios", "drift", "--out", "b"]),
         cli.main(["bounds", "--model", "model.json", "--mode", "cmax",
                   "--out", "c.json"]),
+        cli.main(["bounds", "--model", "model.json", "--mode", "thetamax",
+                  "--out", "t.json"]),
     ]
+    report["commands"] = loaded()
     print(json.dumps(report))
 """)
 
 
-def test_filter_worstcase_lf_load_no_scipy_linalg_or_optimize(tmp_path):
+def _run(code, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", SCRIPT],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_filter_worstcase_lf_load_no_scipy_linalg_or_optimize(tmp_path):
+    proc = _run(SCRIPT, tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["import"] == [] and report["commands"] == []
-    assert report["rc"] == [0] * 5
+    assert report["rc"] == [0] * 6
+
+
+@pytest.mark.parametrize("demo", ["msd_benchmark", "stability_bounds",
+                                  "worst_case_analysis"])
+def test_demo_runs_without_scipy(demo, tmp_path):
+    path = os.path.join(ROOT, "demos", demo + ".py")
+    proc = _run(NO_SCIPY + f"import runpy; runpy.run_path({path!r}, "
+                "run_name='__main__')", tmp_path)
+    assert proc.returncode == 0, proc.stderr
