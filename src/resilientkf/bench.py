@@ -80,17 +80,18 @@ def sample_measurement(scenario, p, rng):
 
 @dataclass
 class McConfig:
-    """Monte-Carlo benchmark configuration."""
+    """Monte-Carlo benchmark configuration; ``filters`` are kf and urkf at
+    the budget ``c``, which must be positive and finite (ConfigError)."""
 
     trials: int = 1000
     horizon: int = 200
     seed: int = 0
-    filters: dict = field(default_factory=lambda: {
-        "kf": FilterConfig(kind="kf"),
-        "urkf": FilterConfig(kind="urkf", c=0.5),
-    })
+    c: float = 0.5
+    filters: dict = field(init=False)
 
     def __post_init__(self):
+        self.filters = {"kf": FilterConfig(kind="kf"),
+                        "urkf": FilterConfig(kind="urkf", c=self.c)}
         if self.trials < 1 or self.horizon < 1:
             raise BenchError("trials and horizon must be at least 1")
         if self.seed < 0:
@@ -149,7 +150,7 @@ def run_monte_carlo(cfg, scenarios):
     once, and the generator state after it is restored before each of that
     plant's scenarios draws its readings.
     """
-    nominal, actual = msd_discretize(MSD)
+    nominal, Qw = msd_discretize(MSD)
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
     P0 = INIT_COV_SCALE * np.eye(n)
@@ -162,19 +163,17 @@ def run_monte_carlo(cfg, scenarios):
         by_plant.setdefault(scenario.kind == "nominal", []).append(i)
     reports = [None] * len(scenarios)
     for control, members in by_plant.items():
-        if control:
-            # the plant is exactly the nominal design model
-            A = nominal.A
-            Lw = np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
-        else:
-            A, Lw = actual.A, actual.noise_chol()
+        # both plants have the design model's A; the control plant is
+        # exactly the design model, the other draws the physical noise Qw
+        Lw = np.linalg.cholesky((nominal.Q if control else Qw)
+                                + 1e-15 * np.eye(n))
         rng = np.random.default_rng(cfg.seed)
         # only the displacement is measured and scored; pos[t] over trials
         x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
         pos = np.zeros((N, M))
         for t in range(N):
             pos[t] = x[:, 0]
-            x = x @ A.T + rng.standard_normal((M, n)) @ Lw.T
+            x = x @ nominal.A.T + rng.standard_normal((M, n)) @ Lw.T
         after_plant = rng.bit_generator.state
         for i in members:
             rng.bit_generator.state = after_plant

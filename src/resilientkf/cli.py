@@ -88,22 +88,26 @@ def _write_csv(path, header, lead, block):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_manifest(out_path, command, inputs, outputs, seed=None, **record):
-    """Write ``<out_path>.manifest.json``; ``record`` adds fields such as the
-    detected schedule cycles."""
+def _write_manifest(args, outputs, base=None, **record):
+    """Write ``<base>.manifest.json`` for the command of the parsed ``args``
+    (``base`` defaults to ``--out``).  Its config hash covers every argument
+    but ``--out``; ``record`` adds fields such as the detected schedule
+    cycles."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_hash": digest,
         "tool_version": __version__,
         "numpy": np.__version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "outputs": outputs,
         **record,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    path = (args.out if base is None else base) + ".manifest.json"
+    _atomic_write(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_init(args, model):
@@ -132,10 +136,7 @@ def cmd_bounds(args):
     else:
         report = theta_max(model, k=args.k)
     _atomic_write(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
-    _write_manifest(args.out, "bounds",
-                    {"model": args.model, "mode": args.mode,
-                     "k": args.k, "q": args.q},
-                    [args.out])
+    _write_manifest(args, [args.out])
     return EXIT_OK
 
 
@@ -195,11 +196,7 @@ def cmd_worstcase(args):
         lead += [f"{kind},{val!r},{t}" for t in range(N + 1)]
     _write_csv(args.out, ["budget_kind", "budget", "t", "theta"]
                + [f"var_{f}" for f in filters], lead, np.vstack(blocks))
-    _write_manifest(args.out, "worstcase",
-                    {"model": args.model, "budgets": budgets,
-                     "horizon": N, "filters": filters,
-                     "channel": bool(args.channel)},
-                    [args.out], cycles=cycles)
+    _write_manifest(args, [args.out], cycles=cycles)
     return EXIT_OK
 
 
@@ -239,10 +236,7 @@ def cmd_filter(args):
                        np.reshape(list(means), (T, 2 * n)),
                        np.reshape(sched.cov_filt, (T, n * n))])
     _write_csv(args.out, header, map(str, range(T)), block)
-    _write_manifest(args.out, "filter",
-                    {"model": args.model, "config": args.config,
-                     "data": args.data},
-                    [args.out], cycle=sched.cycle)
+    _write_manifest(args, [args.out], cycle=sched.cycle)
     return EXIT_OK
 
 
@@ -255,12 +249,8 @@ def _is_number(s):
 
 
 def cmd_bench(args):
-    filters = {
-        "kf": FilterConfig(kind="kf"),
-        "urkf": FilterConfig(kind="urkf", c=args.c),
-    }
     cfg = McConfig(trials=args.trials, horizon=args.horizon,
-                   seed=args.seed, filters=filters)
+                   seed=args.seed, c=args.c)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
     # validate the whole list before any write
     if not scenarios:
@@ -277,30 +267,21 @@ def cmd_bench(args):
                    np.column_stack([rep.mse_t[nm] for nm in names]))
         _atomic_write(base + ".json", json.dumps(rep.to_dict(), indent=2) + "\n")
         outputs += [base + ".csv", base + ".json"]
-    manifest_base = os.path.join(args.out, "bench")
-    _write_manifest(manifest_base, "bench",
-                    {"trials": args.trials, "horizon": args.horizon,
-                     "c": args.c, "scenarios": scenarios},
-                    outputs, seed=args.seed)
+    _write_manifest(args, outputs, base=os.path.join(args.out, "bench"))
     return EXIT_OK
 
 
 def cmd_lf(args):
     model = load_model(args.model)
-    budget = {"c": args.c} if args.c is not None else {"theta": args.theta}
-    if args.c is not None and args.theta is not None:
-        raise ModelError("lf takes either --c or --theta, not both")
-    if args.c is None and args.theta is None:
-        raise ModelError("lf requires --c or --theta")
     # the adversary's update-side filter; building it validates the budget
     config = FilterConfig(kind="urkf" if args.c is not None else "ursf",
-                          **budget)
+                          c=args.c, theta=args.theta)
     if args.horizon < 0 or args.trajectories < 1 or args.seed < 0:
         raise ModelError("lf requires --horizon >= 0, --trajectories >= 1 "
                          "and --seed >= 0")
     # validated before any output is written
     init = _load_init(args, model)
-    fwd = covariance_schedule(model, config, np.eye(model.n), args.horizon)
+    fwd = covariance_schedule(model, config, init.cov, args.horizon)
     bwd = backward_pass(fwd, model)
     lf = assemble_lf(fwd, bwd, model)
     outputs = []
@@ -329,11 +310,7 @@ def cmd_lf(args):
                     for t in range(block.shape[1])],
                    block.reshape(-1, block.shape[2]))
         outputs.append(path)
-    _write_manifest(args.out, "lf",
-                    {"model": args.model, "budget": budget,
-                     "horizon": args.horizon, "action": args.action,
-                     "trajectories": args.trajectories},
-                    outputs, seed=args.seed, cycle=fwd.cycle)
+    _write_manifest(args, outputs, cycle=fwd.cycle)
     return EXIT_OK
 
 

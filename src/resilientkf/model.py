@@ -1,8 +1,8 @@
 """State-space model representations, validation and file formats.
 
 Provides the nominal time-invariant linear-Gaussian model, Gaussian beliefs
-and mass-spring-damper discretization (both the nominal design model and the
-continuous-time "actual" generator used by the benchmark).
+and mass-spring-damper discretization (the nominal design model and the
+process noise of the sampled physical plant used by the benchmark).
 """
 
 import json
@@ -191,21 +191,6 @@ def zoh_input(Ac, Bc, Ts):
     return np.linalg.solve(Ac, (expm(Ac * Ts) - np.eye(Ac.shape[0]))) @ Bc
 
 
-@dataclass
-class ActualMsdDynamics:
-    """Generator for the physical (continuous-time, sampled) system.
-
-    The state evolves as x_{t+1} = A x_t + w_t with w_t drawn from the exact
-    sampled covariance of the continuous force and damper-disturbance noises.
-    """
-
-    A: np.ndarray
-    Qw: np.ndarray  # sampled process-noise covariance
-
-    def noise_chol(self):
-        return np.linalg.cholesky(self.Qw + 1e-15 * np.eye(self.Qw.shape[0]))
-
-
 # The designer's displacement-sensor variance, and the diagonal jitter that
 # keeps the nominal process-noise covariance positive definite.
 MEASUREMENT_VAR = 0.25
@@ -215,7 +200,7 @@ Q_JITTER = 1e-10
 def msd_discretize(p):
     """Discretize the mass-spring-damper system.
 
-    Returns (nominal, actual):
+    Returns (nominal, Qw):
 
     - ``nominal`` is the designer's model: exact zero-order-hold dynamics
       A = expm(Ac Ts) with the force modeled as *discrete-time* white noise
@@ -223,11 +208,11 @@ def msd_discretize(p):
       (plus the diagonal ``Q_JITTER`` so Q stays positive definite), no
       damper disturbance, displacement measurement C = [1 0] with variance
       ``MEASUREMENT_VAR``.
-    - ``actual`` generates the physical system: the same A, but with the
-      sampled covariance of the continuous-time force (intensity
-      ``force_var``) and damper disturbance (force intensity
-      damping^2 * disturbance_var) obtained by the augmented-exponential
-      construction.
+    - ``Qw`` is the process-noise covariance of the physical system, which
+      shares nominal's A: the sampled covariance of the continuous-time
+      force (intensity ``force_var``) and damper disturbance (force
+      intensity damping^2 * disturbance_var) obtained by the
+      augmented-exponential construction.
 
     The nominal and actual noise models deliberately differ: the designer
     posits simple per-sample force noise, while the physical plant
@@ -244,9 +229,7 @@ def msd_discretize(p):
     R = np.array([[MEASUREMENT_VAR]])
     nominal = validate(LinearGaussianModel(A=A, C=C, Q=Qnom, R=R))
     psd_total = p.force_var + p.damping ** 2 * p.disturbance_var
-    Qact = van_loan_cov(Ac, Bc, psd_total, Ts)
-    actual = ActualMsdDynamics(A=A, Qw=Qact)
-    return nominal, actual
+    return nominal, van_loan_cov(Ac, Bc, psd_total, Ts)
 
 
 # ---------------------------------------------------------------------------

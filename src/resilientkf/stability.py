@@ -173,6 +173,10 @@ def phi_max(parts):
     positive-definite phi_lo = lambda_min(T1) / (||Jk||^2 + lambda_min(T1)
     sigma_max(Minner)), from lambda_min(R_k(phi)) >= lambda_min(T1) -
     phi ||Jk||^2 / (1 - phi sigma_max(Minner)).
+
+    The computed lambda_min(R_k) can change sign more than once near the
+    boundary, so phi_k's digits past about 1e-10 relative depend on the
+    scan bracket and are not signal, across windows k or otherwise.
     """
     if parts.phi_sup <= 0.0:
         # degenerate window (Lk = 0): R_k = T1 - phi Jk^T Jk is linear in
@@ -292,11 +296,18 @@ def sigma_beta(model, G, alpha, rho):
         )
     V = sym(G @ model.R @ G.T + model.Q)
     Sigma = check_sympd(solve_discrete_lyapunov(rho * F, V))
-    CRC = sym(model.C.T @ chol_solve(model.R, model.C))
-    M = sym((rho ** 2 - 1.0) / rho ** 2 * np.linalg.inv(Sigma)
-            + (1.0 - alpha ** 2) * CRC)
-    beta, _ = spectral_extrema(M)
+    beta = _betas(model, Sigma[None], np.array([alpha]), np.array([rho]))[0]
     return Sigma, float(beta)
+
+
+def _betas(model, Sig, alphas, rhos):
+    """lambda_min((rho^2 - 1)/rho^2 Sigma^{-1} + (1 - alpha^2) C^T R^{-1} C)
+    for each Sigma of the stack ``Sig`` and its entries of ``alphas`` and
+    ``rhos``: the beta of ``sigma_beta``."""
+    CRC = sym(model.C.T @ chol_solve(model.R, model.C))
+    M = (((rhos ** 2 - 1.0) / rhos ** 2)[:, None, None] * np.linalg.inv(Sig)
+         + (1.0 - alphas ** 2)[:, None, None] * CRC)
+    return np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
 
 
 # Largest condition number of a theta_max certificate's Sigma.  On model B
@@ -333,26 +344,20 @@ def _beta_star(model, alphas, rhos):
     """beta*(alpha, rho), the largest beta over all gains G, for the pairs
     (alphas[i], rhos[i]), and the DARE solutions Sigma* attaining it.
 
-    beta* = lambda_min((1 - rho^-2) Sigma*^{-1} + (1 - alpha^2) C^T R^{-1} C)
-    with Sigma* the stabilising solution of the filter DARE of (rho A,
-    rho alpha C, Q, R); it is -inf where Sigma* is not positive definite,
-    cond Sigma* exceeds SIGMA_COND_MAX or the Riccati solve overflowed
-    (Sigma* is NaN there).
+    beta* is the ``_betas`` value of Sigma*, the stabilising solution of
+    the filter DARE of (rho A, rho alpha C, Q, R); it is -inf where Sigma*
+    is not positive definite, cond Sigma* exceeds SIGMA_COND_MAX or the
+    Riccati solve overflowed (Sigma* is NaN there).
     """
-    C = model.C
     Sig = solve_filter_dare(rhos[:, None, None] * model.A,
-                            (rhos * alphas)[:, None, None] * C,
+                            (rhos * alphas)[:, None, None] * model.C,
                             model.Q, model.R)
     w = np.full(Sig.shape[:2], np.nan)
     solved = ~np.isnan(Sig[:, 0, 0])
     w[solved] = np.linalg.eigvalsh(Sig[solved])
     good = (w[:, 0] > 0) & (w[:, -1] <= SIGMA_COND_MAX * w[:, 0])
-    CRC = sym(C.T @ chol_solve(model.R, C))
-    rg = rhos[good]
-    M = (((rg ** 2 - 1.0) / rg ** 2)[:, None, None] * np.linalg.inv(Sig[good])
-         + (1.0 - alphas[good] ** 2)[:, None, None] * CRC)
     beta = np.full(rhos.shape, -np.inf)
-    beta[good] = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+    beta[good] = _betas(model, Sig[good], alphas[good], rhos[good])
     return beta, Sig
 
 
@@ -369,9 +374,9 @@ def _sweep(model):
 
     A two-level search, exact on the rows theta_max reads.  Level 1 solves
     the corners of the BOX x BOX-cell boxes of the grid.  On a box
-    [a_lo, a_hi] x [r_lo, r_hi] every beta* is at most
-    lambda_min((1 - r_hi^-2) Sigma*(a_hi, r_lo)^{-1} + (1 - a_lo^2) C^T R^{-1} C):
-    Sigma* decreases in alpha and increases in rho (the Riccati map is
+    [a_lo, a_hi] x [r_lo, r_hi] every beta* is at most the ``_betas``
+    value of Sigma*(a_hi, r_lo) at (a_lo, r_hi): Sigma* decreases in
+    alpha and increases in rho (the Riccati map is
     X -> A (rho^-2 X^{-1} + alpha^2 C^T R^{-1} C)^{-1} A^T + Q), and the
     SIGMA_COND_MAX cap and overflow only lower beta* to -inf.  Level 2
     solves the rest of every box whose bound reaches the best corner beta*
@@ -404,10 +409,7 @@ def _sweep(model):
     ok = np.isfinite(S).all(axis=(-2, -1))
     ok[ok] = np.linalg.eigvalsh(S[ok])[:, 0] > 0
     p, q = np.nonzero(ok)
-    CRC = sym(model.C.T @ chol_solve(model.R, model.C))
-    M = ((1.0 - RHOS[jr[q + 1]] ** -2.0)[:, None, None] * np.linalg.inv(S[ok])
-         + (1.0 - ALPHAS[lo[p]] ** 2)[:, None, None] * CRC)
-    bound[ok] = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+    bound[ok] = _betas(model, S[ok], ALPHAS[lo[p]], RHOS[jr[q + 1]])
     need = np.zeros((na, nr), dtype=bool)
     # the 1e-9 slack only keeps boxes whose bound ties the incumbent
     for p, q in zip(*np.nonzero(bound * (1.0 + 1e-9) >= incumbent[:, None])):
@@ -423,39 +425,38 @@ def _sweep(model):
             ia.size * jr.size + rows.size)
 
 
-def _refined_certificate(model, alpha, j):
-    """(rho, G*) of the best beta* at alpha over RHOS[j] and
-    RHO_REFINE_POINTS log-spaced points up to its grid neighbours."""
+def _certificate(model, alpha, j, phik):
+    """The verified certificate at weight alpha: (rho, G*, Sigma, beta,
+    theta_max, verification).
+
+    rho maximises beta* over RHOS[j] and RHO_REFINE_POINTS log-spaced
+    points up to its grid neighbours, G* is the DARE gain there, Sigma and
+    beta are ``sigma_beta``'s at (alpha, G*, rho), and theta_max =
+    min(beta, phik).  prop6_guard checks it at theta_max from P0 = Sigma,
+    which covers every 0 < P0 <= Sigma because the fixed-theta covariance
+    map is monotone in P0.  The record holds the verdict, its reason and
+    cond(Sigma); a rejected certificate raises StabilityError.
+    """
     lo = _RHO_EXPONENTS[j - 1] if j else 0.0
     hi = _RHO_EXPONENTS[min(j + 1, len(RHOS) - 1)]
     rhos = np.append(RHO_HI ** np.linspace(lo, hi, RHO_REFINE_POINTS)[1:],
                      RHOS[j])
     beta, Sig = _beta_star(model, np.full(rhos.size, alpha), rhos)
     b = int(np.argmax(beta))
-    rho, Sigma, C = rhos[b], Sig[b], model.C
+    rho, S, C = float(rhos[b]), Sig[b], model.C
     # G* = rho^2 alpha A Sigma* C^T (rho^2 alpha^2 C Sigma* C^T + R)^{-1}
-    S = sym(rho ** 2 * alpha ** 2 * C @ Sigma @ C.T + model.R)
-    return float(rho), rho ** 2 * alpha * chol_solve(S, C @ Sigma @ model.A.T).T
-
-
-def _verify_certificate(model, theta, Sigma, G, alpha, rho):
-    """Run prop6_guard on a certificate at theta from P0 = Sigma, the
-    certificate's own ``sigma_beta`` solution.
-
-    The fixed-theta covariance map is monotone in P0, so passing from
-    P0 = Sigma covers every 0 < P0 <= Sigma.  Returns the verification
-    record and raises StabilityError when the guard rejects the
-    certificate, so an unverified bound is never reported.
-    """
-    w = np.linalg.eigvalsh(Sigma)
+    W = sym(rho ** 2 * alpha ** 2 * C @ S @ C.T + model.R)
+    G = rho ** 2 * alpha * chol_solve(W, C @ S @ model.A.T).T
+    Sigma, beta = sigma_beta(model, G, alpha, rho)
+    theta = float(min(beta, phik))
     ok, cert = prop6_guard(model, theta, Sigma, G, alpha, rho)
-    record = {"ok": ok, "reason": cert["reason"],
-              "sigma_cond": float(w[-1] / w[0])}
     if not ok:
         raise StabilityError(
             f"theta_max certificate (alpha={alpha:.6g}, rho={rho:.6g}) fails "
             f"verification at theta={theta:.6g}: {cert['reason']}")
-    return record
+    w = np.linalg.eigvalsh(Sigma)
+    return rho, G, Sigma, beta, theta, {
+        "ok": ok, "reason": cert["reason"], "sigma_cond": float(w[-1] / w[0])}
 
 
 def theta_max(model, k=10):
@@ -473,14 +474,11 @@ def theta_max(model, k=10):
     beta* is swept over ALPHAS x RHOS by batched doubling solves that skip
     the boxes of the grid whose monotone upper bound falls below the best
     box corner (``_sweep``); the winner is the full grid's, bit for bit.
-    Then rho is refined at the best alpha (and, for ``search["alpha1"]``,
-    at alpha = 1, the restriction that corresponds to robustifying the
-    prediction instead of the update).  The reported beta
-    and Sigma are those of ``sigma_beta`` at (alpha, G*, rho).  Each
-    certificate is re-verified with prop6_guard at its theta_max from
-    P0 = Sigma; the verdict, its reason and cond(Sigma) are recorded under
-    ``search["verification"]`` and ``search["alpha1"]["verification"]``,
-    and a failed verification raises StabilityError.
+    ``_certificate`` refines rho and verifies the result at the best alpha
+    and, for ``search["alpha1"]``, at alpha = 1, the restriction that
+    corresponds to robustifying the prediction instead of the update; their
+    records are ``search["verification"]`` and
+    ``search["alpha1"]["verification"]``.
     ``search["rho_hi_limits_beta"]`` is true when the winner sits at
     RHO_HI with beta < phi_k, where a wider rho range might raise the bound.
     ``search["riccati_solves"]`` counts the (alpha, rho) pairs solved, by
@@ -495,19 +493,16 @@ def theta_max(model, k=10):
     if not np.isfinite(best[i]):
         raise StabilityError("empty admissible search set for theta_max")
     alpha = float(ALPHAS[i])
-    rho, G = _refined_certificate(model, alpha, where[i])
-    Sigma, beta = sigma_beta(model, G, alpha, rho)
-    tmax = float(min(beta, phik))
+    rho, G, Sigma, beta, tmax, verification = _certificate(
+        model, alpha, where[i], phik)
     solves += RHO_REFINE_POINTS * (1 + bool(np.isfinite(best[-1])))
     alpha1 = {"beta": -np.inf, "theta_max": None, "alpha": 1.0, "G": None,
               "rho": None}
     if np.isfinite(best[-1]):
-        rho1, G1 = _refined_certificate(model, 1.0, where[-1])
-        Sigma1, beta1 = sigma_beta(model, G1, 1.0, rho1)
-        alpha1.update(beta=beta1, theta_max=min(beta1, phik), G=G1.tolist(),
-                      rho=rho1)
-        alpha1["verification"] = _verify_certificate(
-            model, alpha1["theta_max"], Sigma1, G1, 1.0, rho1)
+        rho1, G1, _, beta1, tmax1, verification1 = _certificate(
+            model, 1.0, where[-1], phik)
+        alpha1.update(beta=beta1, theta_max=tmax1, G=G1.tolist(), rho=rho1,
+                      verification=verification1)
     search = {
         "k": k,
         "phi_rtol": PHI_RTOL,
@@ -516,7 +511,7 @@ def theta_max(model, k=10):
         "rho_refine_points": RHO_REFINE_POINTS,
         "sigma_cond_max": SIGMA_COND_MAX,
         "rho_hi_limits_beta": bool(rho == RHO_HI and beta < phik),
-        "verification": _verify_certificate(model, tmax, Sigma, G, alpha, rho),
+        "verification": verification,
         "alpha1": alpha1,
         "riccati_solves": solves,
     }

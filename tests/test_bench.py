@@ -11,7 +11,7 @@ from resilientkf.bench import (
     run_monte_carlo,
     sample_measurement,
 )
-from resilientkf.filters import covariance_schedule, mean_pass
+from resilientkf.filters import ConfigError, covariance_schedule, mean_pass
 from resilientkf.model import msd_discretize
 
 
@@ -78,7 +78,7 @@ def test_mc_report_wellformed():
 def _ref_run_monte_carlo(cfg, scenario):
     """Run the benchmark for one scenario (the per-scenario form that
     run_monte_carlo replaced, kept verbatim as a reference)."""
-    nominal, actual = msd_discretize(bench.MSD)
+    nominal, Qw = msd_discretize(bench.MSD)
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
     rng = np.random.default_rng(cfg.seed)
@@ -91,7 +91,7 @@ def _ref_run_monte_carlo(cfg, scenario):
         # control case: the plant is exactly the nominal design model
         A, Lw = nominal.A, np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
     else:
-        A, Lw = actual.A, actual.noise_chol()
+        A, Lw = nominal.A, np.linalg.cholesky(Qw + 1e-15 * np.eye(n))
     x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
     pos = np.zeros((M, N))
     for t in range(N):
@@ -153,6 +153,19 @@ def test_mc_config_validation():
         McConfig(trials=0)
     with pytest.raises(BenchError):
         McConfig(horizon=0)
+
+
+@pytest.mark.parametrize("c", [float("nan"), -1.0])
+def test_mc_config_rejects_bad_budget(c):
+    # the budget is validated by McConfig itself, not only by the CLI
+    with pytest.raises(ConfigError):
+        McConfig(c=c)
+
+
+def test_mc_config_filters_follow_budget():
+    cfg = McConfig(c=0.2)
+    assert sorted(cfg.filters) == ["kf", "urkf"]
+    assert (cfg.filters["urkf"].kind, cfg.filters["urkf"].c) == ("urkf", 0.2)
 
 
 def test_config_digest_is_pinned():

@@ -9,6 +9,7 @@ import pytest
 
 from resilientkf.cli import _write_csv, main
 from resilientkf.filters import FilterConfig, covariance_schedule
+from resilientkf.least_favorable import assemble_lf, backward_pass
 from resilientkf.model import LinearGaussianModel, save_model, validate
 from resilientkf.stability import prop6_guard
 
@@ -249,6 +250,50 @@ def test_manifests_record_schedule_cycles(model_file, tmp_path):
                  "--horizon", "60", "--out", out]) == 0
     found = cycle("ursf", 60, theta=0.05)
     assert found is not None and manifest(out)["cycle"] == found
+
+
+@pytest.mark.parametrize("command", ["filter", "lf"])
+def test_config_hash_covers_init(command, model_file, tmp_path):
+    # the hash covers every argument but --out, so --init moves it
+    cfg, data = tmp_path / "fc.json", tmp_path / "data.csv"
+    cfg.write_text('{"kind": "urkf", "c": 0.05}')
+    data.write_text("0.1\n0.2\n")
+    init = tmp_path / "init.json"
+    init.write_text('{"mean": [0, 0], "cov": [[0.01, 0], [0, 0.01]]}')
+    argv = (["filter", "--model", model_file, "--config", str(cfg),
+             "--data", str(data)] if command == "filter" else
+            ["lf", "build", "--model", model_file, "--c", "0.05",
+             "--horizon", "5"])
+
+    def config_hash(extra, name):
+        out = str(tmp_path / name)
+        assert main(argv + extra + ["--out", out]) == 0
+        return json.loads(open(out + ".manifest.json").read())["config_hash"]
+
+    plain = config_hash([], "a")
+    assert config_hash([], "b") == plain
+    assert config_hash(["--init", str(init)], "c") != plain
+
+
+def test_lf_init_sets_the_filter_prior(model_file, tmp_path):
+    # criterion 06's setting: P0 = 0.01 I for the schedule and for x_0
+    model = LinearGaussianModel(**MODEL_A)
+    init = tmp_path / "init.json"
+    init.write_text('{"mean": [0, 0], "cov": [[0.01, 0], [0, 0.01]]}')
+    outs = {}
+    for name, extra in (("plain", []), ("init", ["--init", str(init)])):
+        outs[name] = str(tmp_path / name)
+        assert main(["lf", "both", "--model", model_file, "--c", "0.05",
+                     "--horizon", "30", "--seed", "3", "--out", outs[name]]
+                    + extra) == 0
+    fwd = covariance_schedule(model, FilterConfig(kind="urkf", c=0.05),
+                              0.01 * np.eye(2), 30)
+    lf = assemble_lf(fwd, backward_pass(fwd, model), model)
+    payload = json.loads(open(outs["init"] + ".json").read())
+    for key in ("Xi", "Abar", "Bbar", "Cbar", "Dbar"):
+        assert payload[key] == getattr(lf, key).tolist()
+    plain = json.loads(open(outs["plain"] + ".json").read())
+    assert plain["Abar"] != payload["Abar"]
 
 
 def test_lf_requires_budget(model_file, tmp_path):

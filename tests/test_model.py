@@ -45,7 +45,7 @@ def test_validate_rejects_indefinite_noise():
 
 def test_msd_discretize_matches_exact_sampling():
     p = MsdParams()
-    nominal, actual = msd_discretize(p)
+    nominal, Qw = msd_discretize(p)
     Ac, Bc = _continuous_matrices(p)
     from scipy.linalg import expm
 
@@ -56,7 +56,7 @@ def test_msd_discretize_matches_exact_sampling():
     Bd = zoh_input(Ac, Bc, p.sample_time)
     assert np.allclose(nominal.Q, Bd @ Bd.T + 1e-10 * np.eye(2))
     # actual covariance is PSD and dominated by the velocity channel
-    w = np.linalg.eigvalsh(actual.Qw)
+    w = np.linalg.eigvalsh(Qw)
     assert w[0] >= 0
 
 

@@ -443,8 +443,9 @@ def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
     # the sweep's certificate beats the grid's winner, and on models A, B
     # and random_2x1 the winner of the former 21^(n m) gain grid search
     i = len(best) - 1 if fix_alpha else int(np.argmax(best))
-    rho_w, G_w = stab._refined_certificate(model, stab.ALPHAS[i], where[i])
-    _, final = sigma_beta(model, G_w, stab.ALPHAS[i], rho_w)
+    phik = phi_max(build_gramian_parts(model, 10))
+    _, _, _, final, _, _ = stab._certificate(model, stab.ALPHAS[i], where[i],
+                                             phik)
     assert final >= beta.max()
     if name in GRID_SEARCH_BETA:
         assert final >= GRID_SEARCH_BETA[name][fix_alpha is not None]
