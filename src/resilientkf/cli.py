@@ -91,9 +91,13 @@ def _write_csv(path, header, lead, block):
 def _write_manifest(args, outputs, base=None, **record):
     """Write ``<base>.manifest.json`` for the command of the parsed ``args``
     (``base`` defaults to ``--out``).  Its config hash covers every argument
-    but ``--out``; ``record`` adds fields such as the detected schedule
-    cycles."""
+    but ``--out``, and the bytes of each input file; ``record`` adds fields
+    such as the detected schedule cycles."""
     inputs = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    for k in ("model", "config", "data", "init"):
+        if inputs.get(k) is not None:
+            with open(inputs[k], "rb") as f:
+                inputs[k] = [inputs[k], hashlib.sha256(f.read()).hexdigest()]
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
     manifest = {

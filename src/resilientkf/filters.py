@@ -157,35 +157,29 @@ class Schedule(NamedTuple):
         return len(self.gains) - 1
 
 
-class _Repeats:
-    """Bitwise repeats of a recursion's state and of its per-step inputs.
+class _Steps:
+    """The steps of a data-free recursion, keyed by the bytes they read.
 
-    ``inputs`` are stacks whose entry t enters step t.  Once the state
-    entering step t has the bytes it had at step s, and the inputs repeat
-    from there with the same lag, so do the step's outputs: no tolerance.
+    A step's outputs depend on nothing but what it reads, so a step that
+    reads the bytes an earlier step read has that step's outputs: no
+    tolerance.
     """
 
-    def __init__(self, *inputs):
-        self.inputs, self.seen, self.same = inputs, {}, {}
+    def __init__(self):
+        self.seen = {}
 
-    def lag(self, t, state):
-        """|t - s| for the first step s whose state had these bytes, else 0.
+    def find(self, t, *reads):
+        """The first step s that read the bytes of ``reads``, else None.
 
-        Keyed by the hash of the bytes, with the state kept by reference
-        (a row of the recursion's own output stack), so a long run that
-        never repeats holds no second copy of its states.
+        ``reads`` are the state entering step t and its row of every
+        per-step input.  Keyed by the hash of their bytes, with the reads
+        kept by reference (rows of the recursion's own stacks), so a long
+        run that never repeats holds no second copy of them.
         """
-        key = state.tobytes()
-        s, first = self.seen.setdefault(hash(key), (t, state))
-        return abs(t - s) if s != t and first.tobytes() == key else 0
-
-    def inputs_repeat(self, lag, v):
-        """Whether every input's entry v + lag has the bits of entry v."""
-        if lag not in self.same:
-            b = np.hstack([np.reshape(a, (len(a), -1)) for a in self.inputs])
-            b = b.view(np.int64)
-            self.same[lag] = (b[lag:] == b[:-lag]).all(axis=1)
-        return self.same[lag][v]
+        key = b"".join(r.tobytes() for r in reads)
+        s, first = self.seen.setdefault(hash(key), (t, reads))
+        return s if s != t and b"".join(
+            r.tobytes() for r in first) == key else None
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -222,13 +216,13 @@ def covariance_schedule(model, config, P0, N):
     cov_pred = np.empty((N + 2, n, n))
     out = (gains, thetas, cov_filt, cov_distorted, cov_pred)
     P = cov_pred[0] = check_sympd(P0)
-    repeats, cycle = _Repeats(), None
+    steps, cycle = _Steps(), None
     for t in range(N + 1):
-        lag = repeats.lag(t, cov_pred[t])
-        if lag:
-            cycle = (t - lag, lag)
+        s = steps.find(t, cov_pred[t])
+        if s is not None:
+            cycle = (s, t - s)
             for a in out:
-                a[t:] = a[t - lag + np.arange(len(a) - t) % lag]
+                a[t:] = a[s + np.arange(len(a) - t) % (t - s)]
             break
         try:
             if pre:

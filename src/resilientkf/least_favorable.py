@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .numerics import (NumericsError, _cholesky, _doubling, check_sympd,
                        check_symmetric, spd_sqrt, sym)
-from .filters import _Repeats
+from .filters import _Steps
 
 
 class SynthesisError(RuntimeError):
@@ -131,15 +131,13 @@ def backward_pass(fwd, model):
     Os, Upss = np.empty((2, N + 1, m, m))
     Fs = np.empty((N + 1, m, n))
     out = (omega_inv, Ws, Os, Fs, Upss)
-    repeats, lag = _Repeats(fwd.gains, fwd.thetas), 0
+    steps = _Steps()
     for t in range(N, -1, -1):
-        # once omega repeats with the inputs, step t is step t + lag again
-        lag = lag or repeats.lag(t, omega_inv[t + 1])
-        if lag and repeats.inputs_repeat(lag, t):
+        s = steps.find(t, omega_inv[t + 1], fwd.gains[t], fwd.thetas[t])
+        if s is not None:
             for a in out:
-                a[t] = a[t + lag]
+                a[t] = a[s]
             continue
-        lag = 0
         L = fwd.gains[t]
         Lw = L @ Rh
         theta = fwd.thetas[t]
@@ -302,15 +300,12 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     Pi = np.zeros((3 * n, 3 * n))
     Pi[2 * n:, 2 * n:] = P0
     out = np.empty((N + 1, 3 * n, 3 * n))
-    repeats, lag = _Repeats(Gam, Noise), 0
+    steps = _Steps()
     for t in range(N + 1):
-        # once Pi repeats with the inputs, step t is step t - lag again
-        if lag and repeats.inputs_repeat(lag, t - lag):
-            out[t] = Pi = out[t - lag]
-            continue
-        Pi = sym(Gam[t] @ Pi @ Gam[t].T + Noise[t])
-        out[t] = Pi
-        lag = repeats.lag(t, out[t])
+        s = steps.find(t, Pi, Gam[t], Noise[t])
+        out[t] = out[s] if s is not None else sym(
+            Gam[t] @ Pi @ Gam[t].T + Noise[t])
+        Pi = out[t]
     return out
 
 

@@ -295,6 +295,9 @@ def save_model(model, path):
 def belief_from_dict(d):
     if not isinstance(d, dict):
         raise ModelError("belief file must hold a JSON object")
+    unknown = sorted(set(d) - {"mean", "cov"})
+    if unknown:
+        raise ModelError(f"unknown belief key(s): {unknown}")
     try:
         mean, cov = d["mean"], d["cov"]
     except KeyError as e:

@@ -275,6 +275,31 @@ def test_config_hash_covers_init(command, model_file, tmp_path):
     assert config_hash(["--init", str(init)], "c") != plain
 
 
+@pytest.mark.parametrize("name", ["model", "config", "data", "init"])
+def test_config_hash_covers_file_contents(name, tmp_path):
+    # an input file rewritten in place, under the same path, moves the hash
+    texts = {"model": [json.dumps(MODEL_A),
+                       json.dumps(dict(MODEL_A, R=[[2.0]]))],
+             "config": ['{"kind": "urkf", "c": 0.05}',
+                        '{"kind": "urkf", "c": 0.1}'],
+             "data": ["0.1\n0.2\n", "0.1\n0.3\n"],
+             "init": ['{"mean": [0, 0], "cov": [[1, 0], [0, 1]]}',
+                      '{"mean": [0, 1], "cov": [[1, 0], [0, 1]]}']}
+    argv = ["filter"]
+    for key, (text, _) in texts.items():
+        (tmp_path / key).write_text(text)
+        argv += [f"--{key}", str(tmp_path / key)]
+
+    def config_hash(out):
+        out = str(tmp_path / out)
+        assert main(argv + ["--out", out]) == 0
+        return json.loads(open(out + ".manifest.json").read())["config_hash"]
+
+    before = config_hash("a")
+    (tmp_path / name).write_text(texts[name][1])
+    assert config_hash("b") != before
+
+
 def test_lf_init_sets_the_filter_prior(model_file, tmp_path):
     # criterion 06's setting: P0 = 0.01 I for the schedule and for x_0
     model = LinearGaussianModel(**MODEL_A)
@@ -379,6 +404,8 @@ BAD_INPUTS = {
         "lf simulate --model {model} --c 0.05 --init {init_3d}",
     "init_not_object": ("filter --model {model} --config {config} "
                         "--data {data} --init {list_config}"),
+    "init_unknown_key": ("filter --model {model} --config {config} "
+                         "--data {data} --init {extra_key_init}"),
     "lf_both_indefinite_init":
         "lf both --model {model} --c 0.05 --init {indefinite_init}",
     "bounds_cmax_k_below_n": "bounds --model {model} --mode cmax --k 1",
@@ -447,6 +474,8 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "list_model": "[1, 2]",
         "extra_key_model": json.dumps(dict(MODEL_A, B=[[1.0], [0.0]])),
         "init_3d": json.dumps({"mean": [0, 0, 0], "cov": np.eye(3).tolist()}),
+        "extra_key_init": ('{"mean": [0, 0], "cov": [[1, 0], [0, 1]], '
+                           '"covariance": [[1, 0], [0, 1]]}'),
         "long_int_config": '{"kind": "urkf", "c": 1%s}' % ("0" * 5000),
         "long_int_model": json.dumps(MODEL_A).replace("0.6]", "1%s]" % ("0" * 5000)),
         "long_int_init": '{"mean": [0, 1%s], "cov": [[1, 0], [0, 1]]}' % ("0" * 5000),

@@ -1,5 +1,5 @@
-"""The data-free recursions stop recomputing once their state repeats bit for
-bit.  Their outputs must be byte-identical to the full loop's, which runs
+"""The data-free recursions copy a step that reads the bytes an earlier step
+read.  Their outputs must be byte-identical to the full loop's, which runs
 when detection is switched off."""
 
 import numpy as np
@@ -18,20 +18,20 @@ KINDS = {"a": (("kf", {}), ("urkf", {"c": 0.05}), ("prkf", {"c": 0.05}),
 
 
 def _no_detection(monkeypatch):
-    monkeypatch.setattr(filters._Repeats, "lag", lambda self, t, state: 0)
+    monkeypatch.setattr(filters._Steps, "find", lambda self, t, *reads: None)
 
 
 def _count_fills(monkeypatch):
     """Count the steps filled by repetition instead of computed."""
     fills = []
-    inputs_repeat = filters._Repeats.inputs_repeat
+    find = filters._Steps.find
 
-    def counted(self, lag, v):
-        same = inputs_repeat(self, lag, v)
-        fills.append(bool(same))
-        return same
+    def counted(self, t, *reads):
+        s = find(self, t, *reads)
+        fills.append(s is not None)
+        return s
 
-    monkeypatch.setattr(filters._Repeats, "inputs_repeat", counted)
+    monkeypatch.setattr(filters._Steps, "find", counted)
     return fills
 
 
@@ -93,6 +93,22 @@ def test_backward_and_error_cov_match_full_loop(budget, model_a, monkeypatch):
     assert _bytes(bwd) == _bytes(bwd_full)
     for a, b in zip(pis, pis_full):
         assert a.tobytes() == b.tobytes()
+
+
+def test_backward_pass_repeats_a_state_with_new_inputs(model_a, monkeypatch):
+    # at theta = 0 every backward state is zero while the gains still
+    # change, so a step repeats only where its gain does: each step after
+    # the schedule's first period copies one a period later
+    N = 300
+    fwd = covariance_schedule(model_a, FilterConfig(kind="ursf", theta=0.0),
+                              np.eye(2), N)
+    fills = _count_fills(monkeypatch)
+    bwd = backward_pass(fwd, model_a)
+    assert not np.any(bwd.omega_inv)
+    assert sum(fills) == N + 1 - sum(fwd.cycle) == 278
+    with monkeypatch.context() as m:
+        _no_detection(m)
+        assert _bytes(backward_pass(fwd, model_a)) == _bytes(bwd)
 
 
 def test_schedule_computes_only_until_the_cycle(model_a, monkeypatch):

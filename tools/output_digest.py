@@ -10,15 +10,16 @@ hold timestamps), paths relative to ``OUT_DIR/out``.  The package is the one
 on ``PYTHONPATH``, so two checkouts compare by running this script once
 against each ``src/`` and diffing the two digests.
 
-The command set:
+The command set, 44 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
   model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
   with ``--init`` on model A;
 - ``worstcase``: two ``--c`` and two ``--theta`` budgets, each with and
-  without ``--channel``, on models A and B and the two seeded models;
-- ``lf both``: model A at a ``--c`` and a ``--theta`` budget, and the two
-  seeded models at a ``--c`` budget;
+  without ``--channel``, on models A and B and the two seeded models, and
+  ``--theta 0 --theta 0.001 --channel`` on model A and the 4-state model;
+- ``lf both``: model A at a ``--c`` and a ``--theta`` budget and at
+  ``--theta 0``, and the two seeded models at a ``--c`` budget;
 - one small ``bench`` over every scenario;
 - ``bounds``: cmax and thetamax on models A and B.
 """
@@ -113,11 +114,18 @@ def commands(inp, out):
                 cmds.append(["worstcase", "--model", paths[tag], "--horizon",
                              "100", *budgets, *channel,
                              "--out", os.path.join(out, name + ".csv")])
-    for tag, kind, value in (("a", "c", "0.05"), ("a", "theta", "0.05"),
-                             ("r4", "c", "0.05"), ("r9", "c", "0.05")):
+    # at theta = 0 the backward state stays zero while the gains change
+    for tag in ("a", "r4"):
+        cmds.append(["worstcase", "--model", paths[tag], "--horizon", "100",
+                     "--theta", "0", "--theta", "0.001", "--channel",
+                     "--out", os.path.join(out, f"worstcase_theta0_{tag}.csv")])
+    for tag, kind, value, name in (
+            ("a", "c", "0.05", "lf_c_a"), ("a", "theta", "0.05", "lf_theta_a"),
+            ("a", "theta", "0", "lf_theta0_a"), ("r4", "c", "0.05", "lf_c_r4"),
+            ("r9", "c", "0.05", "lf_c_r9")):
         cmds.append(["lf", "both", "--model", paths[tag], f"--{kind}", value,
                      "--horizon", "100", "--trajectories", "20", "--seed", "7",
-                     "--out", os.path.join(out, f"lf_{kind}_{tag}")])
+                     "--out", os.path.join(out, name)])
     cmds.append(["bench", "--trials", "50", "--horizon", "50", "--seed", "3",
                  "--out", os.path.join(out, "bench")])
     for tag in ("a", "b"):
