@@ -30,6 +30,11 @@ OUTLIER_FACTOR = 5.0
 MSD = MsdParams(force_var=0.9, disturbance_var=0.09)
 INIT_COV_SCALE = 0.05
 
+# Sensor readings are drawn by blocks of trials of about this many floats
+# (1 MB; one trial at the least), so the draws' temporaries do not grow
+# with the number of trials.
+BLOCK_FLOATS = 1 << 17
+
 
 class BenchError(ValueError):
     """Raised on invalid benchmark configuration."""
@@ -71,11 +76,43 @@ def sample_measurement(scenario, p, rng):
         z = p + sd * rng.standard_normal(p.shape)
         return np.where(np.abs(z) < DEAD_ZONE, 0.0, z)
     if scenario.kind == "outlier":
-        var = np.where(rng.random(p.shape) < MIXTURE_WEIGHT, BASE_R,
-                       OUTLIER_FACTOR * BASE_R)
-        return p + np.sqrt(var) * rng.standard_normal(p.shape)
+        return (p + np.sqrt(_outlier_var(p.shape, rng))
+                * rng.standard_normal(p.shape))
     # nominal
     return p + sd * rng.standard_normal(p.shape)
+
+
+def _outlier_var(shape, rng):
+    """The outlier mixture's noise variances, from its uniform draws."""
+    return np.where(rng.random(shape) < MIXTURE_WEIGHT, BASE_R,
+                    OUTLIER_FACTOR * BASE_R)
+
+
+def _readings(scenario, pos, rng):
+    """``sample_measurement(scenario, pos.T, rng).T`` for the (horizon,
+    trials) positions ``pos``, drawn by blocks of trials.
+
+    The draws keep the (trials, horizon) order of that call, and no
+    temporary holds more than one block of about BLOCK_FLOATS readings.
+    The outlier mixture draws every uniform before any normal, so it
+    passes over the blocks twice: the noise deviations first, then the
+    readings in place.
+    """
+    N, M = pos.shape
+    width = max(1, BLOCK_FLOATS // N)
+    blocks = [slice(i, i + width) for i in range(0, M, width)]
+    ys = np.empty_like(pos)
+    if scenario.kind != "outlier":
+        for b in blocks:
+            ys[:, b] = sample_measurement(scenario, pos[:, b].T, rng).T
+        return ys
+    for b in blocks:
+        ys[:, b] = _outlier_var(pos[:, b].T.shape, rng).T
+    np.sqrt(ys, out=ys)
+    for b in blocks:
+        ys[:, b] = pos[:, b] + ys[:, b] * rng.standard_normal(
+            pos[:, b].T.shape).T
+    return ys
 
 
 @dataclass
@@ -148,14 +185,16 @@ def run_monte_carlo(cfg, scenarios):
     Every scenario sees the draws of its own ``default_rng(cfg.seed)``: the
     plant trajectories, then its sensor readings.  So each plant is simulated
     once, and the generator state after it is restored before each of that
-    plant's scenarios draws its readings.
+    plant's scenarios draws its readings.  A plant holds two (horizon,
+    trials) arrays: its positions and one scenario's readings.
     """
     nominal, Qw = msd_discretize(MSD)
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
     P0 = INIT_COV_SCALE * np.eye(n)
-    schedules = {name: covariance_schedule(nominal, fc, P0, N - 1).gains
-                 for name, fc in cfg.filters.items()}
+    # (N, filters, n, m): every filter runs in one state-major mean pass
+    gains = np.stack([covariance_schedule(nominal, fc, P0, N - 1).gains
+                      for fc in cfg.filters.values()], axis=1)
 
     # one plant at a time, so only one plant's positions are held
     by_plant = {}
@@ -168,24 +207,23 @@ def run_monte_carlo(cfg, scenarios):
         Lw = np.linalg.cholesky((nominal.Q if control else Qw)
                                 + 1e-15 * np.eye(n))
         rng = np.random.default_rng(cfg.seed)
-        # only the displacement is measured and scored; pos[t] over trials
-        x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
-        pos = np.zeros((N, M))
+        # state-major (n, trials), from (trials, n) draws; only the
+        # displacement is measured and scored, pos[t] over trials
+        x = np.linalg.cholesky(P0) @ rng.standard_normal((M, n)).T
+        pos = np.empty((N, M))
         for t in range(N):
-            pos[t] = x[:, 0]
-            x = x @ nominal.A.T + rng.standard_normal((M, n)) @ Lw.T
+            pos[t] = x[0]
+            x = nominal.A @ x + Lw @ rng.standard_normal((M, n)).T
         after_plant = rng.bit_generator.state
         for i in members:
             rng.bit_generator.state = after_plant
-            # pos.T keeps the (trials, horizon) draw order of the readings
-            ys = np.ascontiguousarray(
-                sample_measurement(scenarios[i], pos.T, rng).T)[:, :, None]
-            mse_t = {}
-            for name, gains in schedules.items():
-                means = mean_pass(nominal, gains, np.zeros((M, n)), ys)
-                mse_t[name] = np.array([np.mean((x_f[:, 0] - p) ** 2)
-                                        for (x_f, _), p in zip(means, pos)])
+            ys = _readings(scenarios[i], pos, rng)
+            means = mean_pass(nominal, gains,
+                              np.zeros((len(cfg.filters), n, M)), ys[:, None])
+            mse = np.array([np.mean((x_f[:, 0] - p) ** 2, axis=-1)
+                            for (x_f, _), p in zip(means, pos)])
             del ys
+            mse_t = dict(zip(cfg.filters, mse.T.copy()))
             reports[i] = MseReport(
                 scenario=scenarios[i].kind,
                 mse_t=mse_t,
@@ -195,4 +233,3 @@ def run_monte_carlo(cfg, scenarios):
             )
         del pos
     return reports
-

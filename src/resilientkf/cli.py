@@ -13,8 +13,8 @@ Every artifact is written atomically (temp file + rename) and accompanied
 by a ``<name>.manifest.json`` recording the command, configuration hash,
 seed, outputs and numpy version, so reruns are verifiable; numpy is the
 only dependency.  Exit codes: 0 success, 2 validation error (including
-non-finite or out-of-range inputs and unknown filter names), 3 numerical
-failure, 4 I/O error.
+non-finite or out-of-range inputs, unknown filter names and arrays beyond
+the address space), 3 numerical failure or out of memory, 4 I/O error.
 """
 
 import argparse
@@ -114,6 +114,16 @@ def _write_manifest(args, outputs, base=None, **record):
     _atomic_write(path, json.dumps(manifest, indent=2) + "\n")
 
 
+def _check_addressable(*dims):
+    """Raise ModelError when a run whose arrays are bounded by
+    ``math.prod(dims)`` floats needs more bytes than the address space
+    holds: numpy can neither index nor allocate such an array."""
+    floats = math.prod(dims)
+    if 8 * floats > sys.maxsize:
+        raise ModelError(f"the run needs arrays of {floats:.3g} floats, "
+                         "more than the address space holds")
+
+
 def _load_init(args, model):
     if not args.init:
         return GaussianBelief(mean=np.zeros(model.n), cov=np.eye(model.n))
@@ -172,6 +182,8 @@ def cmd_worstcase(args):
     N = args.horizon
     if N < 0:
         raise ModelError(f"--horizon must be nonnegative, got {N}")
+    # every per-step block of the recursions fits in (3n + m)^2 floats
+    _check_addressable(N + 2, (3 * model.n + model.m) ** 2)
     # the prediction-side comparator and the adversary's update-side filter
     # per budget; building them validates the budget
     kinds = {"c": ("prkf", "urkf"), "theta": ("prsf", "ursf")}
@@ -262,9 +274,13 @@ def cmd_bench(args):
     if len(set(scenarios)) < len(scenarios):
         raise BenchError(f"--scenarios repeats a scenario: {args.scenarios!r}")
     runs = [Scenario(kind=kind) for kind in scenarios]
+    # positions and readings are horizon x trials; the schedules and the
+    # two filters' 2-state means are 4 x horizon and 4 x trials
+    _check_addressable(args.horizon + 4, args.trials + 4)
+    reports = run_monte_carlo(cfg, runs)
     outputs = []
     os.makedirs(args.out, exist_ok=True)
-    for rep in run_monte_carlo(cfg, runs):
+    for rep in reports:
         base = os.path.join(args.out, f"bench_{rep.scenario}")
         names = sorted(rep.mse_t)
         _write_csv(base + ".csv", ["t"] + names, map(str, range(rep.horizon)),
@@ -283,11 +299,17 @@ def cmd_lf(args):
     if args.horizon < 0 or args.trajectories < 1 or args.seed < 0:
         raise ModelError("lf requires --horizon >= 0, --trajectories >= 1 "
                          "and --seed >= 0")
+    simulate = args.action in ("simulate", "both")
+    # every per-step block fits in (3n + m)^2 floats, per trajectory
+    _check_addressable(args.horizon + 2, (3 * model.n + model.m) ** 2,
+                       args.trajectories if simulate else 1)
     # validated before any output is written
     init = _load_init(args, model)
     fwd = covariance_schedule(model, config, init.cov, args.horizon)
     bwd = backward_pass(fwd, model)
     lf = assemble_lf(fwd, bwd, model)
+    if simulate:
+        etas, X, Y = simulate_lf(lf, init, args.seed, n_traj=args.trajectories)
     outputs = []
     if args.action in ("build", "both"):
         payload = {
@@ -301,8 +323,7 @@ def cmd_lf(args):
         path = args.out + ".json" if args.action == "both" else args.out
         _atomic_write(path, json.dumps(payload) + "\n")
         outputs.append(path)
-    if args.action in ("simulate", "both"):
-        etas, X, Y = simulate_lf(lf, init, args.seed, n_traj=args.trajectories)
+    if simulate:
         path = args.out + ".csv" if args.action == "both" else args.out
         header = (["traj", "t"]
                   + [f"x_{i}" for i in range(model.n)]
@@ -391,6 +412,10 @@ def main(argv=None):
         return EXIT_VALIDATION
     except (NumericsError, FilterError, SynthesisError, StabilityError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as e:
+        print(f"out of memory: {str(e) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

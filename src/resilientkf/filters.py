@@ -16,8 +16,8 @@ where the inflation acts and where theta comes from:
 
 ``covariance_schedule`` runs that recursion once and returns its gains,
 thetas and covariances.  The gains do not depend on the data, so
-``mean_pass`` then folds them over the observations, vectorised over any
-leading (e.g. trial) axes.  The inflation is computed from one
+``mean_pass`` then folds them over the observations, vectorised over runs
+(e.g. trials) held as columns.  The inflation is computed from one
 eigendecomposition of the covariance, with no explicit inverse.
 """
 
@@ -208,8 +208,8 @@ def covariance_schedule(model, config, P0, N):
         return theta, _inflate(P, theta)
 
     n, m = model.n, model.m
-    # gains[t] is the transpose of a C-ordered solve, as from _gain, so that
-    # mean_pass's L.T reaches BLAS C-ordered and sums in the same order
+    # gains[t] is the transpose of a C-ordered solve, as from _gain; this
+    # layout fixes the order in which BLAS sums mean_pass's L @ innovation
     gains = np.empty((N + 1, m, n)).transpose(0, 2, 1)
     thetas = np.empty(N + 1)
     cov_filt, cov_distorted = np.empty((2, N + 1, n, n))
@@ -245,13 +245,15 @@ def mean_pass(model, gains, x0, ys):
     """Yield the filtered and predicted means (x_f, x_p) of each step.
 
     Folds the gain schedule over the observations ``ys`` from the prior
-    mean ``x0``.  Both may carry leading axes (e.g. one row per trial):
-    ``x0`` has shape (..., n) and each ``ys[t]`` shape (..., m).
+    mean ``x0``, state-major: ``x0`` has shape (n,), or (..., n, k) with
+    one column per run (e.g. per trial), and each ``ys[t]`` shape (m,) or
+    (..., m, k).  Each ``gains[t]`` is (n, m) or may carry leading axes
+    too (e.g. one filter each); all of them broadcast.
     """
     A, C = model.A, model.C
     x = x0
     for L, y in zip(gains, ys):
-        x_f = x + (y - x @ C.T) @ L.T
-        x = x_f @ A.T
+        x_f = x + L @ (y - C @ x)
+        x = A @ x_f
         yield x_f, x
 

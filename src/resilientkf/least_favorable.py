@@ -300,9 +300,12 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     Pi = np.zeros((3 * n, 3 * n))
     Pi[2 * n:, 2 * n:] = P0
     out = np.empty((N + 1, 3 * n, 3 * n))
+    # Gam[t] and Noise[t] are built from the model and these per-step rows
+    # alone, so a step is keyed by them, not by the larger matrices
+    inputs = [a for a in (K, L, F, UU, Qxi) if a.ndim == 3]
     steps = _Steps()
     for t in range(N + 1):
-        s = steps.find(t, Pi, Gam[t], Noise[t])
+        s = steps.find(t, Pi, *(a[t] for a in inputs))
         out[t] = out[s] if s is not None else sym(
             Gam[t] @ Pi @ Gam[t].T + Noise[t])
         Pi = out[t]

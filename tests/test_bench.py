@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from resilientkf.bench import (
     run_monte_carlo,
     sample_measurement,
 )
-from resilientkf.filters import ConfigError, covariance_schedule, mean_pass
+from resilientkf.filters import ConfigError, covariance_schedule
 from resilientkf.model import msd_discretize
 
 
@@ -76,8 +78,9 @@ def test_mc_report_wellformed():
 
 
 def _ref_run_monte_carlo(cfg, scenario):
-    """Run the benchmark for one scenario (the per-scenario form that
-    run_monte_carlo replaced, kept verbatim as a reference)."""
+    """Run the benchmark for one scenario: the per-scenario form that
+    run_monte_carlo replaced, with its row-major (trials, n) mean pass
+    written out, kept as an independent reference."""
     nominal, Qw = msd_discretize(bench.MSD)
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
@@ -101,10 +104,13 @@ def _ref_run_monte_carlo(cfg, scenario):
 
     mse_t = {}
     for name, gains in schedules.items():
+        x, mse = np.zeros((M, n)), []
         # Y.T[:, :, None] steps through time as (trials, 1) views
-        means = mean_pass(nominal, gains, np.zeros((M, n)), Y.T[:, :, None])
-        mse_t[name] = np.array([np.mean((x_f[:, 0] - pos[:, t]) ** 2)
-                                for t, (x_f, _) in enumerate(means)])
+        for t, (L, y) in enumerate(zip(gains, Y.T[:, :, None])):
+            x_f = x + (y - x @ nominal.C.T) @ L.T
+            x = x_f @ nominal.A.T
+            mse.append(np.mean((x_f[:, 0] - pos[:, t]) ** 2))
+        mse_t[name] = np.array(mse)
     return MseReport(
         scenario=scenario.kind,
         mse_t=mse_t,
@@ -114,13 +120,7 @@ def _ref_run_monte_carlo(cfg, scenario):
     )
 
 
-@pytest.mark.parametrize("kinds", [
-    SCENARIO_KINDS,
-    ("nominal", "outlier", "drift"),
-    ("deadzone",),
-])
-def test_mc_one_pass_matches_per_scenario_runs(kinds):
-    cfg = McConfig(trials=40, horizon=25, seed=11)
+def _assert_matches_reference(cfg, kinds):
     reports = run_monte_carlo(cfg, [Scenario(kind=k) for k in kinds])
     assert [r.scenario for r in reports] == list(kinds)
     for kind, rep in zip(kinds, reports):
@@ -129,6 +129,43 @@ def test_mc_one_pass_matches_per_scenario_runs(kinds):
         for name in ref.mse_t:
             assert rep.mse_t[name].tobytes() == ref.mse_t[name].tobytes()
         assert rep.time_averaged == ref.time_averaged
+
+
+@pytest.mark.parametrize("kinds", [
+    SCENARIO_KINDS,
+    ("nominal", "outlier", "drift"),
+    ("deadzone",),
+])
+def test_mc_one_pass_matches_per_scenario_runs(kinds):
+    _assert_matches_reference(McConfig(trials=40, horizon=25, seed=11), kinds)
+
+
+@pytest.mark.parametrize("trials, horizon, block", [
+    (41, 25, 100),   # ten blocks of 4 trials and a ragged one of 1
+    (7, 30, 20),     # a horizon longer than a block: one trial a block
+    (1, 25, None),
+    (40, 1, None),
+], ids=["ragged_blocks", "horizon_past_block", "one_trial", "one_step"])
+def test_mc_readings_by_blocks_match_reference(trials, horizon, block,
+                                               monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(bench, "BLOCK_FLOATS", block)
+    _assert_matches_reference(
+        McConfig(trials=trials, horizon=horizon, seed=11), SCENARIO_KINDS)
+
+
+def test_mc_holds_two_trials_by_horizon_arrays():
+    # the positions and the readings of one scenario, plus O(block) and
+    # O(trials x n) temporaries: below three (trials x horizon) arrays
+    M, N = 10000, 100
+    tracemalloc.start()
+    try:
+        run_monte_carlo(McConfig(trials=M, horizon=N, seed=5),
+                        [Scenario(kind=k) for k in SCENARIO_KINDS])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * M * N
 
 
 def test_mc_shares_schedules_and_discretization(monkeypatch):

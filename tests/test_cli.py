@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from resilientkf import cli
 from resilientkf.cli import _write_csv, main
 from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.least_favorable import assemble_lf, backward_pass
@@ -446,6 +447,18 @@ BAD_INPUTS = {
     # S - S.T overflows on the far-from-symmetric covariance
     "init_asymmetric_huge": ("filter --model {model} --config {config} "
                              "--data {data} --init {asymmetric_huge_init}"),
+    # arrays of more bytes than the address space holds; at horizon 1 the
+    # trials' states, not the positions, are the largest arrays
+    "bench_trials_beyond_address_space":
+        "bench --trials 1000000000000000000 --scenarios drift",
+    "bench_trials_beyond_address_space_horizon_1":
+        "bench --trials 1000000000000000000 --horizon 1 --scenarios drift",
+    "worstcase_horizon_beyond_address_space":
+        "worstcase --model {model} --c 0.1 --horizon 1000000000000000000",
+    "lf_horizon_beyond_address_space":
+        "lf build --model {model} --c 0.05 --horizon 1000000000000000000",
+    "lf_trajectories_beyond_address_space":
+        "lf both --model {model} --c 0.05 --trajectories 1000000000000000000",
 }
 
 SCALAR = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
@@ -538,6 +551,29 @@ def test_overflowing_covariance_is_numerical_failure(command, model, message,
     assert main(argv + ["--out", out]) == 3
     assert message in capsys.readouterr().err
     assert not any(os.path.exists(out + ext) for ext in ("", ".manifest.json"))
+
+
+@pytest.mark.parametrize("command, target, error, message", [
+    ("bench --trials 5 --horizon 5 --scenarios drift", "run_monte_carlo",
+     MemoryError(), "allocation failed"),
+    ("lf both --model {model} --c 0.05 --trajectories 3", "simulate_lf",
+     MemoryError("Unable to allocate 14.6 TiB"), "Unable to allocate 14.6 TiB"),
+    ("worstcase --model {model} --c 0.1 --horizon 10", "error_cov_recursion",
+     MemoryError("Unable to allocate 14.6 TiB"), "Unable to allocate 14.6 TiB"),
+], ids=["bench", "lf_both", "worstcase"])
+def test_out_of_memory_is_numerical_failure(command, target, error, message,
+                                            model_file, tmp_path, monkeypatch,
+                                            capsys):
+    # raised where an allocation would fail, whatever the host's policy
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, exhausted)
+    out = str(tmp_path / "out")
+    assert main(command.format(model=model_file).split() + ["--out", out]) == 3
+    assert capsys.readouterr().err == f"out of memory: {message}\n"
+    assert not any(os.path.exists(out + ext)
+                   for ext in ("", ".json", ".csv", ".manifest.json"))
 
 
 @pytest.mark.parametrize("scenarios", ["", " , ", "drift,drift"])

@@ -10,7 +10,7 @@ hold timestamps), paths relative to ``OUT_DIR/out``.  The package is the one
 on ``PYTHONPATH``, so two checkouts compare by running this script once
 against each ``src/`` and diffing the two digests.
 
-The command set, 44 commands:
+The command set, 45 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
   model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
@@ -20,7 +20,9 @@ The command set, 44 commands:
   ``--theta 0 --theta 0.001 --channel`` on model A and the 4-state model;
 - ``lf both``: model A at a ``--c`` and a ``--theta`` budget and at
   ``--theta 0``, and the two seeded models at a ``--c`` budget;
-- one small ``bench`` over every scenario;
+- ``bench`` over every scenario: one small run, and one whose 2501 trials
+  span four blocks of readings (655 trials at horizon 200, the last one
+  ragged);
 - ``bounds``: cmax and thetamax on models A and B.
 """
 
@@ -128,6 +130,8 @@ def commands(inp, out):
                      "--out", os.path.join(out, name)])
     cmds.append(["bench", "--trials", "50", "--horizon", "50", "--seed", "3",
                  "--out", os.path.join(out, "bench")])
+    cmds.append(["bench", "--trials", "2501", "--horizon", "200", "--seed", "4",
+                 "--out", os.path.join(out, "bench_blocks")])
     for tag in ("a", "b"):
         for mode in ("cmax", "thetamax"):
             cmds.append(["bounds", "--model", paths[tag], "--mode", mode,
