@@ -7,6 +7,7 @@ average displacement mean-squared error over trials.
 """
 
 import hashlib
+import itertools
 import json
 import numpy as np
 from dataclasses import dataclass, field
@@ -29,12 +30,6 @@ OUTLIER_FACTOR = 5.0
 # The plant of every benchmark run and the scale of its initial covariance.
 MSD = MsdParams(force_var=0.9, disturbance_var=0.09)
 INIT_COV_SCALE = 0.05
-
-# Sensor readings are drawn by blocks of trials of about this many floats
-# (1 MB; one trial at the least), so the draws' temporaries do not grow
-# with the number of trials.
-BLOCK_FLOATS = 1 << 17
-
 
 class BenchError(ValueError):
     """Raised on invalid benchmark configuration."""
@@ -76,43 +71,11 @@ def sample_measurement(scenario, p, rng):
         z = p + sd * rng.standard_normal(p.shape)
         return np.where(np.abs(z) < DEAD_ZONE, 0.0, z)
     if scenario.kind == "outlier":
-        return (p + np.sqrt(_outlier_var(p.shape, rng))
-                * rng.standard_normal(p.shape))
+        var = np.where(rng.random(p.shape) < MIXTURE_WEIGHT, BASE_R,
+                       OUTLIER_FACTOR * BASE_R)
+        return p + np.sqrt(var) * rng.standard_normal(p.shape)
     # nominal
     return p + sd * rng.standard_normal(p.shape)
-
-
-def _outlier_var(shape, rng):
-    """The outlier mixture's noise variances, from its uniform draws."""
-    return np.where(rng.random(shape) < MIXTURE_WEIGHT, BASE_R,
-                    OUTLIER_FACTOR * BASE_R)
-
-
-def _readings(scenario, pos, rng):
-    """``sample_measurement(scenario, pos.T, rng).T`` for the (horizon,
-    trials) positions ``pos``, drawn by blocks of trials.
-
-    The draws keep the (trials, horizon) order of that call, and no
-    temporary holds more than one block of about BLOCK_FLOATS readings.
-    The outlier mixture draws every uniform before any normal, so it
-    passes over the blocks twice: the noise deviations first, then the
-    readings in place.
-    """
-    N, M = pos.shape
-    width = max(1, BLOCK_FLOATS // N)
-    blocks = [slice(i, i + width) for i in range(0, M, width)]
-    ys = np.empty_like(pos)
-    if scenario.kind != "outlier":
-        for b in blocks:
-            ys[:, b] = sample_measurement(scenario, pos[:, b].T, rng).T
-        return ys
-    for b in blocks:
-        ys[:, b] = _outlier_var(pos[:, b].T.shape, rng).T
-    np.sqrt(ys, out=ys)
-    for b in blocks:
-        ys[:, b] = pos[:, b] + ys[:, b] * rng.standard_normal(
-            pos[:, b].T.shape).T
-    return ys
 
 
 @dataclass
@@ -182,11 +145,14 @@ def run_monte_carlo(cfg, scenarios):
     model; their gain schedules are data-independent and computed once per
     call, so the trial loop is fully vectorized over trials.
 
-    Every scenario sees the draws of its own ``default_rng(cfg.seed)``: the
-    plant trajectories, then its sensor readings.  So each plant is simulated
-    once, and the generator state after it is restored before each of that
-    plant's scenarios draws its readings.  A plant holds two (horizon,
-    trials) arrays: its positions and one scenario's readings.
+    One pass over time steps the plants, the sensors and the filters
+    together, and reduces each step's MSE as it goes, so no array spans
+    trials x horizon.  The plants draw from ``default_rng(cfg.seed)``: the
+    initial states, then one (trials, n) noise draw per step, which both
+    plants share.  Each scenario draws its readings, step by step, from its
+    own generator, seeded with ``cfg.seed`` and spawn key
+    ``SCENARIO_KINDS.index(kind)``, so its report does not depend on the
+    order or subset of ``scenarios``.
     """
     nominal, Qw = msd_discretize(MSD)
     n = nominal.n
@@ -195,41 +161,48 @@ def run_monte_carlo(cfg, scenarios):
     # (N, filters, n, m): every filter runs in one state-major mean pass
     gains = np.stack([covariance_schedule(nominal, fc, P0, N - 1).gains
                       for fc in cfg.filters.values()], axis=1)
-
-    # one plant at a time, so only one plant's positions are held
-    by_plant = {}
+    # both plants have the design model's A; the control plant is exactly
+    # the design model, the other draws the physical noise Qw
+    control = [s.kind == "nominal" for s in scenarios]
+    chol = {c: np.linalg.cholesky((nominal.Q if c else Qw)
+                                  + 1e-15 * np.eye(n)) for c in set(control)}
+    S, F = len(scenarios), len(cfg.filters)
+    rng = np.random.default_rng(cfg.seed)
+    streams = [np.random.default_rng(np.random.SeedSequence(
+        cfg.seed, spawn_key=(SCENARIO_KINDS.index(s.kind),)))
+        for s in scenarios]
+    # state-major (n, trials) plants, from (trials, n) draws
+    x0 = np.linalg.cholesky(P0) @ rng.standard_normal((M, n)).T
+    x = dict.fromkeys(chol, x0)
+    # the scenarios' mean passes share one zero prior (each keeps its prior
+    # for the whole pass) and read each step's readings from their row,
+    # refilled before the step; a step's squared errors of every scenario
+    # are reduced to its MSE row at once
+    prior = np.zeros((F, n, M))
+    rows = np.empty((S, 1, M))
+    passes = [mean_pass(nominal, gains, prior, itertools.repeat(row))
+              for row in rows]
+    err = np.empty((S, F, M))
+    mse = np.empty((N, S, F))
+    for t in range(N):
+        if t:
+            z = rng.standard_normal((M, n)).T
+            x = {c: nominal.A @ xc + chol[c] @ z for c, xc in x.items()}
+        for i, (c, scenario, stream, means) in enumerate(
+                zip(control, scenarios, streams, passes)):
+            p = x[c][0]     # the displacement, the one state measured
+            rows[i] = sample_measurement(scenario, p, stream)
+            x_f, _ = next(means)
+            np.subtract(x_f[:, 0], p, out=err[i])
+        mse[t] = np.square(err, out=err).sum(axis=-1) / M
+    reports = []
     for i, scenario in enumerate(scenarios):
-        by_plant.setdefault(scenario.kind == "nominal", []).append(i)
-    reports = [None] * len(scenarios)
-    for control, members in by_plant.items():
-        # both plants have the design model's A; the control plant is
-        # exactly the design model, the other draws the physical noise Qw
-        Lw = np.linalg.cholesky((nominal.Q if control else Qw)
-                                + 1e-15 * np.eye(n))
-        rng = np.random.default_rng(cfg.seed)
-        # state-major (n, trials), from (trials, n) draws; only the
-        # displacement is measured and scored, pos[t] over trials
-        x = np.linalg.cholesky(P0) @ rng.standard_normal((M, n)).T
-        pos = np.empty((N, M))
-        for t in range(N):
-            pos[t] = x[0]
-            x = nominal.A @ x + Lw @ rng.standard_normal((M, n)).T
-        after_plant = rng.bit_generator.state
-        for i in members:
-            rng.bit_generator.state = after_plant
-            ys = _readings(scenarios[i], pos, rng)
-            means = mean_pass(nominal, gains,
-                              np.zeros((len(cfg.filters), n, M)), ys[:, None])
-            mse = np.array([np.mean((x_f[:, 0] - p) ** 2, axis=-1)
-                            for (x_f, _), p in zip(means, pos)])
-            del ys
-            mse_t = dict(zip(cfg.filters, mse.T.copy()))
-            reports[i] = MseReport(
-                scenario=scenarios[i].kind,
-                mse_t=mse_t,
-                time_averaged={k: float(v.mean()) for k, v in mse_t.items()},
-                trials=M, horizon=N, seed=cfg.seed,
-                config_digest=cfg.digest(),
-            )
-        del pos
+        mse_t = dict(zip(cfg.filters, mse[:, i].T.copy()))
+        reports.append(MseReport(
+            scenario=scenario.kind,
+            mse_t=mse_t,
+            time_averaged={k: float(v.mean()) for k, v in mse_t.items()},
+            trials=M, horizon=N, seed=cfg.seed,
+            config_digest=cfg.digest(),
+        ))
     return reports

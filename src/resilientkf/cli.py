@@ -145,6 +145,8 @@ def cmd_bounds(args):
             f"--k {args.k} must be at least the state dimension {model.n}")
     if args.q < 0:
         raise ModelError(f"--q {args.q} must be nonnegative")
+    # the window's largest stack is (k n) x (k n)
+    _check_addressable(args.k * model.n, args.k * model.n)
     if args.mode == "cmax":
         report = c_max(model, k=args.k, q=args.q)
     else:
@@ -274,9 +276,10 @@ def cmd_bench(args):
     if len(set(scenarios)) < len(scenarios):
         raise BenchError(f"--scenarios repeats a scenario: {args.scenarios!r}")
     runs = [Scenario(kind=kind) for kind in scenarios]
-    # positions and readings are horizon x trials; the schedules and the
-    # two filters' 2-state means are 4 x horizon and 4 x trials
-    _check_addressable(args.horizon + 4, args.trials + 4)
+    # the means are scenarios x filters x 2 x trials, and each filter's
+    # schedule holds under 16 floats a step
+    _check_addressable(len(runs), len(cfg.filters), 2, args.trials)
+    _check_addressable(len(cfg.filters), 16, args.horizon + 2)
     reports = run_monte_carlo(cfg, runs)
     outputs = []
     os.makedirs(args.out, exist_ok=True)

@@ -58,14 +58,13 @@ class GramianParts:
     phi_sup: float       # sigma_max(Minner) = mu[-1], open upper endpoint for phi
 
 
-def _block_toeplitz(blocks, k, br, bc):
-    """Strictly upper block-triangular Toeplitz from the first block row
-    (0, blocks[0], ..., blocks[k-2])."""
-    M = np.zeros((k * br, k * bc))
-    for i in range(k):
-        for j in range(i + 1, k):
-            M[i * br:(i + 1) * br, j * bc:(j + 1) * bc] = blocks[j - i - 1]
-    return M
+def _fill_toeplitz(M, blocks):
+    """Fill the zeroed M as the strictly upper block-triangular Toeplitz
+    matrix with first block row (0, blocks[0], ..., blocks[k-2])."""
+    for d, block in enumerate(blocks, 1):
+        br, bc = block.shape
+        for i in range(len(blocks) + 1 - d):
+            M[i * br:(i + 1) * br, (i + d) * bc:(i + d + 1) * bc] = block
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -85,16 +84,18 @@ def build_gramian_parts(model, k):
         raise StabilityError(f"window k={k} must be at least the state dimension {n}")
     if not is_observable(model.A, model.C):
         raise StabilityError("(A, C) must be observable")
+    # the two largest stacks first, so a window too large to hold fails
+    # before the k matrix powers are built
+    Hk = np.zeros((k * m, k * n))
+    Lk = np.zeros((k * n, k * n))
     try:
         A, C = model.A, model.C
         Qh = spd_sqrt(model.Q)
         powers = [np.linalg.matrix_power(A, j) for j in range(k)]
         obs = np.vstack([C @ powers[j] for j in range(k - 1, -1, -1)])
         obs_r = np.vstack([powers[j] for j in range(k - 1, -1, -1)])
-        Hb = [C @ powers[j - 1] @ Qh for j in range(1, k)]
-        Lb = [powers[j - 1] @ Qh for j in range(1, k)]
-        Hk = _block_toeplitz(Hb, k, m, n)
-        Lk = _block_toeplitz(Lb, k, n, n)
+        _fill_toeplitz(Hk, [C @ powers[j - 1] @ Qh for j in range(1, k)])
+        _fill_toeplitz(Lk, [powers[j - 1] @ Qh for j in range(1, k)])
         Rk_noise = np.kron(np.eye(k), model.R)
         W = sym(Rk_noise + Hk @ Hk.T)
         T1 = sym(obs.T @ chol_solve(W, obs))

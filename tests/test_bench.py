@@ -77,30 +77,45 @@ def test_mc_report_wellformed():
                       "config_digest", "time_averaged", "mse_t"}
 
 
-def _ref_run_monte_carlo(cfg, scenario):
-    """Run the benchmark for one scenario: the per-scenario form that
-    run_monte_carlo replaced, with its row-major (trials, n) mean pass
-    written out, kept as an independent reference."""
+def _parent_plant(cfg, scenario):
+    """(trials, horizon) displacements of the scenario's plant, simulated
+    row-major from its own ``default_rng(cfg.seed)`` as the trial-major
+    form of run_monte_carlo did, kept as an independent reference."""
     nominal, Qw = msd_discretize(bench.MSD)
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
     rng = np.random.default_rng(cfg.seed)
     P0 = bench.INIT_COV_SCALE * np.eye(n)
-    schedules = {name: covariance_schedule(nominal, fc, P0, N - 1).gains
-                 for name, fc in cfg.filters.items()}
-
-    # plant trajectories; only the displacement is measured and scored
-    if scenario.kind == "nominal":
-        # control case: the plant is exactly the nominal design model
-        A, Lw = nominal.A, np.linalg.cholesky(nominal.Q + 1e-15 * np.eye(n))
-    else:
-        A, Lw = nominal.A, np.linalg.cholesky(Qw + 1e-15 * np.eye(n))
+    # control case: the plant is exactly the nominal design model
+    Q = nominal.Q if scenario.kind == "nominal" else Qw
+    A, Lw = nominal.A, np.linalg.cholesky(Q + 1e-15 * np.eye(n))
     x = rng.standard_normal((M, n)) @ np.linalg.cholesky(P0).T
     pos = np.zeros((M, N))
     for t in range(N):
         pos[:, t] = x[:, 0]
         x = x @ A.T + rng.standard_normal((M, n)) @ Lw.T
-    Y = sample_measurement(scenario, pos, rng)
+    return pos
+
+
+def _sensor_stream(seed, kind):
+    return np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(SCENARIO_KINDS.index(kind),)))
+
+
+def _ref_run_monte_carlo(cfg, scenario):
+    """Run the benchmark for one scenario, row-major (trials, n), with the
+    readings drawn step by step from the scenario's own stream: an
+    independent reference of run_monte_carlo's draw law."""
+    nominal, _ = msd_discretize(bench.MSD)
+    n = nominal.n
+    M, N = cfg.trials, cfg.horizon
+    P0 = bench.INIT_COV_SCALE * np.eye(n)
+    schedules = {name: covariance_schedule(nominal, fc, P0, N - 1).gains
+                 for name, fc in cfg.filters.items()}
+    pos = _parent_plant(cfg, scenario)
+    sensor = _sensor_stream(cfg.seed, scenario.kind)
+    Y = np.column_stack([sample_measurement(scenario, p, sensor)
+                         for p in pos.T])
 
     mse_t = {}
     for name, gains in schedules.items():
@@ -140,32 +155,74 @@ def test_mc_one_pass_matches_per_scenario_runs(kinds):
     _assert_matches_reference(McConfig(trials=40, horizon=25, seed=11), kinds)
 
 
-@pytest.mark.parametrize("trials, horizon, block", [
-    (41, 25, 100),   # ten blocks of 4 trials and a ragged one of 1
-    (7, 30, 20),     # a horizon longer than a block: one trial a block
-    (1, 25, None),
-    (40, 1, None),
-], ids=["ragged_blocks", "horizon_past_block", "one_trial", "one_step"])
-def test_mc_readings_by_blocks_match_reference(trials, horizon, block,
-                                               monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(bench, "BLOCK_FLOATS", block)
+@pytest.mark.parametrize("trials, horizon", [(41, 25), (1, 25), (40, 1)],
+                         ids=["41x25", "one_trial", "one_step"])
+def test_mc_ragged_shapes_match_reference(trials, horizon):
     _assert_matches_reference(
         McConfig(trials=trials, horizon=horizon, seed=11), SCENARIO_KINDS)
 
 
-def test_mc_holds_two_trials_by_horizon_arrays():
-    # the positions and the readings of one scenario, plus O(block) and
-    # O(trials x n) temporaries: below three (trials x horizon) arrays
-    M, N = 10000, 100
-    tracemalloc.start()
-    try:
-        run_monte_carlo(McConfig(trials=M, horizon=N, seed=5),
-                        [Scenario(kind=k) for k in SCENARIO_KINDS])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 8 * M * N
+def _recorded_calls(monkeypatch):
+    """Record each sample_measurement call's displacements and the state
+    of its generator before the draw."""
+    calls = []
+
+    def recording(scenario, p, rng):
+        calls.append((scenario.kind, np.array(p, copy=True),
+                      rng.bit_generator.state))
+        return sample_measurement(scenario, p, rng)
+
+    monkeypatch.setattr(bench, "sample_measurement", recording)
+    return calls
+
+
+def test_mc_plants_match_parent_simulation(monkeypatch):
+    calls = _recorded_calls(monkeypatch)
+    cfg = McConfig(trials=37, horizon=23, seed=8)
+    run_monte_carlo(cfg, [Scenario(kind=k) for k in SCENARIO_KINDS])
+    for kind in SCENARIO_KINDS:
+        seen = np.vstack([p for k, p, _ in calls if k == kind])
+        want = _parent_plant(cfg, Scenario(kind=kind)).T
+        assert seen.shape == want.shape
+        assert seen.tobytes() == want.tobytes()
+
+
+def test_mc_sensor_streams_do_not_replay_the_plant(monkeypatch):
+    # SeedSequence pads short entropy with zeros, so a stream seeded
+    # [seed, 0] would draw what the plant's default_rng(seed) draws
+    calls = _recorded_calls(monkeypatch)
+    seed = 5
+    run_monte_carlo(McConfig(trials=4, horizon=1, seed=seed),
+                    [Scenario(kind=k) for k in SCENARIO_KINDS])
+    first = {}
+    for kind, _, state in calls:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        first[kind] = rng.random(8)
+    assert sorted(first) == sorted(SCENARIO_KINDS)
+    draws = [np.random.default_rng(seed).random(8)] + list(first.values())
+    for i, a in enumerate(draws):
+        for b in draws[i + 1:]:
+            assert not np.isin(a, b).any()
+
+
+def test_mc_memory_does_not_grow_with_horizon():
+    # the pass holds (trials x n)-sized arrays per scenario and filter, and
+    # horizon-sized MSE rows: no (trials x horizon) array.  A small first
+    # run keeps the first call's lazy imports out of the peaks.
+    M = 10000
+    scenarios = [Scenario(kind=k) for k in SCENARIO_KINDS]
+    run_monte_carlo(McConfig(trials=2, horizon=2), scenarios)
+    peaks = []
+    for N in (100, 400):
+        tracemalloc.start()
+        try:
+            run_monte_carlo(McConfig(trials=M, horizon=N, seed=5), scenarios)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5e6
+    assert max(peaks) < 8 * M * 100
 
 
 def test_mc_shares_schedules_and_discretization(monkeypatch):

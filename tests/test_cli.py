@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -459,6 +460,8 @@ BAD_INPUTS = {
         "lf build --model {model} --c 0.05 --horizon 1000000000000000000",
     "lf_trajectories_beyond_address_space":
         "lf both --model {model} --c 0.05 --trajectories 1000000000000000000",
+    "bounds_k_beyond_address_space":
+        "bounds --model {model} --mode cmax --k 10000000000",
 }
 
 SCALAR = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
@@ -574,6 +577,20 @@ def test_out_of_memory_is_numerical_failure(command, target, error, message,
     assert capsys.readouterr().err == f"out of memory: {message}\n"
     assert not any(os.path.exists(out + ext)
                    for ext in ("", ".json", ".csv", ".manifest.json"))
+
+
+@pytest.mark.parametrize("mode", ["cmax", "thetamax"])
+def test_bounds_window_too_large_to_hold_fails_fast(mode, model_file,
+                                                     tmp_path, capsys):
+    # the window's Hk stack alone is 142 PiB at k = 10^8, past any address
+    # space, so its allocation fails before the k matrix powers are built
+    out = str(tmp_path / "out")
+    start = time.perf_counter()
+    assert main(["bounds", "--model", model_file, "--mode", mode,
+                 "--k", str(10 ** 8), "--out", out]) == 3
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().err.startswith("out of memory: ")
+    assert not any(os.path.exists(out + ext) for ext in ("", ".manifest.json"))
 
 
 @pytest.mark.parametrize("scenarios", ["", " , ", "drift,drift"])

@@ -20,9 +20,8 @@ The command set, 45 commands:
   ``--theta 0 --theta 0.001 --channel`` on model A and the 4-state model;
 - ``lf both``: model A at a ``--c`` and a ``--theta`` budget and at
   ``--theta 0``, and the two seeded models at a ``--c`` budget;
-- ``bench`` over every scenario: one small run, and one whose 2501 trials
-  span four blocks of readings (655 trials at horizon 200, the last one
-  ragged);
+- ``bench`` over every scenario: one small run, and one at 2501 trials
+  x 200 steps (outputs under ``bench_blocks``);
 - ``bounds``: cmax and thetamax on models A and B.
 """
 
