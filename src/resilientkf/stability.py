@@ -13,10 +13,13 @@ Two certified bounds:
   argument maximized over an observer gain G, a mixing weight alpha, and a
   contraction margin rho.  The maximum over G is exact: for fixed
   (alpha, rho) it is attained at the gain of a filter Riccati equation
-  (DARE), solved for a whole grid of (alpha, rho) pairs at once by
-  structured doubling, so the cost does not grow with the size of G.
-  Certificates with an ill-conditioned Sigma are excluded, and the winner
-  is re-verified with ``prop6_guard`` before it is reported.
+  (DARE), solved by batched structured doubling, so the cost does not grow
+  with the size of G.  The (alpha, rho) grid is searched coarse to fine
+  under a monotone upper bound that skips the pairs provably below the
+  best one found, so the grid's maximiser is found exactly from a fraction
+  of its Riccati solves.  Certificates with an ill-conditioned Sigma are
+  excluded, and the winner is re-verified with ``prop6_guard`` before it
+  is reported.
 """
 
 import numpy as np
@@ -318,10 +321,10 @@ def _betas(model, Sig, alphas, rhos):
 SIGMA_COND_MAX = 1e8
 
 
-# theta_max sweeps beta*(alpha, rho) over ALPHAS x RHOS, pruning BOX x
-# BOX-cell boxes by a bound (``_sweep``) and solving at most SWEEP_ROWS *
-# len(RHOS) pairs per batched Riccati solve (a lower peak memory than one
-# 20 000-pair batch), then refines rho at the best alpha on
+# theta_max sweeps beta*(alpha, rho) over ALPHAS x RHOS, coarse to fine
+# over nested grids of the steps LEVELS (``_sweep``), solving at most
+# SWEEP_ROWS * len(RHOS) pairs per batched Riccati solve (a lower peak
+# memory than one 20 000-pair batch), then refines rho at the best alpha on
 # RHO_REFINE_POINTS points between the neighbours of the best grid rho.
 # The last alpha is 1, so the same sweep gives the alpha = 1 diagnostic.
 ALPHAS = np.linspace(0.01, 1.0, 100)
@@ -337,7 +340,7 @@ RHO_HI = 20.0
 _RHO_EXPONENTS = np.arange(1, 201) / 200.0
 RHOS = RHO_HI ** _RHO_EXPONENTS  # log-spaced in (1, RHO_HI]
 SWEEP_ROWS = 10
-BOX = 5
+LEVELS = (16, 8, 4, 2)
 RHO_REFINE_POINTS = 201
 
 
@@ -362,68 +365,108 @@ def _beta_star(model, alphas, rhos):
     return beta, Sig
 
 
-def _corners(size):
-    """Indices 0, BOX, 2 BOX, ... and size - 1 of a grid axis: the box
-    corners of the pruned sweep."""
-    return np.union1d(np.arange(0, size, BOX), [size - 1])
+def _level_points(size, step):
+    """Indices 0, step, 2 step, ... and size - 1 of a grid axis: the box
+    corners of one level of the sweep."""
+    return np.union1d(np.arange(0, size, step), [size - 1])
+
+
+def _box_bounds(model, S, alphas, rhos):
+    """The ``_betas`` values of the stack ``S`` of Sigma* at ``alphas`` and
+    ``rhos``, the upper bounds of ``_sweep``; +inf where a Sigma* is not
+    finite and positive definite."""
+    bound = np.full(len(S), np.inf)
+    ok = np.isfinite(S).all(axis=(-2, -1))
+    ok[ok] = np.linalg.eigvalsh(S[ok])[:, 0] > 0
+    bound[ok] = _betas(model, S[ok], alphas[ok], rhos[ok])
+    return bound
 
 
 def _sweep(model):
     """The best beta* in every alpha row of ALPHAS x RHOS, its rho index,
-    the number of solved pairs whose Riccati solve overflowed, and the
-    number of pairs solved.
+    the number of solved pairs whose Riccati solve overflowed, and
+    [step, pairs solved] for each level of LEVELS and for the last pass
+    (step 1).
 
-    A two-level search, exact on the rows theta_max reads.  Level 1 solves
-    the corners of the BOX x BOX-cell boxes of the grid.  On a box
+    A coarse-to-fine search, exact on the rows theta_max reads.  On a box
     [a_lo, a_hi] x [r_lo, r_hi] every beta* is at most the ``_betas``
     value of Sigma*(a_hi, r_lo) at (a_lo, r_hi): Sigma* decreases in
     alpha and increases in rho (the Riccati map is
     X -> A (rho^-2 X^{-1} + alpha^2 C^T R^{-1} C)^{-1} A^T + Q), and the
-    SIGMA_COND_MAX cap and overflow only lower beta* to -inf.  Level 2
-    solves the rest of every box whose bound reaches the best corner beta*
-    (the incumbent), and likewise of every alpha = 1 segment against the
-    best alpha = 1 corner.  A pruned pair lies below an incumbent, which is
+    SIGMA_COND_MAX cap and overflow only lower beta* to -inf.  The level of
+    step s splits the grid into boxes between its points 0, s, 2 s, ... and
+    the last index; the alpha = 1 row also forms segments of its own.  Each
+    level solves the corners of the boxes whose enclosing box of the
+    previous level is still alive, in one batch, and drops every box whose
+    bound falls below the best beta* solved so far (the incumbent); an
+    alpha = 1 segment is held against the best alpha = 1 beta* instead.
+    The last pass bounds each unsolved point of a live box by its box's
+    Sigma*(a_hi, r_lo) at the point's own (alpha, rho) and solves the
+    points whose bound reaches the incumbent (the alpha = 1 incumbent on
+    the alpha = 1 row).  A skipped pair lies below an incumbent, which is
     at most the grid maximum, so every pair attaining the maximum is
     solved, and so is every maximiser in the alpha = 1 row: ``best`` and
     ``where`` equal the full grid's in the winning row and the alpha = 1
     row; other rows may read lower.  Each pair's beta* is the full grid's
     bit for bit, because a converged equation leaves the doubling batch.
+    Sigma* is kept at the points of the finest level only.
     """
     na, nr = len(ALPHAS), len(RHOS)
     beta = np.full((na, nr), -np.inf)
-    ia, jr = _corners(na), _corners(nr)
-    I, J = np.meshgrid(ia, jr, indexing="ij")
-    corner, Sig = _beta_star(model, ALPHAS[I.ravel()], RHOS[J.ravel()])
-    beta[I, J] = corner.reshape(I.shape)
-    overflowed = int(np.isnan(Sig[:, 0, 0]).sum())
-    # box rows [ALPHAS[lo], ALPHAS[hi]] by corner rows k_lo, k_hi; the last
-    # box row is the alpha = 1 row alone, against its own incumbent
-    k = np.arange(len(ia))
-    k_lo, k_hi = np.append(k[:-1], k[-1]), np.append(k[1:], k[-1])
-    lo, hi = ia[k_lo], ia[k_hi]
-    incumbent = np.append(np.full(len(ia) - 1, corner.max()),
-                          beta[-1, jr].max())
-    # each box's bound from Sigma* at its (a_hi, r_lo) corner; it stays +inf
-    # where that Sigma* is not finite and positive definite
-    S = Sig.reshape(len(ia), len(jr), model.n, model.n)[k_hi, :-1]
-    bound = np.full(S.shape[:2], np.inf)
-    ok = np.isfinite(S).all(axis=(-2, -1))
-    ok[ok] = np.linalg.eigvalsh(S[ok])[:, 0] > 0
-    p, q = np.nonzero(ok)
-    bound[ok] = _betas(model, S[ok], ALPHAS[lo[p]], RHOS[jr[q + 1]])
+    solved = np.zeros((na, nr), dtype=bool)
+    fa, fr = _level_points(na, LEVELS[-1]), _level_points(nr, LEVELS[-1])
+    Sig = np.full((fa.size, fr.size, model.n, model.n), np.nan)
+    overflowed, levels = 0, []
+
+    def solve(step, rows, cols):
+        nonlocal overflowed
+        for s in range(0, len(rows), SWEEP_ROWS * nr):
+            r, c = rows[s:s + SWEEP_ROWS * nr], cols[s:s + SWEEP_ROWS * nr]
+            beta[r, c], S = _beta_star(model, ALPHAS[r], RHOS[c])
+            overflowed += int(np.isnan(S[:, 0, 0]).sum())
+            if step > 1:
+                Sig[np.searchsorted(fa, r), np.searchsorted(fr, c)] = S
+        solved[rows, cols] = True
+        levels.append([step, len(rows)])
+
+    def alive(bound, rows):
+        # the 1e-9 slack only keeps bounds that tie the incumbent
+        incumbent = np.where(rows == na - 1, beta[-1].max(), beta.max())
+        return bound * (1.0 + 1e-9) >= incumbent
+
+    # box row p spans ALPHAS[ia[p]] to ALPHAS[ia[p + 1]]; the last box row
+    # is the alpha = 1 row alone.  The search starts from the whole grid as
+    # one box and the alpha = 1 row as one segment.
+    ia, jr = np.array([0, na - 1]), np.array([0, nr - 1])
+    live = np.ones((2, 1), dtype=bool)
+    for step in LEVELS:
+        pa, pr = ia, jr
+        ia, jr = _level_points(na, step), _level_points(nr, step)
+        # each box inherits the verdict on the box it lies in
+        live = live[np.ix_(np.searchsorted(pa, ia, side="right") - 1,
+                           np.searchsorted(pr, jr[:-1], side="right") - 1)]
+        p, q = np.nonzero(live)
+        k = np.minimum(p + 1, ia.size - 1)
+        need = np.zeros((na, nr), dtype=bool)
+        need[ia[np.r_[p, p, k, k]], jr[np.r_[q, q + 1, q, q + 1]]] = True
+        solve(step, *np.nonzero(need & ~solved))
+        S = Sig[np.searchsorted(fa, ia[k]), np.searchsorted(fr, jr[q])]
+        live[p, q] = alive(_box_bounds(model, S, ALPHAS[ia[p]],
+                                       RHOS[jr[q + 1]]), ia[p])
+    # the last pass: every pair of every live box
+    p, q = np.nonzero(live)
+    k = np.minimum(p + 1, ia.size - 1)
+    off = np.arange(LEVELS[-1] + 1)
     need = np.zeros((na, nr), dtype=bool)
-    # the 1e-9 slack only keeps boxes whose bound ties the incumbent
-    for p, q in zip(*np.nonzero(bound * (1.0 + 1e-9) >= incumbent[:, None])):
-        need[lo[p]:hi[p] + 1, jr[q]:jr[q + 1] + 1] = True
-    need[I, J] = False
-    rows, cols = np.nonzero(need)
-    for s in range(0, len(rows), SWEEP_ROWS * nr):
-        r, c = rows[s:s + SWEEP_ROWS * nr], cols[s:s + SWEEP_ROWS * nr]
-        beta[r, c], Sig = _beta_star(model, ALPHAS[r], RHOS[c])
-        overflowed += int(np.isnan(Sig[:, 0, 0]).sum())
+    need[np.minimum(ia[p, None] + off, ia[k, None])[:, :, None],
+         np.minimum(jr[q, None] + off, jr[q + 1, None])[:, None, :]] = True
+    rows, cols = np.nonzero(need & ~solved)
+    S = Sig[np.searchsorted(fa, rows),
+            np.searchsorted(fr, cols, side="right") - 1]
+    keep = alive(_box_bounds(model, S, ALPHAS[rows], RHOS[cols]), rows)
+    solve(1, rows[keep], cols[keep])
     where = np.argmax(beta, axis=1)
-    return (beta[np.arange(na), where], where, overflowed,
-            ia.size * jr.size + rows.size)
+    return beta[np.arange(na), where], where, overflowed, levels
 
 
 def _certificate(model, alpha, j, phik):
@@ -472,9 +515,10 @@ def theta_max(model, k=10):
     Sigma* C^T + R)^{-1}; lambda_min is monotone, so G* maximises beta.
     No grid over G is needed, and the work does not grow with n * m.
 
-    beta* is swept over ALPHAS x RHOS by batched doubling solves that skip
-    the boxes of the grid whose monotone upper bound falls below the best
-    box corner (``_sweep``); the winner is the full grid's, bit for bit.
+    beta* is swept over ALPHAS x RHOS by batched doubling solves, coarse
+    to fine over the nested grids of steps LEVELS, skipping every box and
+    then every pair whose monotone upper bound falls below the best beta*
+    solved so far (``_sweep``); the winner is the full grid's, bit for bit.
     ``_certificate`` refines rho and verifies the result at the best alpha
     and, for ``search["alpha1"]``, at alpha = 1, the restriction that
     corresponds to robustifying the prediction instead of the update; their
@@ -483,20 +527,24 @@ def theta_max(model, k=10):
     ``search["rho_hi_limits_beta"]`` is true when the winner sits at
     RHO_HI with beta < phi_k, where a wider rho range might raise the bound.
     ``search["riccati_solves"]`` counts the (alpha, rho) pairs solved, by
-    the sweep and the refinements.  ``search["overflowed_pairs"]``, present
+    the sweep and the refinements; ``search["sweep_levels"]`` holds
+    [step, pairs solved] for each level of the sweep and for its last pass
+    (step 1), which with the refinements' RHO_REFINE_POINTS each add up to
+    ``riccati_solves``.  ``search["overflowed_pairs"]``, present
     only when nonzero, counts the solved sweep pairs whose Riccati solve
     overflowed or met a singular system; they count as beta* = -inf.
     """
     parts = build_gramian_parts(model, k)
     phik = phi_max(parts)
-    best, where, overflowed, solves = _sweep(model)
+    best, where, overflowed, levels = _sweep(model)
     i = int(np.argmax(best))
     if not np.isfinite(best[i]):
         raise StabilityError("empty admissible search set for theta_max")
     alpha = float(ALPHAS[i])
     rho, G, Sigma, beta, tmax, verification = _certificate(
         model, alpha, where[i], phik)
-    solves += RHO_REFINE_POINTS * (1 + bool(np.isfinite(best[-1])))
+    solves = (sum(n for _, n in levels)
+              + RHO_REFINE_POINTS * (1 + bool(np.isfinite(best[-1]))))
     alpha1 = {"beta": -np.inf, "theta_max": None, "alpha": 1.0, "G": None,
               "rho": None}
     if np.isfinite(best[-1]):
@@ -515,6 +563,7 @@ def theta_max(model, k=10):
         "verification": verification,
         "alpha1": alpha1,
         "riccati_solves": solves,
+        "sweep_levels": levels,
     }
     if overflowed:
         search["overflowed_pairs"] = overflowed

@@ -374,37 +374,86 @@ def _full_grid(model):
     return beta.reshape(na, nr), Sig.reshape(na, nr, model.n, model.n)
 
 
+def _live_pairs(ia, jr, live):
+    """Masks over ALPHAS x RHOS of the pairs in the live boxes of the box
+    rows 0 .. len(ia) - 2 and in the live alpha = 1 segments (the last box
+    row), for the box corners ia x jr of one level of the sweep."""
+    boxes = np.zeros((ia[-1] + 1, jr[-1] + 1), dtype=bool)
+    segments = np.zeros_like(boxes)
+    for p, q in zip(*np.nonzero(live)):
+        if p == len(ia) - 1:
+            segments[-1, jr[q]:jr[q + 1] + 1] = True
+        else:
+            boxes[ia[p]:ia[p + 1] + 1, jr[q]:jr[q + 1] + 1] = True
+    return boxes, segments
+
+
 def _assert_sweep_exact(model, monkeypatch):
-    """The pruned sweep against one batch over ALPHAS x RHOS: every pair it
-    solves is the full grid's bit for bit, every pair it skips lies strictly
-    below the incumbent it was pruned against, and the global winner and
-    the alpha = 1 row's best agree."""
+    """The coarse-to-fine sweep against one batch over ALPHAS x RHOS: every
+    pair it solves is solved once and is the full grid's bit for bit, every
+    pair it skips lies strictly below the incumbent of the stage that pruned
+    it, and the global winner and the alpha = 1 row's best agree.
+
+    The incumbents after each stage (a level, then the last pass) are
+    recorded from the solved pairs.  The levels are replayed on the full
+    grid with them, which gives the boxes live at each level, checks that
+    the level solved exactly the new corners of those boxes, and names the
+    stage at which each skipped pair left the live boxes."""
     import resilientkf.stability as stab
 
-    full, _ = _full_grid(model)
-    solved = np.zeros(full.shape, dtype=bool)
+    full, Sig = _full_grid(model)
+    na, nr = full.shape
+    order = []
     beta_star = stab._beta_star
 
     def recording(model, alphas, rhos):
-        beta, Sig = beta_star(model, alphas, rhos)
+        beta, S = beta_star(model, alphas, rhos)
         i = np.searchsorted(stab.ALPHAS, alphas)
         j = np.searchsorted(stab.RHOS, rhos)
         assert np.array_equal(stab.ALPHAS[i], alphas)
         assert np.array_equal(stab.RHOS[j], rhos)
         assert np.array_equal(beta, full[i, j])
-        assert not solved[i, j].any()
-        solved[i, j] = True
-        return beta, Sig
+        order.extend(zip(i, j))
+        return beta, S
 
     monkeypatch.setattr(stab, "_beta_star", recording)
-    best, where, _, solves = stab._sweep(model)
+    best, where, _, levels = stab._sweep(model)
     monkeypatch.setattr(stab, "_beta_star", beta_star)
-    assert solves == solved.sum() < full.size
-    ia = stab._corners(len(stab.ALPHAS))
-    jr = stab._corners(len(stab.RHOS))
-    incumbent = full[np.ix_(ia, jr)].max()
-    assert np.all(full[:-1][~solved[:-1]] < incumbent)
-    assert np.all(full[-1][~solved[-1]] < full[-1, jr].max())
+    steps, counts = zip(*levels)
+    assert steps == tuple(stab.LEVELS) + (1,)
+    assert sum(counts) == len(order) == len(set(order)) < full.size
+    # the stage that solved each pair, len(levels) where none did
+    stage = np.full(full.shape, len(levels))
+    ij = np.array(order)
+    stage[ij[:, 0], ij[:, 1]] = np.repeat(np.arange(len(levels)), counts)
+    skipped = stage == len(levels)
+    ia, jr = np.array([0, na - 1]), np.array([0, nr - 1])
+    live = np.ones((2, 1), dtype=bool)
+    for t, step in enumerate(stab.LEVELS):
+        pa, pr = ia, jr
+        ia, jr = stab._level_points(na, step), stab._level_points(nr, step)
+        live = live[np.ix_(np.searchsorted(pa, ia, side="right") - 1,
+                           np.searchsorted(pr, jr[:-1], side="right") - 1)]
+        boxes, segments = _live_pairs(ia, jr, live)
+        p, q = np.nonzero(live)
+        k = np.minimum(p + 1, len(ia) - 1)
+        corners = np.zeros(full.shape, dtype=bool)
+        corners[ia[np.r_[p, p, k, k]], jr[np.r_[q, q + 1, q, q + 1]]] = True
+        assert np.array_equal(corners & (stage >= t), stage == t)
+        incumbent = full[stage <= t].max()
+        incumbent1 = full[-1][stage[-1] <= t].max()
+        bound = stab._box_bounds(model, Sig[ia[k], jr[q]], stab.ALPHAS[ia[p]],
+                                 stab.RHOS[jr[q + 1]])
+        live[p, q] = bound * (1.0 + 1e-9) >= np.where(
+            ia[p] == na - 1, incumbent1, incumbent)
+        after, after1 = _live_pairs(ia, jr, live)
+        assert np.all(full[boxes & ~after & skipped] < incumbent)
+        assert np.all(full[segments & ~after1 & skipped] < incumbent1)
+    # the last pass solves only pairs of live boxes, against the incumbents
+    # of the last level
+    assert not np.any((stage == len(stab.LEVELS)) & ~(after | after1))
+    assert np.all(full[:-1][(after & skipped)[:-1]] < incumbent)
+    assert np.all(full[-1][((after | after1) & skipped)[-1]] < incumbent1)
     i = int(np.argmax(best))
     assert (i, where[i]) == np.unravel_index(np.argmax(full), full.shape)
     assert best[i] == full.max()
@@ -482,30 +531,48 @@ BOUND_MODELS = (["model_a", "model_b"] + [(s, 2, 1) for s in range(1, 11)]
 @pytest.mark.parametrize("name", BOUND_MODELS, ids=str)
 def test_box_bound_is_sound(name, request):
     # on [a_lo, a_hi] x [r_lo, r_hi], beta* <= lambda_min((1 - r_hi^-2)
-    # Sigma*(a_hi, r_lo)^{-1} + (1 - a_lo^2) C^T R^{-1} C), also on the
-    # alpha = 1 segments, where a_lo = a_hi = 1
+    # Sigma*(a_hi, r_lo)^{-1} + (1 - a_lo^2) C^T R^{-1} C), on every box of
+    # every level, also on the alpha = 1 segments, where a_lo = a_hi = 1;
+    # and at each pair off the finest level's points, with the box's
+    # Sigma*(a_hi, r_lo) at the pair's own (alpha, rho)
     import resilientkf.stability as stab
 
     model = (request.getfixturevalue(name) if isinstance(name, str)
              else seeded_model(*name))
     full, Sig = _full_grid(model)
+    na, nr = full.shape
     CRC = sym(model.C.T @ chol_solve(model.R, model.C))
-    ia = stab._corners(len(stab.ALPHAS))
-    jr = stab._corners(len(stab.RHOS))
-    boxes = [(a0, a1, r0, r1) for a0, a1 in zip(ia[:-1], ia[1:])
-             for r0, r1 in zip(jr[:-1], jr[1:])]
-    boxes += [(ia[-1], ia[-1], r0, r1) for r0, r1 in zip(jr[:-1], jr[1:])]
-    checked = 0
-    for a0, a1, r0, r1 in boxes:
-        S = Sig[a1, r0]
-        if not np.isfinite(S).all() or np.linalg.eigvalsh(S)[0] <= 0:
-            continue
-        M = ((1.0 - stab.RHOS[r1] ** -2.0) * np.linalg.inv(S)
-             + (1.0 - stab.ALPHAS[a0] ** 2) * CRC)
-        bound = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
-        assert full[a0:a1 + 1, r0:r1 + 1].max() <= bound
-        checked += 1
-    assert checked > len(boxes) // 2
+
+    def bounds(S, alphas, rhos):
+        ok = np.isfinite(S).all(axis=(-2, -1))
+        ok[ok] = np.linalg.eigvalsh(S[ok])[:, 0] > 0
+        M = ((1.0 - rhos[ok] ** -2.0)[:, None, None] * np.linalg.inv(S[ok])
+             + (1.0 - alphas[ok] ** 2)[:, None, None] * CRC)
+        return ok, np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+
+    for step in stab.LEVELS:
+        ia = stab._level_points(na, step)
+        jr = stab._level_points(nr, step)
+        lo = np.append(ia[:-1], ia[-1])
+        hi = np.append(ia[1:], ia[-1])
+        p, q = np.meshgrid(np.arange(len(ia)), np.arange(len(jr) - 1),
+                           indexing="ij")
+        p, q = p.ravel(), q.ravel()
+        ok, bound = bounds(Sig[hi[p], jr[q]], stab.ALPHAS[lo[p]],
+                           stab.RHOS[jr[q + 1]])
+        assert ok.sum() > len(ok) // 2
+        for a0, a1, r0, r1, b in zip(lo[p[ok]], hi[p[ok]], jr[q[ok]],
+                                     jr[q[ok] + 1], bound):
+            assert full[a0:a1 + 1, r0:r1 + 1].max() <= b
+    fa = stab._level_points(na, stab.LEVELS[-1])
+    fr = stab._level_points(nr, stab.LEVELS[-1])
+    i, j = np.nonzero(~np.isin(np.arange(na), fa)[:, None]
+                      | ~np.isin(np.arange(nr), fr)[None, :])
+    a_hi = fa[np.searchsorted(fa, i)]
+    r_lo = fr[np.searchsorted(fr, j, side="right") - 1]
+    ok, bound = bounds(Sig[a_hi, r_lo], stab.ALPHAS[i], stab.RHOS[j])
+    assert ok.sum() > len(ok) // 2
+    assert np.all(full[i[ok], j[ok]] <= bound)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -514,11 +581,11 @@ def test_sweep_chunk_invariance(name, rows, request, monkeypatch):
     import resilientkf.stability as stab
 
     model = request.getfixturevalue(name)
-    best, where, overflowed, solves = stab._sweep(model)
+    best, where, overflowed, levels = stab._sweep(model)
     monkeypatch.setattr(stab, "SWEEP_ROWS", rows)
     other = stab._sweep(model)
     assert np.array_equal(best, other[0]) and np.array_equal(where, other[1])
-    assert (overflowed, solves) == other[2:]
+    assert (overflowed, levels) == other[2:]
 
 
 # bounds --mode thetamax winners (alpha, rho, beta, alpha = 1 row's rho); the
@@ -536,6 +603,7 @@ def test_thetamax_winners(name, request, tmp_path):
 
     from resilientkf.cli import main
     from resilientkf.model import save_model
+    from resilientkf.stability import RHO_REFINE_POINTS
 
     path, out = str(tmp_path / "model.json"), str(tmp_path / "theta.json")
     save_model(request.getfixturevalue(name), path)
@@ -548,3 +616,10 @@ def test_thetamax_winners(name, request, tmp_path):
     assert rep["beta"] == pytest.approx(beta, rel=1e-12)
     if rho1 is not None:
         assert rep["search"]["alpha1"]["rho"] == pytest.approx(rho1, rel=1e-12)
+    # a ceiling on the pairs solved guards the sweep's pruning without a
+    # timing gate (1 397 on model A and 1 432 on model B, refinements
+    # included); the sweep's stages and the refinements add up to the count
+    search = rep["search"]
+    refined = RHO_REFINE_POINTS * (1 + (search["alpha1"]["rho"] is not None))
+    assert (sum(n for _, n in search["sweep_levels"]) + refined
+            == search["riccati_solves"] <= 1700)
