@@ -49,7 +49,6 @@ from .stability import (
     GramianParts,
     BoundReport,
     build_gramian_parts,
-    rk_matrix,
     phi_max,
     pbar_filtered,
     c_max,

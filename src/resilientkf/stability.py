@@ -4,9 +4,9 @@ Two certified bounds:
 
 - ``c_max``: the largest per-step distortion budget for which the
   update-resilient filter's gain provably converges.  Built from phi_k (the
-  largest distortion strength keeping the Gramian-related matrix R_k
-  positive definite) composed with the undistorted Riccati floor P_bar
-  through the budget function gamma.
+  supremum of the phi at which S_k = Minner - phi^{-1} I is negative
+  definite and R_k = T1 + Jk^T S_k^{-1} Jk positive definite) composed with
+  the undistorted Riccati floor P_bar through the budget function gamma.
 - ``theta_max``: the largest fixed distortion strength for which the
   risk-sensitive variant's covariance recursion stays bounded, obtained as
   min(beta, phi_k) where beta comes from a Lyapunov-certified contraction
@@ -56,9 +56,6 @@ class GramianParts:
     T1: np.ndarray       # obs^T (Rk_noise + Hk Hk^T)^{-1} obs
     Minner: np.ndarray   # Lk (I + Hk^T Rk_noise^{-1} Hk)^{-1} Lk^T
     Jk: np.ndarray       # obs_r - Lk Hk^T (Rk_noise + Hk Hk^T)^{-1} obs
-    mu: np.ndarray       # eigenvalues of Minner = U diag(mu) U^T, ascending
-    K: np.ndarray        # U^T Jk
-    phi_sup: float       # sigma_max(Minner) = mu[-1], open upper endpoint for phi
 
 
 def _fill_toeplitz(M, blocks):
@@ -105,117 +102,23 @@ def build_gramian_parts(model, k):
         inner = sym(np.eye(k * n) + Hk.T @ chol_solve(Rk_noise, Hk))
         Minner = sym(Lk @ chol_solve(inner, Lk.T))
         Jk = obs_r - Lk @ Hk.T @ chol_solve(W, obs)
-        mu, U = np.linalg.eigh(Minner)
     except FloatingPointError as e:
         raise StabilityError(f"window-{k} stacks are not finite: {e}") from e
-    return GramianParts(T1=T1, Minner=Minner, Jk=Jk, mu=mu, K=U.T @ Jk,
-                        phi_sup=float(mu[-1]))
-
-
-def _rk_stack(parts, phis):
-    """R_k at each phi of the 1-D array ``phis``, and a mask of the phis at
-    which S_k is singular (their R_k drop the singular directions).
-
-    With Minner = U diag(mu) U^T and K = U^T Jk, Jk^T S_k^{-1} Jk =
-    K^T diag(1 / (mu - 1/phi)) K, so one eigendecomposition serves every
-    phi and the whole stack is one product.
-    """
-    den = parts.mu - 1.0 / phis[:, None]
-    singular = (den == 0.0).any(axis=1)
-    d = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
-    R = parts.T1 + (parts.K.T * d[:, None, :]) @ parts.K
-    return 0.5 * (R + R.transpose(0, 2, 1)), singular
-
-
-def rk_matrix(parts, phi):
-    """The n x n symmetric matrix R_k(phi) whose positive definiteness
-    certifies contraction of the distorted Riccati map at strength phi.
-
-    R_k = obs^T (Rk_noise + Hk Hk^T)^{-1} obs + Jk^T S_k^{-1} Jk with
-    S_k = Minner - phi^{-1} I; valid for phi in (0, sigma_max(Minner)).
-    """
-    phi = float(phi)
-    if phi <= 0.0 or (parts.phi_sup > 0.0 and phi >= parts.phi_sup):
-        raise StabilityError(
-            f"phi={phi:.6g} outside the admissible interval (0, {parts.phi_sup:.6g})"
-        )
-    R, singular = _rk_stack(parts, np.array([phi]))
-    if singular[0]:
-        raise StabilityError(f"S_k singular at phi={phi:.6g} (breakpoint)")
-    return R[0]
-
-
-def _first_failure(parts, phis):
-    """Index of the first phi of the increasing array ``phis`` at which R_k
-    is not positive definite, len(phis) if there is none; StabilityError
-    when S_k is singular there instead."""
-    R, singular = _rk_stack(parts, phis)
-    fail = singular | (np.linalg.eigvalsh(R)[:, 0] <= 0.0)
-    i = int(np.argmax(fail)) if fail.any() else len(phis)
-    if i < len(phis) and singular[i]:
-        raise StabilityError(f"S_k singular at phi={phis[i]:.6g} (breakpoint)")
-    return i
-
-
-# phi_max scans PHI_SCAN geometric points, then bisects the bracket of the
-# R_k boundary to a width of PHI_RTOL relative to phi.
-PHI_SCAN = 200
-PHI_RTOL = 1e-12
+    return GramianParts(T1=T1, Minner=Minner, Jk=Jk)
 
 
 def phi_max(parts):
-    """Largest phi for which R_k(phi) of the window stacks ``parts`` is
-    positive definite.
+    """phi_k, the supremum of the phi at which R_k(phi) = T1 + Jk^T S_k^{-1}
+    Jk, S_k = Minner - phi^{-1} I, of the window stacks ``parts`` certifies
+    contraction: S_k negative definite and R_k positive definite.
 
-    R_k(phi) decreases in phi, and its minimum eigenvalue is positive for
-    small phi (under observability) and crosses zero before the upper
-    endpoint.  The sign change is located by one stacked evaluation of R_k
-    at PHI_SCAN geometric points, then bisected until the bracket is at
-    most PHI_RTOL phi wide or no float lies inside it; the returned phi_k
-    is its positive-definite end.  The scan starts at 1e-6
-    sigma_max(Minner), or, if R_k already fails there, at the provably
-    positive-definite phi_lo = lambda_min(T1) / (||Jk||^2 + lambda_min(T1)
-    sigma_max(Minner)), from lambda_min(R_k(phi)) >= lambda_min(T1) -
-    phi ||Jk||^2 / (1 - phi sigma_max(Minner)).
-
-    The computed lambda_min(R_k) can change sign more than once near the
-    boundary, so phi_k's digits past about 1e-10 relative depend on the
-    scan bracket and are not signal, across windows k or otherwise.
+    These are the two Schur complements of [[T1, Jk^T], [Jk, -S_k]], so
+    they hold together exactly when T1 is positive definite and phi^{-1}
+    exceeds lambda_max(Minner + Jk T1^{-1} Jk^T): phi_k is one over that
+    eigenvalue.  NumericsError when T1 is not positive definite.
     """
-    if parts.phi_sup <= 0.0:
-        # degenerate window (Lk = 0): R_k = T1 - phi Jk^T Jk is linear in
-        # phi, so the positive-definiteness boundary has a closed form
-        X = chol_solve(parts.T1, parts.Jk.T @ parts.Jk)
-        lam = max(np.linalg.eigvals(X).real)
-        if lam <= 0:
-            raise StabilityError("R_k stays positive definite for every phi")
-        return float(1.0 / lam)
-    ub = parts.phi_sup * (1.0 - 1e-9)
-    phis = np.geomspace(1e-6 * parts.phi_sup, ub, PHI_SCAN)
-    i = _first_failure(parts, phis)
-    if i == 0:
-        t1, _ = spectral_extrema(parts.T1)
-        if t1 > 0:
-            lo = t1 / (np.linalg.norm(parts.Jk, 2) ** 2 + t1 * parts.phi_sup)
-            phis = np.geomspace(lo, ub, PHI_SCAN)
-            i = _first_failure(parts, phis)
-        if i == 0:
-            raise StabilityError(
-                "R_k is not positive definite even at tiny phi; "
-                "check observability of (A, C)"
-            )
-    if i == len(phis):
-        return float(ub)
-    lo, hi = float(phis[i - 1]), float(phis[i])
-    while hi - lo > PHI_RTOL * lo:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _first_failure(parts, np.array([mid])):  # R_k(mid) is PD
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    X = parts.Minner + parts.Jk @ chol_solve(parts.T1, parts.Jk.T)
+    return float(1.0 / np.linalg.eigvalsh(sym(X))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +168,15 @@ class BoundReport:
 
 def c_max(model, k=10, q=20):
     """Budget bound c_max = gamma(P_bar_{q|q}, phi_k) certifying gain
-    convergence of the update-resilient filter for any c in (0, c_max]."""
+    convergence of the update-resilient filter for any c in (0, c_max]:
+    below phi_k (``phi_max``) S_k is negative definite and R_k positive
+    definite, and theta_t <= phi_k for t >= q."""
     parts = build_gramian_parts(model, k)
     phik = phi_max(parts)
     Pq = pbar_filtered(model, q)
     val = gamma(Pq, phik)
     return BoundReport(phi_k=phik, c_max=float(val), pbar_qq=Pq,
-                       search={"k": k, "q": q, "phi_rtol": PHI_RTOL})
+                       search={"k": k, "q": q})
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +409,8 @@ def _certificate(model, alpha, j, phik):
 
 
 def theta_max(model, k=10):
-    """Risk-sensitivity bound theta_max = min(beta*, phi_k).
+    """Risk-sensitivity bound theta_max = min(beta*, phi_k), where below
+    phi_k (``phi_max``) S_k is negative definite and R_k positive definite.
 
     beta* is the largest beta of ``sigma_beta`` over (alpha, G, rho).  For
     fixed (alpha, rho) the maximum over G has a closed form: completing the
@@ -554,7 +460,6 @@ def theta_max(model, k=10):
                       verification=verification1)
     search = {
         "k": k,
-        "phi_rtol": PHI_RTOL,
         "alpha_grid": [float(ALPHAS[0]), float(ALPHAS[-1]), len(ALPHAS)],
         "rho_grid": [float(RHOS[0]), RHO_HI, len(RHOS)],
         "rho_refine_points": RHO_REFINE_POINTS,

@@ -3,10 +3,9 @@ import pytest
 
 from conftest import seeded_model
 from resilientkf import LinearGaussianModel
-from resilientkf.filters import FilterConfig, covariance_schedule
+from resilientkf.filters import FilterConfig, FilterError, covariance_schedule
 from resilientkf.numerics import chol_solve, gamma, solve_filter_dare, sym
 from resilientkf.stability import (
-    PHI_RTOL,
     SIGMA_COND_MAX,
     StabilityError,
     build_gramian_parts,
@@ -14,7 +13,6 @@ from resilientkf.stability import (
     pbar_filtered,
     phi_max,
     prop6_guard,
-    rk_matrix,
     sigma_beta,
     theta_max,
 )
@@ -41,7 +39,9 @@ def test_gramian_identity_model():
     assert np.allclose(parts.Minner, np.block([[I / 2, Z], [Z, Z]]),
                        rtol=0, atol=1e-14)
     assert np.allclose(parts.Jk, np.vstack([I / 2, I]), rtol=0, atol=1e-14)
-    assert parts.phi_sup == pytest.approx(0.5, rel=0, abs=1e-14)
+    # Minner + Jk T1^{-1} Jk^T = [[2/3 I, I/3], [I/3, 2/3 I]] has eigenvalues
+    # 1 and 1/3 (eigvalsh puts the larger one at 1 + 2.2e-16)
+    assert phi_max(parts) == pytest.approx(1.0, rel=0, abs=1e-14)
 
 
 def test_gramian_rejects_small_window(model_a):
@@ -49,26 +49,38 @@ def test_gramian_rejects_small_window(model_a):
         build_gramian_parts(model_a, 1)
 
 
-def test_rk_symmetry_and_small_phi_limit(model_a):
-    parts = build_gramian_parts(model_a, 10)
-    Rk = rk_matrix(parts, 1e-8)
-    assert np.abs(Rk - Rk.T).max() < 1e-12
-    # phi -> 0+: the S-term vanishes, leaving the PD observability part
-    assert np.linalg.eigvalsh(Rk).min() > 0
-    limit = parts.T1
-    assert np.abs(Rk - limit).max() < 1e-4
-    with pytest.raises(StabilityError):
-        rk_matrix(parts, parts.phi_sup * 2)
+def _window_precision(model, k):
+    """Lambda_k, the precision of the window states x_0..x_{k-1} given
+    y_0..y_{k-1} under a flat prior on x_0, assembled block by block: the
+    diagonal blocks are C^T R^{-1} C, plus Q^{-1} for t > 0, plus
+    A^T Q^{-1} A for t < k - 1; the off-diagonal blocks are -A^T Q^{-1}
+    and its transpose."""
+    n, A = model.n, model.A
+    Qi = np.linalg.inv(model.Q)
+    CRC = model.C.T @ np.linalg.inv(model.R) @ model.C
+    Lam = np.zeros((k * n, k * n))
+    for t in range(k):
+        b = slice(t * n, (t + 1) * n)
+        Lam[b, b] = (CRC + (Qi if t > 0 else 0.0)
+                     + (A.T @ Qi @ A if t < k - 1 else 0.0))
+        if t < k - 1:
+            c = slice((t + 1) * n, (t + 2) * n)
+            Lam[b, c] = -A.T @ Qi
+            Lam[c, b] = -Qi @ A
+    return Lam
+
+
+def _assert_phi_is_window_precision(model, phik, k=10):
+    # phi_k = lambda_min(Lambda_k): Minner + Jk T1^{-1} Jk^T is the window's
+    # conditional covariance, and Lambda_k its inverse
+    w = np.linalg.eigvalsh(_window_precision(model, k))
+    assert abs(phik - w[0]) <= 1e-14 * w[-1]
 
 
 def test_phi_max_bracketing(model_a):
-    parts = build_gramian_parts(model_a, 10)
-    tol = PHI_RTOL
-    phik = phi_max(parts)
+    phik = phi_max(build_gramian_parts(model_a, 10))
     assert 0.090 <= phik <= 0.100
-    lo = np.linalg.eigvalsh(rk_matrix(parts, phik)).min()
-    hi = np.linalg.eigvalsh(rk_matrix(parts, phik * (1 + tol))).min()
-    assert lo > 0 > hi
+    _assert_phi_is_window_precision(model_a, phik)
 
 
 def test_phi_max_second_model(model_b):
@@ -76,21 +88,56 @@ def test_phi_max_second_model(model_b):
     assert abs(phik - 0.0052) <= 2e-4
 
 
+def test_phi_max_long_window(model_b):
+    # phi_k sits just below the pole 1/sigma_max(Minner) of S_k, past which
+    # R_k is positive definite again (at 0.0082, say) but certifies nothing
+    phik = phi_max(build_gramian_parts(model_b, 40))
+    assert phik == pytest.approx(0.00564583383734, rel=1e-9)
+    _assert_phi_is_window_precision(model_b, phik, k=40)
+
+
 @pytest.mark.parametrize("name", ["model_a", "model_b", (17, 2, 1),
                                   (30, 2, 1), (10, 3, 2), (8, 5, 1)])
 def test_phi_max_is_certified(name, request):
-    # phi_k is on the positive-definite side of the R_k boundary, within
-    # tol phi_k of it; on (8, 5, 1) R_k already fails at 1e-6
-    # sigma_max(Minner), so the scan starts at the provable lower bound
+    # on (8, 5, 1) phi_k = 5.6e-6, far below the pole of S_k
     model = (request.getfixturevalue(name) if isinstance(name, str)
              else seeded_model(*name))
-    tol = PHI_RTOL
-    parts = build_gramian_parts(model, 10)
-    phik = phi_max(parts)
-    assert np.linalg.eigvalsh(rk_matrix(parts, phik)).min() > 0
-    assert np.linalg.eigvalsh(rk_matrix(parts, phik * (1 + tol))).min() <= 0
+    phik = phi_max(build_gramian_parts(model, 10))
+    _assert_phi_is_window_precision(model, phik)
     if name == (8, 5, 1):
         assert c_max(model).c_max > 0
+
+
+# The seeded models with s < 15, n <= 6 and m <= 3 on which R_k fails only
+# in a narrow window below the pole 1/sigma_max(Minner) of S_k at k = 10,
+# so that a phi_k past the pole is easy to report and certifies nothing
+PAST_POLE_MODELS = [
+    (0, 6, 3), (1, 1, 2), (2, 2, 1), (3, 2, 1), (3, 3, 3), (4, 2, 1),
+    (4, 2, 2), (4, 2, 3), (4, 3, 2), (4, 4, 2), (5, 2, 1), (5, 3, 1),
+    (5, 4, 3), (6, 2, 3), (7, 3, 3), (7, 4, 2), (7, 4, 3), (9, 2, 3),
+    (9, 3, 2), (10, 3, 3), (11, 3, 3), (11, 6, 2), (11, 6, 3), (12, 4, 2),
+    (12, 4, 3), (13, 3, 2), (13, 4, 2), (13, 4, 3), (14, 4, 2), (14, 4, 3)]
+
+
+@pytest.mark.parametrize("seed, n, m", PAST_POLE_MODELS)
+def test_bounds_certify_their_recursions(seed, n, m):
+    # each bound is checked against the recursion it certifies: ursf just
+    # below phi_k stays feasible, urkf at c_max keeps theta_t <= phi_k from
+    # t = q on, and theta_max does not exceed phi_k
+    model, q = seeded_model(seed, n, m), 20
+    rep = c_max(model, k=10, q=q)
+    _assert_phi_is_window_precision(model, rep.phi_k)
+    P0 = 0.01 * np.eye(n)
+    try:
+        covariance_schedule(model, FilterConfig(
+            kind="ursf", theta=(1.0 - 1e-6) * rep.phi_k), P0, 1500)
+    except FilterError as e:
+        pytest.fail(f"ursf at (1 - 1e-6) phi_k failed: {e}")
+    for P in (P0, np.eye(n)):
+        thetas = covariance_schedule(
+            model, FilterConfig(kind="urkf", c=rep.c_max), P, 300).thetas
+        assert thetas[q:].max() <= rep.phi_k
+    assert theta_max(model, k=10).theta_max <= rep.phi_k
 
 
 def test_pbar_filtered_first_step(model_a):
@@ -261,16 +308,14 @@ def test_theta_max_raises_on_empty_sweep(model_b, monkeypatch):
 def test_theta_max_with_overflowing_pairs(seed, bound):
     # the Newton step's Lyapunov doubling overflows for some (alpha, rho)
     # pairs of these 5-state models; they count as beta* = -inf and the rest
-    # of the sweep still yields a verified certificate.  ``bound`` is the
-    # R_k boundary (bisected to one ulp: 5.557103106e-6 and 2.876974665e-6)
+    # of the sweep still yields a verified certificate.  ``bound`` is
+    # lambda_min(Lambda_k) to 1e-4 (5.557103105e-6 and 2.876974665e-6)
     model = seeded_model(seed, 5, 1)
-    parts = build_gramian_parts(model, 10)
-    assert np.linalg.eigvalsh(rk_matrix(parts, bound * (1 - 1e-4)))[0] > 0
-    assert np.linalg.eigvalsh(rk_matrix(parts, bound * (1 + 1e-4)))[0] <= 0
     rep = theta_max(model, k=10)
     assert rep.search["overflowed_pairs"] > 0
     assert rep.search["verification"]["ok"]
     assert rep.theta_max == rep.phi_k == pytest.approx(bound, rel=1e-4)
+    _assert_phi_is_window_precision(model, rep.phi_k)
 
 
 def test_beta_gap_bound(model_b):
