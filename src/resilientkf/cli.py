@@ -78,13 +78,31 @@ def _atomic_write(path, text):
         raise
 
 
+# _write_csv formats the floats of this many rows at a time; the distinct
+# floats of a whole file take longer to find and double lf's peak memory
+_CSV_ROWS = 512
+
+
 def _write_csv(path, header, lead, block):
     """Write ``header``, then per row of the 2-D float array ``block`` its
-    index columns ``lead[i]`` (already joined) and its floats as ``repr``
-    writes them, the text ``csv.writer`` gives a float."""
+    index columns from the iterable ``lead`` (already joined) and its floats
+    as ``repr`` writes them, the text ``csv.writer`` gives a float.
+
+    The recursions settle into cycles, so many floats repeat: each distinct
+    float of a block of ``_CSV_ROWS`` rows is formatted once.  Distinct by
+    its bits, not its value, which would merge 0.0 and -0.0.
+    """
+    block = np.ascontiguousarray(block, dtype=float)
+    lead = iter(lead)
     lines = [",".join(header)]
-    lines += [f"{i},{','.join(map(repr, row.tolist()))}"
-              for i, row in zip(lead, np.asarray(block, dtype=float))]
+    for i in range(0, len(block), _CSV_ROWS):
+        b = block[i:i + _CSV_ROWS]
+        bits, inv = np.unique(b.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(float).tolist())),
+                        dtype=object)
+        # rows first: zip stops on them without taking one more index
+        lines += [f"{j},{','.join(row)}" for row, j
+                  in zip(text[inv.reshape(b.shape)].tolist(), lead)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

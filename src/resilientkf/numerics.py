@@ -189,10 +189,15 @@ def solve_budget(P, c):
     happens within BUDGET_MAX_ITER iterations.
     """
     P = check_sympd(P)
+    return _solve_budget(np.linalg.eigvalsh(P).tolist(), c)
+
+
+def _solve_budget(lams, c):
+    """``solve_budget`` from the ascending eigenvalues ``lams`` (floats) of
+    a positive-definite P, which the caller has validated."""
     c = float(c)
     if not 0 < c < math.inf:
         raise NumericsError("budget c must be positive and finite")
-    lams = np.linalg.eigvalsh(P).tolist()
     smax = lams[-1]
     lo, hi = 0.0, (1.0 - 1e-9) / smax
     g_lo, g_hi = 0.0, _gamma_terms(lams, hi)[0]

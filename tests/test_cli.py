@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from resilientkf import cli
-from resilientkf.cli import _write_csv, main
+from resilientkf.cli import _CSV_ROWS, _write_csv, main
 from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.least_favorable import assemble_lf, backward_pass
 from resilientkf.model import LinearGaussianModel, save_model, validate
@@ -67,19 +67,26 @@ def test_bounds_thetamax(name, model_file, tmp_path):
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
-    # repr is the text csv.writer gives a float, for every kind of value
-    block = np.array([[0.1, -0.0, 1e-320, 2.5e300],
-                      [np.inf, -np.inf, np.nan, 1 / 3]])
-    lead = ["c,0.05,0", "c,0.05,1"]
-    out = tmp_path / "x.csv"
-    _write_csv(str(out), ["budget_kind", "budget", "t", "a", "b", "c", "d"],
-               lead, block)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["budget_kind", "budget", "t", "a", "b", "c", "d"])
-    writer.writerows([["c", 0.05, t] + row
-                      for t, row in enumerate(block.tolist())])
-    assert out.read_text() == buf.getvalue()
+    # repr is the text csv.writer gives a float, for every kind of value;
+    # values from a small pool repeat within and across the writer's
+    # blocks, and -0.0 shares its rows with 0.0; the index columns come
+    # from a generator or a list
+    pool = [0.1, -0.0, 0.0, 1e-320, 2.5e300, np.inf, -np.inf, np.nan, 1 / 3]
+    header = ["budget_kind", "budget", "t", "a", "b", "c", "d"]
+    rng = np.random.default_rng(5)
+    for rows, lead_kind in ((2 * _CSV_ROWS + 3, iter),
+                            (2 * _CSV_ROWS + 3, list), (0, iter)):
+        block = rng.choice(pool, size=(rows, 4))
+        block[:2] = np.reshape(pool[:8], (2, 4))[:rows]
+        out = tmp_path / "x.csv"
+        _write_csv(str(out), header,
+                   lead_kind(f"c,0.05,{t}" for t in range(rows)), block)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([["c", 0.05, t] + row
+                          for t, row in enumerate(block.tolist())])
+        assert out.read_text() == buf.getvalue()
 
 
 def test_bounds_missing_model(tmp_path):

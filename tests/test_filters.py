@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import nominal_observations, random_observable_model, run_filter
+from conftest import (nominal_observations, random_observable_model,
+                      run_filter, seeded_model)
 from resilientkf.filters import (
     ConfigError,
     FilterConfig,
     FilterError,
     _inflate,
+    covariance_schedule,
+    mean_pass,
 )
 from resilientkf.model import GaussianBelief
 from resilientkf.numerics import NumericsError, gamma, solve_budget
@@ -194,3 +197,34 @@ def test_inflate_rejects_infeasible_and_indefinite():
         _inflate(P, 0.75)
     with pytest.raises(NumericsError):
         _inflate(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.1)
+
+
+def test_schedule_budget_matches_solve_budget(model_a, model_b):
+    # the schedule solves the budget from its own eigenvalues of the
+    # covariance; the public solve must give the same theta bit for bit
+    for model in (model_a, model_b, seeded_model(1, 9, 3)):
+        P0 = np.eye(model.n)
+        for kind, field in (("urkf", "cov_filt"), ("prkf", "cov_pred")):
+            sched = covariance_schedule(
+                model, FilterConfig(kind=kind, c=0.1), P0, 60)
+            covs = getattr(sched, field)
+            for t, theta in enumerate(sched.thetas):
+                assert theta == solve_budget(covs[t], 0.1).theta
+
+
+def test_mean_pass_stacked_matches_matmul(model_a, model_b):
+    # stacked (filters, n, runs) means with single-output gains take the
+    # broadcast product L * v: the same floats as the matmul L @ v
+    rng = np.random.default_rng(3)
+    for model in (model_a, model_b):
+        P0 = np.eye(model.n)
+        gains = np.stack([covariance_schedule(model, fc, P0, 30).gains
+                          for fc in (FilterConfig(kind="kf"),
+                                     FilterConfig(kind="urkf", c=0.1))],
+                         axis=1)
+        x = rng.standard_normal((2, model.n, 4))
+        ys = rng.standard_normal((31, 1, 4))
+        for (x_f, x_p), L, y in zip(mean_pass(model, gains, x, ys), gains, ys):
+            ref = x + L @ (y - model.C @ x)
+            x = model.A @ ref
+            assert np.array_equal(x_f, ref) and np.array_equal(x_p, x)
