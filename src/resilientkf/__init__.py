@@ -46,9 +46,7 @@ from .bench import (
     run_monte_carlo,
 )
 from .stability import (
-    GramianParts,
     BoundReport,
-    build_gramian_parts,
     phi_max,
     pbar_filtered,
     c_max,

@@ -163,8 +163,10 @@ def cmd_bounds(args):
             f"--k {args.k} must be at least the state dimension {model.n}")
     if args.q < 0:
         raise ModelError(f"--q {args.q} must be nonnegative")
-    # the window's largest stack is (k n) x (k n)
-    _check_addressable(args.k * model.n, args.k * model.n)
+    # every window array, the (k m) x (k m) W and the (k n) x (k n) Lk
+    # among them, is at most k (n + m) on each side
+    side = args.k * (model.n + model.m)
+    _check_addressable(side, side)
     if args.mode == "cmax":
         report = c_max(model, k=args.k, q=args.q)
     else:

@@ -45,38 +45,31 @@ class StabilityError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Gramian machinery and phi_k
-
-
-@dataclass
-class GramianParts:
-    """The compositions of R_k over a window of length k (the stacks are
-    those of ``build_gramian_parts``)."""
-
-    T1: np.ndarray       # obs^T (Rk_noise + Hk Hk^T)^{-1} obs
-    Minner: np.ndarray   # Lk (I + Hk^T Rk_noise^{-1} Hk)^{-1} Lk^T
-    Jk: np.ndarray       # obs_r - Lk Hk^T (Rk_noise + Hk Hk^T)^{-1} obs
-
-
-def _fill_toeplitz(M, blocks):
-    """Fill the zeroed M as the strictly upper block-triangular Toeplitz
-    matrix with first block row (0, blocks[0], ..., blocks[k-2])."""
-    for d, block in enumerate(blocks, 1):
-        br, bc = block.shape
-        for i in range(len(blocks) + 1 - d):
-            M[i * br:(i + 1) * br, (i + d) * bc:(i + d + 1) * bc] = block
+# phi_k
 
 
 @np.errstate(over="raise", invalid="raise")
-def build_gramian_parts(model, k):
-    """The compositions of R_k from the window-k stacks.
+def phi_max(model, k):
+    """phi_k, the supremum of the phi at which S_k = Minner - phi^{-1} I is
+    negative definite and R_k = T1 + Jk^T S_k^{-1} Jk positive definite,
+    over the window of length k.
 
-    obs is the observability stack [ (CA^{k-1}); ...; CA; C ], obs_r the
-    reachability-style stack [ A^{k-1}; ...; A; I ], Rk_noise = I_k kron R,
-    and Hk / Lk the strictly upper block-triangular Toeplitz matrices with
-    first block rows (0, H_1, ..., H_{k-1}) and (0, L_1, ..., L_{k-1}),
-    H_j = C A^{j-1} Q^{1/2}, L_j = A^{j-1} Q^{1/2}.  Stacks that overflow
-    or turn NaN raise StabilityError.
+    The window stacks are obs = [C A^{k-1}; ...; CA; C], obs_r =
+    [A^{k-1}; ...; A; I], Rk = I_k kron R, and Hk / Lk, the strictly upper
+    block-triangular Toeplitz matrices with first block rows (0, H_1, ...,
+    H_{k-1}) and (0, L_1, ..., L_{k-1}), H_j = C A^{j-1} Q^{1/2} and
+    L_j = A^{j-1} Q^{1/2}.  With W = Rk + Hk Hk^T and K = Lk Hk^T W^{-1},
+    one solve of W against [obs, Hk Lk^T] gives T1 = obs^T W^{-1} obs,
+    Jk = obs_r - K obs and, in Joseph form, Minner = (Lk - K Hk)
+    (Lk - K Hk)^T + K Rk K^T, which by Woodbury is Lk (I + Hk^T Rk^{-1}
+    Hk)^{-1} Lk^T and is positive semidefinite by construction.
+
+    S_k and R_k are the two Schur complements of [[T1, Jk^T], [Jk, -S_k]],
+    so they hold together exactly when T1 is positive definite and phi^{-1}
+    exceeds lambda_max(Minner + Jk T1^{-1} Jk^T), the covariance of the
+    window states given the window outputs under a flat prior on x_0:
+    phi_k is one over that eigenvalue.  Stacks that overflow or turn NaN
+    raise StabilityError; NumericsError when T1 is not positive definite.
     """
     validate(model)
     n, m = model.n, model.m
@@ -84,40 +77,32 @@ def build_gramian_parts(model, k):
         raise StabilityError(f"window k={k} must be at least the state dimension {n}")
     if not is_observable(model.A, model.C):
         raise StabilityError("(A, C) must be observable")
-    # the two largest stacks first, so a window too large to hold fails
+    # the two Toeplitz stacks first, so a window too large to hold fails
     # before the k matrix powers are built
-    Hk = np.zeros((k * m, k * n))
-    Lk = np.zeros((k * n, k * n))
+    Hk = np.zeros((k, m, k, n))
+    Lk = np.zeros((k, n, k, n))
     try:
-        A, C = model.A, model.C
+        A, C, R = model.A, model.C, model.R
         Qh = spd_sqrt(model.Q)
-        powers = [np.linalg.matrix_power(A, j) for j in range(k)]
-        obs = np.vstack([C @ powers[j] for j in range(k - 1, -1, -1)])
-        obs_r = np.vstack([powers[j] for j in range(k - 1, -1, -1)])
-        _fill_toeplitz(Hk, [C @ powers[j - 1] @ Qh for j in range(1, k)])
-        _fill_toeplitz(Lk, [powers[j - 1] @ Qh for j in range(1, k)])
-        Rk_noise = np.kron(np.eye(k), model.R)
-        W = sym(Rk_noise + Hk @ Hk.T)
-        T1 = sym(obs.T @ chol_solve(W, obs))
-        inner = sym(np.eye(k * n) + Hk.T @ chol_solve(Rk_noise, Hk))
-        Minner = sym(Lk @ chol_solve(inner, Lk.T))
-        Jk = obs_r - Lk @ Hk.T @ chol_solve(W, obs)
+        powers = np.stack([np.linalg.matrix_power(A, j) for j in range(k)])
+        obs = (C @ powers[::-1]).reshape(k * m, n)
+        obs_r = powers[::-1].reshape(k * n, n)
+        i, j = np.triu_indices(k, 1)
+        Hk[i, :, j, :] = (C @ powers[:-1] @ Qh)[j - i - 1]
+        Lk[i, :, j, :] = (powers[:-1] @ Qh)[j - i - 1]
+        Hk, Lk = Hk.reshape(k * m, k * n), Lk.reshape(k * n, k * n)
+        W = Hk @ Hk.T
+        d = np.arange(k)
+        W.reshape(k, m, k, m)[d, :, d, :] += R  # W = Rk + Hk Hk^T
+        Z = chol_solve(W, np.hstack([obs, Hk @ Lk.T]))
+        T1 = sym(obs.T @ Z[:, :n])
+        K = Z[:, n:].T
+        Jk = obs_r - K @ obs
+        E = Lk - K @ Hk
+        KR = (K.reshape(k * n, k, m) @ R).reshape(k * n, k * m)
+        X = E @ E.T + KR @ K.T + Jk @ chol_solve(T1, Jk.T)
     except FloatingPointError as e:
         raise StabilityError(f"window-{k} stacks are not finite: {e}") from e
-    return GramianParts(T1=T1, Minner=Minner, Jk=Jk)
-
-
-def phi_max(parts):
-    """phi_k, the supremum of the phi at which R_k(phi) = T1 + Jk^T S_k^{-1}
-    Jk, S_k = Minner - phi^{-1} I, of the window stacks ``parts`` certifies
-    contraction: S_k negative definite and R_k positive definite.
-
-    These are the two Schur complements of [[T1, Jk^T], [Jk, -S_k]], so
-    they hold together exactly when T1 is positive definite and phi^{-1}
-    exceeds lambda_max(Minner + Jk T1^{-1} Jk^T): phi_k is one over that
-    eigenvalue.  NumericsError when T1 is not positive definite.
-    """
-    X = parts.Minner + parts.Jk @ chol_solve(parts.T1, parts.Jk.T)
     return float(1.0 / np.linalg.eigvalsh(sym(X))[-1])
 
 
@@ -171,8 +156,7 @@ def c_max(model, k=10, q=20):
     convergence of the update-resilient filter for any c in (0, c_max]:
     below phi_k (``phi_max``) S_k is negative definite and R_k positive
     definite, and theta_t <= phi_k for t >= q."""
-    parts = build_gramian_parts(model, k)
-    phik = phi_max(parts)
+    phik = phi_max(model, k)
     Pq = pbar_filtered(model, q)
     val = gamma(Pq, phik)
     return BoundReport(phi_k=phik, c_max=float(val), pbar_qq=Pq,
@@ -440,8 +424,7 @@ def theta_max(model, k=10):
     only when nonzero, counts the solved sweep pairs whose Riccati solve
     overflowed or met a singular system; they count as beta* = -inf.
     """
-    parts = build_gramian_parts(model, k)
-    phik = phi_max(parts)
+    phik = phi_max(model, k)
     best, where, overflowed, levels = _sweep(model)
     i = int(np.argmax(best))
     if not np.isfinite(best[i]):

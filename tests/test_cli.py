@@ -469,6 +469,9 @@ BAD_INPUTS = {
         "lf both --model {model} --c 0.05 --trajectories 1000000000000000000",
     "bounds_k_beyond_address_space":
         "bounds --model {model} --mode cmax --k 10000000000",
+    # W is (k m) x (k m): with more outputs than states it bounds the window
+    "bounds_k_beyond_address_space_more_outputs":
+        "bounds --model {three_output_model} --mode cmax --k 800000000",
 }
 
 SCALAR = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
@@ -506,6 +509,8 @@ def test_bad_input_is_validation_error(case, model_file, tmp_path):
         "huge_init": '{"mean": [0, 1%s], "cov": [[1, 0], [0, 1]]}' % ("0" * 400),
         "string_init": '{"mean": [0, "a"], "cov": [[1, 0], [0, 1]]}',
         "model_3d_c": json.dumps(dict(SCALAR, C=[[[1.0]]])),
+        "three_output_model": json.dumps(dict(SCALAR, C=[[1.0], [0.5], [2.0]],
+                                              R=np.eye(3).tolist())),
         "string_model": json.dumps(dict(SCALAR, Q=[["1"]])),
         "bool_model": json.dumps(dict(SCALAR, A=[[True]])),
         "string_number_init": '{"mean": [0, "1"], "cov": [[1, 0], [0, 1]]}',

@@ -8,7 +8,6 @@ from resilientkf.numerics import chol_solve, gamma, solve_filter_dare, sym
 from resilientkf.stability import (
     SIGMA_COND_MAX,
     StabilityError,
-    build_gramian_parts,
     c_max,
     pbar_filtered,
     phi_max,
@@ -18,35 +17,18 @@ from resilientkf.stability import (
 )
 
 
-def test_gramian_shapes(model_a):
-    k = 10
-    parts = build_gramian_parts(model_a, k)
-    n = 2
-    assert parts.T1.shape == (n, n)
-    assert parts.Minner.shape == (k * n, k * n)
-    assert parts.Jk.shape == (k * n, n)
-    # the bottom block row of obs_r is I and that of Lk is zero, so the
-    # stack order shows in Jk's bottom block, exactly
-    assert np.array_equal(parts.Jk[-n:], np.eye(n))
-
-
 def test_gramian_identity_model():
     model = LinearGaussianModel(A=np.eye(2), C=np.eye(2), Q=np.eye(2), R=np.eye(2))
-    parts = build_gramian_parts(model, 2)
-    I, Z = np.eye(2), np.zeros((2, 2))
-    # with k = 2: obs = obs_r = [I; I], Hk = Lk = [[0, I], [0, 0]], Rk_noise = I
-    assert np.allclose(parts.T1, 1.5 * I, rtol=0, atol=1e-14)
-    assert np.allclose(parts.Minner, np.block([[I / 2, Z], [Z, Z]]),
-                       rtol=0, atol=1e-14)
-    assert np.allclose(parts.Jk, np.vstack([I / 2, I]), rtol=0, atol=1e-14)
+    # with k = 2: obs = obs_r = [I; I], Hk = Lk = [[0, I], [0, 0]], Rk = I,
+    # so T1 = 1.5 I, Minner = [[I/2, 0], [0, 0]] and Jk = [I/2; I];
     # Minner + Jk T1^{-1} Jk^T = [[2/3 I, I/3], [I/3, 2/3 I]] has eigenvalues
-    # 1 and 1/3 (eigvalsh puts the larger one at 1 + 2.2e-16)
-    assert phi_max(parts) == pytest.approx(1.0, rel=0, abs=1e-14)
+    # 1 and 1/3
+    assert phi_max(model, 2) == pytest.approx(1.0, rel=0, abs=1e-14)
 
 
 def test_gramian_rejects_small_window(model_a):
     with pytest.raises(StabilityError):
-        build_gramian_parts(model_a, 1)
+        phi_max(model_a, 1)
 
 
 def _window_precision(model, k):
@@ -78,20 +60,20 @@ def _assert_phi_is_window_precision(model, phik, k=10):
 
 
 def test_phi_max_bracketing(model_a):
-    phik = phi_max(build_gramian_parts(model_a, 10))
+    phik = phi_max(model_a, 10)
     assert 0.090 <= phik <= 0.100
     _assert_phi_is_window_precision(model_a, phik)
 
 
 def test_phi_max_second_model(model_b):
-    phik = phi_max(build_gramian_parts(model_b, 10))
+    phik = phi_max(model_b, 10)
     assert abs(phik - 0.0052) <= 2e-4
 
 
 def test_phi_max_long_window(model_b):
     # phi_k sits just below the pole 1/sigma_max(Minner) of S_k, past which
     # R_k is positive definite again (at 0.0082, say) but certifies nothing
-    phik = phi_max(build_gramian_parts(model_b, 40))
+    phik = phi_max(model_b, 40)
     assert phik == pytest.approx(0.00564583383734, rel=1e-9)
     _assert_phi_is_window_precision(model_b, phik, k=40)
 
@@ -102,10 +84,33 @@ def test_phi_max_is_certified(name, request):
     # on (8, 5, 1) phi_k = 5.6e-6, far below the pole of S_k
     model = (request.getfixturevalue(name) if isinstance(name, str)
              else seeded_model(*name))
-    phik = phi_max(build_gramian_parts(model, 10))
+    phik = phi_max(model, 10)
     _assert_phi_is_window_precision(model, phik)
     if name == (8, 5, 1):
         assert c_max(model).c_max > 0
+
+
+def test_phi_max_with_a_huge_output_gain():
+    # C = [[1e150, 1]] puts 1e300 on the diagonal of W next to 1; a
+    # 400-digit lambda_min(Lambda_10) gives 0.0099999710031387060
+    model = LinearGaussianModel(A=np.array([[0.5, 0.1], [0.0, 0.5]]),
+                                C=np.array([[1e150, 1.0]]), Q=np.eye(2),
+                                R=np.eye(1))
+    assert phi_max(model, 10) == pytest.approx(0.0099999710031387060,
+                                               rel=1e-12)
+
+
+def test_phi_max_on_the_seeded_grid():
+    # every model of the seeded grid: c_max is valid and its phi_k is the
+    # window precision's at k = 10, and so is phi_k at the shortest window
+    for s in range(15):
+        for n in range(1, 7):
+            for m in range(1, 4):
+                model = seeded_model(s, n, m)
+                rep = c_max(model)
+                assert np.isfinite(rep.c_max) and rep.c_max > 0
+                _assert_phi_is_window_precision(model, rep.phi_k)
+                _assert_phi_is_window_precision(model, phi_max(model, n), k=n)
 
 
 # The seeded models with s < 15, n <= 6 and m <= 3 on which R_k fails only
@@ -537,7 +542,7 @@ def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
     # the sweep's certificate beats the grid's winner, and on models A, B
     # and random_2x1 the winner of the former 21^(n m) gain grid search
     i = len(best) - 1 if fix_alpha else int(np.argmax(best))
-    phik = phi_max(build_gramian_parts(model, 10))
+    phik = phi_max(model, 10)
     _, _, _, final, _, _ = stab._certificate(model, stab.ALPHAS[i], where[i],
                                              phik)
     assert final >= beta.max()
