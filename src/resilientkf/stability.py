@@ -221,10 +221,11 @@ ALPHAS = np.linspace(0.01, 1.0, 100)
 # other models it can keep rising towards a limit as rho grows (some seeded
 # random 2- and 3-state models do), so the winner sits at RHO_HI;
 # ``search["rho_hi_limits_beta"]`` flags when that leaves beta < phi_k.
-# Past RHO_HI Sigma grows like rho^2 and the certificate at theta = beta
-# stops verifying: on one seeded 2-state model beta* gains 0.2 % from
-# rho = 20 to 400, but prop6_guard rejects it from rho = 100 (cond Sigma
-# 4e4), where the predicted covariance crosses Sigma by 1.3e-8 of roundoff.
+# Past RHO_HI Sigma grows like rho^2 and its certificate may not verify:
+# on seeded (3, 2, 1) at alpha = 0.25 beta* gains 0.2 % from rho = 20 to
+# 400, and prop6_guard at theta = beta accepts at rho = 20, 50 and 400
+# (cond Sigma 6.2e5) but rejects at 100 (cond Sigma 3.9e4) and 200, where
+# Sigma - f(Sigma) reads -1.3e-8 and -8.5e-8 of roundoff.
 RHO_HI = 20.0
 _RHO_EXPONENTS = np.arange(1, 201) / 200.0
 RHOS = RHO_HI ** _RHO_EXPONENTS  # log-spaced in (1, RHO_HI]
@@ -365,9 +366,9 @@ def _certificate(model, alpha, j, phik):
     rho maximises beta* over RHOS[j] and RHO_REFINE_POINTS log-spaced
     points up to its grid neighbours, G* is the DARE gain there, Sigma and
     beta are ``sigma_beta``'s at (alpha, G*, rho), and theta_max =
-    min(beta, phik).  prop6_guard checks it at theta_max from P0 = Sigma,
-    which covers every 0 < P0 <= Sigma because the fixed-theta covariance
-    map is monotone in P0.  The record holds the verdict, its reason and
+    min(beta, phik).  prop6_guard checks it at theta_max with one
+    fixed-theta step from Sigma, a verdict for every 0 < P0 <= Sigma and
+    every horizon.  The record holds the verdict, its reason and
     cond(Sigma); a rejected certificate raises StabilityError.
     """
     lo = _RHO_EXPONENTS[j - 1] if j else 0.0
@@ -460,18 +461,17 @@ def theta_max(model, k=10):
                        search=search)
 
 
-# Steps of the fixed-theta covariance recursion that prop6_guard checks.
-GUARD_HORIZON = 1000
-
-
 def prop6_guard(model, theta, P0, G, alpha, rho):
-    """Certify boundedness of the fixed-theta covariance recursion.
+    """Certify that the fixed-theta covariance recursion stays feasible
+    and below Sigma from every 0 < P0 <= Sigma, for every horizon.
 
     Checks 0 < P0 <= Sigma and theta <= beta for the given certificate
-    arguments; when both hold, runs the fixed-theta covariance recursion
-    for GUARD_HORIZON steps and verifies every distorted covariance stays
-    positive definite and every predicted covariance stays below Sigma
-    (once the recursion cycles, only its distinct entries are checked).
+    arguments, then takes one fixed-theta ursf step from Sigma: its
+    distorted covariance must be positive definite and its prediction
+    f(Sigma) at most Sigma, to -1e-8 of roundoff.  The map f(P) = A (P^{-1}
+    + C^T R^{-1} C - theta I)^{-1} A^T + Q and its feasibility are monotone
+    in P, so then f^t(P0) <= f^t(Sigma) <= Sigma with every step feasible,
+    for every t.  The record's minimum eigenvalues are that one step's.
     Returns (ok, certificate-dict); never raises on a failed check.
     """
     cert = {"theta": float(theta), "alpha": float(alpha), "rho": float(rho)}
@@ -492,19 +492,17 @@ def prop6_guard(model, theta, P0, G, alpha, rho):
     if theta > beta + 1e-12:
         return False, {**cert, "reason": f"theta exceeds beta = {beta:.6g}"}
     try:
-        sched = covariance_schedule(
-            model, FilterConfig(kind="ursf", theta=theta), P0, GUARD_HORIZON)
+        step = covariance_schedule(
+            model, FilterConfig(kind="ursf", theta=theta), Sigma, 0)
     except (FilterError, NumericsError) as e:
         return False, {**cert, "reason": f"covariance recursion failed: {e}"}
-    # entries from start + period on are copies of earlier ones
-    k = sum(sched.cycle) if sched.cycle else None
-    worst_pd = np.linalg.eigvalsh(sched.cov_distorted[:k])[:, 0].min()
-    worst_gap = np.linalg.eigvalsh(Sigma[None] - sched.cov_pred[:k])[:, 0].min()
-    cert["min_eig_distorted"] = float(worst_pd)
-    cert["min_eig_sigma_minus_pred"] = float(worst_gap)
-    if worst_pd <= 0:
+    pd = np.linalg.eigvalsh(step.cov_distorted[0])[0]
+    gap = np.linalg.eigvalsh(Sigma - step.cov_pred[1])[0]
+    cert["min_eig_distorted"] = float(pd)
+    cert["min_eig_sigma_minus_pred"] = float(gap)
+    if pd <= 0:
         return False, {**cert, "reason": "distorted covariance lost definiteness"}
-    if worst_gap < -1e-8:
+    if gap < -1e-8:
         return False, {**cert, "reason": "predicted covariance escaped Sigma"}
     cert["reason"] = "certified"
     return True, cert

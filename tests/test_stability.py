@@ -4,7 +4,13 @@ import pytest
 from conftest import seeded_model
 from resilientkf import LinearGaussianModel
 from resilientkf.filters import FilterConfig, FilterError, covariance_schedule
-from resilientkf.numerics import chol_solve, gamma, solve_filter_dare, sym
+from resilientkf.numerics import (
+    NumericsError,
+    chol_solve,
+    gamma,
+    solve_filter_dare,
+    sym,
+)
 from resilientkf.stability import (
     SIGMA_COND_MAX,
     StabilityError,
@@ -236,25 +242,74 @@ def test_prop6_guard_certifies(model_b):
 
 
 @pytest.mark.parametrize("name", ["model_a", "model_b"])
-def test_prop6_guard_checks_distinct_entries(name, request):
-    # the guard reads the schedule only up to start + period of its cycle;
-    # its minima equal those over all GUARD_HORIZON + 1 entries bit for bit
-    import resilientkf.stability as stab
-
+def test_prop6_guard_reads_one_step_from_sigma(name, request):
+    # the guard's minimum eigenvalues are those of one fixed-theta step from
+    # Sigma bit for bit, whichever P0 <= Sigma it is given
     model = request.getfixturevalue(name)
     rep = theta_max(model, k=10)
-    ok, cert = prop6_guard(model, rep.theta_max, rep.sigma, rep.G, rep.alpha,
-                           rep.rho)
-    assert ok and cert["reason"] == "certified"
-    sched = covariance_schedule(
-        model, FilterConfig(kind="ursf", theta=rep.theta_max), rep.sigma,
-        stab.GUARD_HORIZON)
-    assert sum(sched.cycle) < stab.GUARD_HORIZON
     Sigma, _ = sigma_beta(model, rep.G, rep.alpha, rep.rho)
-    assert cert["min_eig_distorted"] == float(
-        np.linalg.eigvalsh(np.array(sched.cov_distorted))[:, 0].min())
-    assert cert["min_eig_sigma_minus_pred"] == float(np.linalg.eigvalsh(
-        Sigma[None] - np.array(sched.cov_pred))[:, 0].min())
+    step = covariance_schedule(
+        model, FilterConfig(kind="ursf", theta=rep.theta_max), Sigma, 0)
+    for P0 in (Sigma, 0.5 * Sigma):
+        ok, cert = prop6_guard(model, rep.theta_max, P0, rep.G, rep.alpha,
+                               rep.rho)
+        assert ok and cert["reason"] == "certified"
+        assert cert["min_eig_distorted"] == float(
+            np.linalg.eigvalsh(step.cov_distorted[0])[0])
+        assert cert["min_eig_sigma_minus_pred"] == float(
+            np.linalg.eigvalsh(Sigma - step.cov_pred[1])[0])
+
+
+def _guard_oracle(model, theta, Sigma):
+    """The verdict of the fixed-theta recursion run for 1000 steps from
+    Sigma: every step feasible, every distorted covariance positive definite
+    and every predicted covariance below Sigma to -1e-8."""
+    try:
+        sched = covariance_schedule(
+            model, FilterConfig(kind="ursf", theta=theta), Sigma, 1000)
+    except (FilterError, NumericsError):
+        return False
+    return bool(
+        np.linalg.eigvalsh(sched.cov_distorted)[:, 0].min() > 0
+        and np.linalg.eigvalsh(Sigma[None] - sched.cov_pred)[:, 0].min()
+        >= -1e-8)
+
+
+def test_prop6_guard_matches_long_run_on_the_seeded_grid():
+    # on every model of the seeded grid, the one-step verdict from Sigma
+    # equals that of a 1000-step run, at theta_max and at theta = beta (the
+    # same theta where theta_max = beta)
+    for s in range(15):
+        for n in range(1, 7):
+            for m in range(1, 4):
+                model = seeded_model(s, n, m)
+                rep = theta_max(model, k=10)
+                Sigma, beta = sigma_beta(model, rep.G, rep.alpha, rep.rho)
+                for theta in {rep.theta_max, beta}:
+                    ok, cert = prop6_guard(model, theta, Sigma, rep.G,
+                                           rep.alpha, rep.rho)
+                    assert ok == _guard_oracle(model, theta, Sigma), (
+                        (s, n, m), theta, cert)
+
+
+@pytest.mark.parametrize("name", ["model_a", "model_b", (0, 2, 1),
+                                  (1, 3, 2), (2, 4, 1), (3, 6, 3)], ids=str)
+def test_prop6_guard_rejects_past_beta_through_the_step(name, request,
+                                                        monkeypatch):
+    # a beta reported 2 % high lets theta = 1.01 beta past the theta <= beta
+    # check, so the step from Sigma itself must reject the certificate
+    import resilientkf.stability as stab
+
+    model = (request.getfixturevalue(name) if isinstance(name, str)
+             else seeded_model(*name))
+    rep = theta_max(model, k=10)
+    Sigma, beta = sigma_beta(model, rep.G, rep.alpha, rep.rho)
+    monkeypatch.setattr(stab, "sigma_beta", lambda *a: (Sigma, 1.02 * beta))
+    ok, cert = prop6_guard(model, 1.01 * beta, Sigma, rep.G, rep.alpha,
+                           rep.rho)
+    assert not ok
+    assert (cert["reason"] == "predicted covariance escaped Sigma"
+            or cert["reason"].startswith("covariance recursion failed")), cert
 
 
 def test_prop6_guard_rejections(model_b):

@@ -10,7 +10,7 @@ hold timestamps), paths relative to ``OUT_DIR/out``.  The package is the one
 on ``PYTHONPATH``, so two checkouts compare by running this script once
 against each ``src/`` and diffing the two digests.
 
-The command set, 47 commands:
+The command set, 48 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
   model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
@@ -24,7 +24,9 @@ The command set, 47 commands:
   x 200 steps (outputs under ``bench_blocks``);
 - ``bounds``: cmax and thetamax on models A and B, cmax on model B with
   ``--k 40``, a window on which phi_k sits just below the pole of S_k,
-  and cmax on model A with ``--k 80``, a long window.
+  cmax on model A with ``--k 80``, a long window, and thetamax on the
+  9-state model, whose fixed-theta recursion from the certificate's Sigma
+  does not repeat within 1000 steps.
 """
 
 import hashlib
@@ -141,6 +143,8 @@ def commands(inp, out):
                  "--out", os.path.join(out, "bounds_cmax_b_k40.json")])
     cmds.append(["bounds", "--model", paths["a"], "--mode", "cmax", "--k", "80",
                  "--out", os.path.join(out, "bounds_cmax_a_k80.json")])
+    cmds.append(["bounds", "--model", paths["r9"], "--mode", "thetamax",
+                 "--out", os.path.join(out, "bounds_thetamax_r9.json")])
     return cmds
 
 
