@@ -117,10 +117,12 @@ def backward_pass(fwd, model):
     W_{t+1} = theta_t I + omega_inv_{t+1},
     O_t = (I_m - Lw^T W_{t+1} Lw)^{-1},
     F_t = -O_t Lw^T W_{t+1} (I - Lw Cw),
-    omega_inv_t = Abar^T (W_{t+1}^{-1} - Lw Lw^T)^{-1} Abar
-    with Abar = (I - Lw Cw) A = (I - L C) A.  The omega update is the
-    symmetric-definite safe form; it equals
-    A^T F^T O^{-1} F A + Abar^T W Abar algebraically.
+    omega_inv_t = Abar^T W_{t+1} Abar + (F_t A)^T O_t^{-1} (F_t A)
+    with Abar = (I - Lw Cw) A = (I - L C) A: a sum of two PSD quadratic
+    forms, equal by Woodbury to Abar^T (W_{t+1}^{-1} - Lw Lw^T)^{-1} Abar
+    without inverting W.  A step is feasible exactly when
+    I - Lw^T W_{t+1} Lw is positive definite (for W PD this is
+    W^{-1} - Lw Lw^T PD); otherwise SynthesisError names the step.
     """
     n, m = model.n, model.m
     N = fwd.horizon
@@ -141,8 +143,8 @@ def backward_pass(fwd, model):
         L = fwd.gains[t]
         Lw = L @ Rh
         theta = fwd.thetas[t]
-        # W, Oinv and core come out of sym exactly symmetric, so each is
-        # checked once: by its smallest eigenvalue or by its factorisation
+        # Oinv comes out of sym exactly symmetric, so its smallest
+        # eigenvalue is the whole feasibility test
         W = sym(theta * np.eye(n) + omega_inv[t + 1])
         Oinv = sym(np.eye(m) - Lw.T @ W @ Lw)
         if np.linalg.eigvalsh(Oinv)[0] <= 0:
@@ -154,18 +156,9 @@ def backward_pass(fwd, model):
         Ups = _cholesky(O)
         ILC = np.eye(n) - L @ C
         F = -O @ Lw.T @ W @ ILC
+        FA = F @ A
         Abar = ILC @ A
-        if theta == 0.0 and np.abs(omega_inv[t + 1]).max() == 0.0:
-            omega = np.zeros((n, n))
-        else:
-            _cholesky(W)
-            core = sym(np.linalg.inv(W) - Lw @ Lw.T)
-            if np.linalg.eigvalsh(core)[0] <= 0:
-                raise SynthesisError(
-                    f"channel synthesis infeasible at t={t}: "
-                    "W^{-1} - L L^T is not positive definite"
-                )
-            omega = sym(Abar.T @ np.linalg.inv(core) @ Abar)
+        omega = sym(Abar.T @ W @ Abar + FA.T @ Oinv @ FA)
         omega_inv[t], Ws[t], Os[t], Fs[t], Upss[t] = omega, W, O, F, Ups
     for a in out:
         a.flags.writeable = False
@@ -327,7 +320,7 @@ def steady_state_w(model, L, theta):
     J = Abar^T W Lw (Lw^T W Lw - I)^{-1}; the radius being below one
     certifies mean-square boundedness of the filter error under the
     hostile channel model in steady state.  Raises SynthesisError when the
-    doubling fails or overflows, or when W or W^{-1} - L R L^T is not
+    doubling fails or overflows, or when W or I - Lw^T W Lw is not
     positive definite.
     """
     n = model.n
@@ -345,12 +338,13 @@ def steady_state_w(model, L, theta):
         W = _doubling(Abar[None], -(Lw @ Lw.T)[None], theta * np.eye(n))[0]
         if not np.isfinite(W).all():
             raise NumericsError("the doubling overflowed")
-        check_sympd(sym(np.linalg.inv(check_sympd(W)) - L @ model.R @ L.T))
+        check_sympd(W)
+        M = sym(Lw.T @ W @ Lw - np.eye(model.m))
+        check_sympd(-M)
     except (NumericsError, np.linalg.LinAlgError) as e:
         raise SynthesisError(
             f"steady-state backward recursion infeasible at theta="
             f"{theta:.6g}: {e}") from e
-    M = sym(Lw.T @ W @ Lw - np.eye(model.m))
     J = Abar.T @ W @ Lw @ np.linalg.inv(M)
     rad = float(max(abs(np.linalg.eigvals(Abar - Lw @ J.T))))
     return W, J, rad

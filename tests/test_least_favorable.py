@@ -55,7 +55,8 @@ def test_backward_zero_budget_collapse(model_a):
 
 
 def test_backward_omega_forms_agree(model_a):
-    # SPD-safe Riccati form vs direct feedback composition
+    # the direct feedback form the pass computes vs the Riccati form
+    # Abar^T (W^{-1} - Lw Lw^T)^{-1} Abar it equals by Woodbury
     fwd = covariance_schedule(
         model_a, FilterConfig(kind="urkf", c=5e-2), 0.01 * np.eye(2), 60)
     bwd = backward_pass(fwd, model_a)
@@ -63,11 +64,11 @@ def test_backward_omega_forms_agree(model_a):
     for t in range(60, -1, -1):
         L = fwd.gains[t]
         W = bwd.W[t]
-        O = bwd.O[t]
-        F = bwd.F[t]
+        Lw = L @ bwd.r_half
         Abar = (np.eye(2) - L @ C) @ A
-        direct = (F @ A).T @ np.linalg.inv(O) @ (F @ A) + Abar.T @ W @ Abar
-        assert np.abs(bwd.omega_inv[t] - direct).max() < 1e-10
+        core = np.linalg.inv(W) - Lw @ Lw.T
+        riccati = Abar.T @ np.linalg.inv(core) @ Abar
+        assert np.abs(bwd.omega_inv[t] - riccati).max() < 1e-10
 
 
 def test_backward_terminal_condition(model_a):
@@ -83,6 +84,23 @@ def test_backward_infeasible_budget(model_b):
     with pytest.raises(FilterError, match="t=1"):
         covariance_schedule(
             model_b, FilterConfig(kind="ursf", theta=0.4), np.eye(2), 200)
+
+
+@pytest.mark.parametrize("scale, step", [(2, None), (5, None), (10, 19),
+                                         (50, 20)])
+def test_backward_pass_rejects_an_infeasible_channel(model_a, scale, step):
+    # a feasible urkf schedule with its thetas scaled: at 10x and 50x the
+    # channel step I - Lw^T W Lw loses definiteness; at 2x and 5x it holds
+    fwd = covariance_schedule(
+        model_a, FilterConfig(kind="urkf", c=5e-2), np.eye(2), 20)
+    scaled = fwd._replace(thetas=scale * fwd.thetas)
+    if step is None:
+        bwd = backward_pass(scaled, model_a)
+        assert np.isfinite(bwd.omega_inv).all()
+        return
+    msg = f"at t={step}: I - L\\^T W L is not positive definite"
+    with pytest.raises(SynthesisError, match=msg):
+        backward_pass(scaled, model_a)
 
 
 def test_assemble_lf_structure(model_a):
@@ -307,7 +325,9 @@ def test_steady_state_w(model_a):
 def test_steady_state_w_zero_theta(model_a):
     W, J, rad = steady_state_w(model_a, np.zeros((2, 1)), 0.0)
     assert np.abs(W).max() == 0.0
-    assert rad < 1.0 or rad >= 0.0
+    # with L = 0, Abar = A and the feedback J is zero
+    assert np.abs(J).max() == 0.0
+    assert rad == max(abs(np.linalg.eigvals(model_a.A)))
 
 
 def test_steady_state_w_solves_to_roundoff():

@@ -1,14 +1,23 @@
 """Digest of every CLI output on a fixed command set.
 
     PYTHONPATH=src python tools/output_digest.py OUT_DIR > digest.txt
+    python tools/output_digest.py --compare OLD_DIR NEW_DIR
 
 Writes seeded inputs under ``OUT_DIR/in``, runs a fixed list of commands
 in-process through ``resilientkf.cli.main`` with outputs under
 ``OUT_DIR/out``, then prints one ``exit <code>  <command>`` line per command
 and one ``<sha256>  <path>`` line per output file (manifests excluded: they
-hold timestamps), paths relative to ``OUT_DIR/out``.  The package is the one
-on ``PYTHONPATH``, so two checkouts compare by running this script once
-against each ``src/`` and diffing the two digests.
+hold timestamps), paths relative to ``OUT_DIR/out``.  The same lines go to
+``OUT_DIR/digest.txt``.  The package is the one on ``PYTHONPATH``, so two
+checkouts compare by running this script once against each ``src/`` and
+diffing the two digests.
+
+``--compare`` reads two such ``OUT_DIR``s and prints how they differ: each
+exit code that changed, each output present in only one of them, and for
+each output whose digest changed the largest relative difference
+max|a - b| / max|a| over its numeric CSV columns and JSON arrays (``a``
+from ``OLD_DIR``), with the column or JSON path where it is reached.  A
+text or shape change is reported as such.
 
 The command set, 48 commands:
 
@@ -29,14 +38,13 @@ The command set, 48 commands:
   does not repeat within 1000 steps.
 """
 
+import csv
 import hashlib
 import json
 import os
 import sys
 
 import numpy as np
-
-from resilientkf.cli import main
 
 SEED = 20240601
 
@@ -161,7 +169,100 @@ def digest(root):
     return lines
 
 
+def _csv_columns(path):
+    """Column name -> list of cell strings of a headed CSV file."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    return {name: [r[j] for r in rows[1:]] for j, name in enumerate(rows[0])}
+
+
+def _json_leaves(node, path=""):
+    """JSON path -> array or scalar, one entry per numeric array."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and any(
+            isinstance(v, (dict, str)) for v in node):
+        for i, value in enumerate(node):
+            yield from _json_leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _fields(path):
+    """Named fields of an output: CSV columns or JSON leaves."""
+    if path.endswith(".csv"):
+        return _csv_columns(path)
+    with open(path) as f:
+        return dict(_json_leaves(json.load(f)))
+
+
+def _as_numbers(value):
+    """Float array of a field, or None when it is not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
+def field_difference(a, b):
+    """max|a - b| / max|a| of two fields (inf when a is all zero and b is
+    not), or a word when they differ in kind or shape."""
+    x, y = _as_numbers(a), _as_numbers(b)
+    if x is None or y is None:
+        return 0.0 if a == b else "text"
+    if x.shape != y.shape:
+        return "shape"
+    if np.array_equal(x, y, equal_nan=True):
+        return 0.0
+    scale = np.abs(x).max()
+    return np.abs(x - y).max() / scale if scale else np.inf
+
+
+def file_difference(old, new):
+    """(largest relative difference or a word, where) between two outputs."""
+    a, b = _fields(old), _fields(new)
+    if a.keys() != b.keys():
+        return "fields", ", ".join(sorted(a.keys() ^ b.keys()))
+    diffs = {name: field_difference(a[name], b[name]) for name in a}
+    words = [(d, name) for name, d in diffs.items() if isinstance(d, str)]
+    if words:
+        return words[0]
+    name = max(diffs, key=diffs.get)
+    return diffs[name], name
+
+
+def compare(old_root, new_root):
+    """Lines describing how two digest runs differ, empty when they agree."""
+    def read(root):
+        exits, files = {}, {}
+        with open(os.path.join(root, "digest.txt")) as f:
+            for line in f.read().splitlines():
+                value, key = line.split("  ", 1)
+                (exits if value.startswith("exit ") else files)[key] = value
+        return exits, files
+
+    (old_exits, old_files), (new_exits, new_files) = read(old_root), read(
+        new_root)
+    lines = [f"{old_exits.get(cmd, 'none')} -> {new_exits.get(cmd, 'none')}"
+             f"  {cmd}" for cmd in sorted(old_exits.keys() | new_exits.keys())
+             if old_exits.get(cmd) != new_exits.get(cmd)]
+    for path in sorted(old_files.keys() | new_files.keys()):
+        if path not in new_files or path not in old_files:
+            side = "old" if path in old_files else "new"
+            lines.append(f"only in {side}  {path}")
+        elif old_files[path] != new_files[path]:
+            d, where = file_difference(os.path.join(old_root, "out", path),
+                                       os.path.join(new_root, "out", path))
+            d = d if isinstance(d, str) else f"{d:.2e}"
+            lines.append(f"{d}  {path}  {where}")
+    return lines
+
+
 def run(root):
+    # imported here so that --compare runs without the package
+    from resilientkf.cli import main
+
     inp, out = os.path.join(root, "in"), os.path.join(root, "out")
     os.makedirs(inp, exist_ok=True)
     os.makedirs(out, exist_ok=True)
@@ -172,10 +273,17 @@ def run(root):
         code = main(argv)
         target = argv[argv.index("--out") + 1]
         lines.append(f"exit {code}  {argv[0]} {os.path.relpath(target, out)}")
-    return lines + digest(out)
+    lines += digest(out)
+    with open(os.path.join(root, "digest.txt"), "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return lines
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        lines = compare(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 2:
+        lines = run(sys.argv[1])
+    else:
         raise SystemExit(__doc__)
-    print("\n".join(run(sys.argv[1])))
+    print("\n".join(lines))
