@@ -12,9 +12,13 @@ Subcommands:
 Every artifact is written atomically (temp file + rename) and accompanied
 by a ``<name>.manifest.json`` recording the command, configuration hash,
 seed, outputs and numpy version, so reruns are verifiable; numpy is the
-only dependency.  Exit codes: 0 success, 2 validation error (including
-non-finite or out-of-range inputs, unknown filter names and arrays beyond
-the address space), 3 numerical failure or out of memory, 4 I/O error.
+only dependency.  Output text is streamed into the temp file as it is
+formatted (a CSV file one block of ``_CSV_ROWS`` rows at a time, the ``lf``
+JSON one step at a time), so a run holds its float arrays and one block's
+text, never a whole file's.  Exit codes: 0 success, 2 validation error
+(including non-finite or out-of-range inputs, unknown filter names and
+arrays beyond the address space), 3 numerical failure or out of memory,
+4 I/O error.
 """
 
 import argparse
@@ -61,14 +65,19 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _atomic_write(path, text):
-    """Write text to path via a temp file in the same directory + rename."""
+def _atomic_write(path, chunks):
+    """Write the text ``chunks`` (an iterable of str, or one str) to path
+    as they arrive, via a temp file in the same directory + rename; on any
+    exception, raised by the write or by the iterable, the temp file is
+    removed and path is left as it was."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -78,32 +87,50 @@ def _atomic_write(path, text):
         raise
 
 
-# _write_csv formats the floats of this many rows at a time; the distinct
-# floats of a whole file take longer to find and double lf's peak memory
+# _write_csv formats and writes the floats of this many rows at a time; the
+# distinct floats of a whole file take longer to find, and its text would
+# make the run's peak memory grow with the file
 _CSV_ROWS = 512
 
 
-def _write_csv(path, header, lead, block):
-    """Write ``header``, then per row of the 2-D float array ``block`` its
-    index columns from the iterable ``lead`` (already joined) and its floats
-    as ``repr`` writes them, the text ``csv.writer`` gives a float.
+def _write_csv(path, header, lead, groups):
+    """Write ``header``, then per row its index columns from the iterable
+    ``lead`` (already joined) and the floats of that row of each 2-D array
+    in ``groups`` (column groups, all with the same row count) as ``repr``
+    writes them, the text ``csv.writer`` gives a float.
 
+    Each block of ``_CSV_ROWS`` rows is written as soon as it is formatted.
     The recursions settle into cycles, so many floats repeat: each distinct
-    float of a block of ``_CSV_ROWS`` rows is formatted once.  Distinct by
-    its bits, not its value, which would merge 0.0 and -0.0.
+    float of a block is formatted once.  Distinct by its bits, not its
+    value, which would merge 0.0 and -0.0.
     """
-    block = np.ascontiguousarray(block, dtype=float)
-    lead = iter(lead)
-    lines = [",".join(header)]
-    for i in range(0, len(block), _CSV_ROWS):
-        b = block[i:i + _CSV_ROWS]
-        bits, inv = np.unique(b.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(float).tolist())),
-                        dtype=object)
-        # rows first: zip stops on them without taking one more index
-        lines += [f"{j},{','.join(row)}" for row, j
-                  in zip(text[inv.reshape(b.shape)].tolist(), lead)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    def chunks():
+        index = iter(lead)
+        yield ",".join(header) + "\n"
+        for i in range(0, len(groups[0]), _CSV_ROWS):
+            b = np.concatenate([g[i:i + _CSV_ROWS] for g in groups], axis=1,
+                               dtype=float)
+            bits, inv = np.unique(b.view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(float).tolist())),
+                            dtype=object)
+            # rows first: zip stops on them without taking one more index
+            yield "".join([f"{j},{','.join(row)}\n" for row, j
+                           in zip(text[inv.reshape(b.shape)].tolist(), index)])
+
+    _atomic_write(path, chunks())
+
+
+def _lf_json_chunks(lf):
+    """The text of ``json.dumps`` of the lf model's payload, one step of
+    each per-step stack at a time."""
+    yield (f'{{"n": {lf.n}, "m": {lf.m}, "N": {lf.N}, '
+           f'"Xi": {json.dumps(lf.Xi.tolist())}')
+    for name in ("Abar", "Bbar", "Cbar", "Dbar"):
+        yield f', "{name}": ['
+        for t, a in enumerate(getattr(lf, name)):
+            yield (", " if t else "") + json.dumps(a.tolist())
+        yield "]"
+    yield "}\n"
 
 
 def _write_manifest(args, outputs, base=None, **record):
@@ -114,8 +141,13 @@ def _write_manifest(args, outputs, base=None, **record):
     inputs = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     for k in ("model", "config", "data", "init"):
         if inputs.get(k) is not None:
+            # reads under malloc's 128 KiB mmap threshold: larger ones
+            # made the heap of a long-running caller creep
+            h = hashlib.sha256()
             with open(inputs[k], "rb") as f:
-                inputs[k] = [inputs[k], hashlib.sha256(f.read()).hexdigest()]
+                for chunk in iter(lambda: f.read(1 << 16), b""):
+                    h.update(chunk)
+            inputs[k] = [inputs[k], h.hexdigest()]
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
     manifest = {
@@ -233,7 +265,7 @@ def cmd_worstcase(args):
         blocks.append(np.column_stack([fwd.thetas] + traces))
         lead += [f"{kind},{val!r},{t}" for t in range(N + 1)]
     _write_csv(args.out, ["budget_kind", "budget", "t", "theta"]
-               + [f"var_{f}" for f in filters], lead, np.vstack(blocks))
+               + [f"var_{f}" for f in filters], lead, [np.vstack(blocks)])
     _write_manifest(args, [args.out], cycles=cycles)
     return EXIT_OK
 
@@ -242,38 +274,40 @@ def cmd_filter(args):
     model = load_model(args.model)
     fc = FilterConfig.from_dict(load_json(args.config))
     init = _load_init(args, model)
+    ys = []
     try:
         with open(args.data, encoding="utf-8") as f:
-            rows = list(csv.reader(f))
+            for i, row in enumerate(csv.reader(f)):
+                if not row or (i == 0 and any(not _is_number(v) for v in row)):
+                    continue  # skip blank lines and a header row
+                if len(row) != model.m:
+                    raise ModelError(f"data line {i + 1}: expected {model.m} "
+                                     f"columns, got {len(row)}")
+                try:
+                    y = [float(v) for v in row]
+                except ValueError:
+                    raise ModelError(f"data line {i + 1}: non-numeric value")
+                if not all(map(math.isfinite, y)):
+                    raise ModelError(f"data line {i + 1}: non-finite value")
+                ys.append(y)
     except (UnicodeDecodeError, csv.Error) as e:
         raise ModelError(f"data file {args.data}: {e}")
-    ys = []
-    for i, row in enumerate(rows):
-        if not row or (i == 0 and any(not _is_number(v) for v in row)):
-            continue  # skip blank lines and a header row
-        if len(row) != model.m:
-            raise ModelError(
-                f"data line {i + 1}: expected {model.m} columns, got {len(row)}")
-        try:
-            y = [float(v) for v in row]
-        except ValueError:
-            raise ModelError(f"data line {i + 1}: non-numeric value")
-        if not all(map(math.isfinite, y)):
-            raise ModelError(f"data line {i + 1}: non-finite value")
-        ys.append(y)
     T, n, m = len(ys), model.n, model.m
     sched = covariance_schedule(model, fc, init.cov, T - 1)
-    means = mean_pass(model, sched.gains, init.mean, np.asarray(ys))
+    means = np.empty((T, 2, n))
+    for t, x in enumerate(mean_pass(model, sched.gains, init.mean,
+                                    np.asarray(ys))):
+        means[t] = x
     header = (["t", "theta"]
               + [f"gain_{i}_{j}" for i in range(n) for j in range(m)]
               + [f"mean_filt_{i}" for i in range(n)]
               + [f"mean_pred_{i}" for i in range(n)]
               + [f"cov_filt_{i}_{j}" for i in range(n) for j in range(n)])
-    block = np.hstack([np.reshape(sched.thetas, (T, 1)),
-                       np.reshape(sched.gains, (T, n * m)),
-                       np.reshape(list(means), (T, 2 * n)),
-                       np.reshape(sched.cov_filt, (T, n * n))])
-    _write_csv(args.out, header, map(str, range(T)), block)
+    _write_csv(args.out, header, map(str, range(T)),
+               [np.reshape(sched.thetas, (T, 1)),
+                np.reshape(sched.gains, (T, n * m)),
+                means.reshape(T, 2 * n),
+                np.reshape(sched.cov_filt, (T, n * n))])
     _write_manifest(args, [args.out], cycle=sched.cycle)
     return EXIT_OK
 
@@ -307,7 +341,7 @@ def cmd_bench(args):
         base = os.path.join(args.out, f"bench_{rep.scenario}")
         names = sorted(rep.mse_t)
         _write_csv(base + ".csv", ["t"] + names, map(str, range(rep.horizon)),
-                   np.column_stack([rep.mse_t[nm] for nm in names]))
+                   [np.column_stack([rep.mse_t[nm] for nm in names])])
         _atomic_write(base + ".json", json.dumps(rep.to_dict(), indent=2) + "\n")
         outputs += [base + ".csv", base + ".json"]
     _write_manifest(args, outputs, base=os.path.join(args.out, "bench"))
@@ -335,16 +369,8 @@ def cmd_lf(args):
         etas, X, Y = simulate_lf(lf, init, args.seed, n_traj=args.trajectories)
     outputs = []
     if args.action in ("build", "both"):
-        payload = {
-            "n": lf.n, "m": lf.m, "N": lf.N,
-            "Xi": lf.Xi.tolist(),
-            "Abar": lf.Abar.tolist(),
-            "Bbar": lf.Bbar.tolist(),
-            "Cbar": lf.Cbar.tolist(),
-            "Dbar": lf.Dbar.tolist(),
-        }
         path = args.out + ".json" if args.action == "both" else args.out
-        _atomic_write(path, json.dumps(payload) + "\n")
+        _atomic_write(path, _lf_json_chunks(lf))
         outputs.append(path)
     if simulate:
         path = args.out + ".csv" if args.action == "both" else args.out
@@ -352,11 +378,10 @@ def cmd_lf(args):
                   + [f"x_{i}" for i in range(model.n)]
                   + [f"y_{i}" for i in range(model.m)]
                   + [f"eta_{i}" for i in range(3 * model.n)])
-        block = np.concatenate([X, Y, etas], axis=2)
         _write_csv(path, header,
-                   [f"{r},{t}" for r in range(block.shape[0])
-                    for t in range(block.shape[1])],
-                   block.reshape(-1, block.shape[2]))
+                   (f"{r},{t}" for r in range(args.trajectories)
+                    for t in range(args.horizon + 1)),
+                   [a.reshape(-1, a.shape[2]) for a in (X, Y, etas)])
         outputs.append(path)
     _write_manifest(args, outputs, cycle=fwd.cycle)
     return EXIT_OK

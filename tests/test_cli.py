@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,23 +72,111 @@ def test_write_csv_matches_csv_writer(tmp_path):
     # repr is the text csv.writer gives a float, for every kind of value;
     # values from a small pool repeat within and across the writer's
     # blocks, and -0.0 shares its rows with 0.0; the index columns come
-    # from a generator or a list
+    # from a generator or a list, and the floats from one or several column
+    # groups of different widths
     pool = [0.1, -0.0, 0.0, 1e-320, 2.5e300, np.inf, -np.inf, np.nan, 1 / 3]
     header = ["budget_kind", "budget", "t", "a", "b", "c", "d"]
     rng = np.random.default_rng(5)
-    for rows, lead_kind in ((2 * _CSV_ROWS + 3, iter),
-                            (2 * _CSV_ROWS + 3, list), (0, iter)):
+    for rows, lead_kind, widths in ((2 * _CSV_ROWS + 3, iter, [4]),
+                                    (2 * _CSV_ROWS + 3, list, [4]),
+                                    (2 * _CSV_ROWS + 3, iter, [1, 2, 1]),
+                                    (2 * _CSV_ROWS + 3, list, [3, 1]),
+                                    (0, iter, [4]), (0, iter, [2, 2])):
         block = rng.choice(pool, size=(rows, 4))
         block[:2] = np.reshape(pool[:8], (2, 4))[:rows]
+        groups = np.split(block, np.cumsum(widths)[:-1], axis=1)
         out = tmp_path / "x.csv"
         _write_csv(str(out), header,
-                   lead_kind(f"c,0.05,{t}" for t in range(rows)), block)
+                   lead_kind(f"c,0.05,{t}" for t in range(rows)), groups)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([["c", 0.05, t] + row
                           for t, row in enumerate(block.tolist())])
         assert out.read_text() == buf.getvalue()
+
+
+def test_write_csv_failing_midway_leaves_nothing(tmp_path):
+    # the index iterator fails after 600 rows, once the first block is
+    # already in the temp file: the temp file goes and the target keeps
+    # what it held
+    block = np.random.default_rng(3).standard_normal((2 * _CSV_ROWS + 3, 3))
+    out = tmp_path / "x.csv"
+    for old in (None, "t,a,b,c\n0,1.0,2.0,3.0\n"):
+        if old is not None:
+            out.write_text(old)
+        written = []
+
+        def lead():
+            yield from map(str, range(600))
+            written.extend(p.stat().st_size for p in tmp_path.glob(".tmp-*"))
+            raise RuntimeError("index source failed")
+
+        with pytest.raises(RuntimeError, match="index source failed"):
+            _write_csv(str(out), ["t", "a", "b", "c"], lead(), [block])
+        assert len(written) == 1 and written[0] > 0
+        assert not list(tmp_path.glob(".tmp-*"))
+        if old is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == old
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    # tracemalloc counts only what the writer allocates: one block's text,
+    # not the file's (a whole-file writer peaks at about 60 MB here)
+    block = np.random.default_rng(7).standard_normal((100_000, 9))
+    header = ["t"] + [f"v_{j}" for j in range(9)]
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            _write_csv(str(tmp_path / "x.csv"), header, map(str, range(rows)),
+                       [block[:rows]])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_000), peak(100_000)
+    assert large < 2e6
+    assert large <= 1.5 * small
+
+
+@pytest.mark.parametrize("N", [0, 7])
+def test_lf_json_is_json_dumps_of_the_payload(N, tmp_path):
+    # streamed per step, the file is byte for byte json.dumps of the payload
+    model = seeded_model(2, 4, 2)
+    model_file = str(tmp_path / "model.json")
+    save_model(model, model_file)
+    out = str(tmp_path / "lf.json")
+    assert main(["lf", "build", "--model", model_file, "--c", "0.05",
+                 "--horizon", str(N), "--out", out]) == 0
+    fwd = covariance_schedule(model, FilterConfig(kind="urkf", c=0.05),
+                              np.eye(4), N)
+    lf = assemble_lf(fwd, backward_pass(fwd, model), model)
+    payload = {"n": lf.n, "m": lf.m, "N": lf.N, "Xi": lf.Xi.tolist(),
+               **{key: getattr(lf, key).tolist()
+                  for key in ("Abar", "Bbar", "Cbar", "Dbar")}}
+    assert open(out).read() == json.dumps(payload) + "\n"
+
+
+def test_manifest_hashes_each_input_file_whole(tmp_path):
+    # a model file of several read chunks enters the config hash by the
+    # SHA-256 of all its bytes
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(MODEL_A) + " " * (5 << 16))
+    out = str(tmp_path / "lf.json")
+    argv = ["lf", "build", "--model", str(model_file), "--c", "0.05",
+            "--horizon", "3", "--out", out]
+    assert main(argv) == 0
+    args = vars(cli.build_parser().parse_args(argv))
+    inputs = {k: v for k, v in args.items() if k not in ("func", "out")}
+    inputs["model"] = [str(model_file),
+                       hashlib.sha256(model_file.read_bytes()).hexdigest()]
+    expected = hashlib.sha256(json.dumps(
+        inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    assert json.loads(open(out + ".manifest.json").read())["config_hash"] \
+        == expected
 
 
 def test_bounds_missing_model(tmp_path):
