@@ -12,10 +12,9 @@ Subcommands:
 Every artifact is written atomically (temp file + rename) and accompanied
 by a ``<name>.manifest.json`` recording the command, configuration hash,
 seed, outputs and numpy version, so reruns are verifiable; numpy is the
-only dependency.  Output text is streamed into the temp file as it is
-formatted (a CSV file one block of ``_CSV_ROWS`` rows at a time, the ``lf``
-JSON one step at a time), so a run holds its float arrays and one block's
-text, never a whole file's.  Exit codes: 0 success, 2 validation error
+only dependency.  A CSV file's text is streamed into the temp file one
+block of ``_CSV_ROWS`` rows at a time, so a run holds one block of it,
+never a whole output file's text.  Exit codes: 0 success, 2 validation error
 (including non-finite or out-of-range inputs, unknown filter names and
 arrays beyond the address space), 3 numerical failure or out of memory,
 4 I/O error.
@@ -120,19 +119,6 @@ def _write_csv(path, header, lead, groups):
     _atomic_write(path, chunks())
 
 
-def _lf_json_chunks(lf):
-    """The text of ``json.dumps`` of the lf model's payload, one step of
-    each per-step stack at a time."""
-    yield (f'{{"n": {lf.n}, "m": {lf.m}, "N": {lf.N}, '
-           f'"Xi": {json.dumps(lf.Xi.tolist())}')
-    for name in ("Abar", "Bbar", "Cbar", "Dbar"):
-        yield f', "{name}": ['
-        for t, a in enumerate(getattr(lf, name)):
-            yield (", " if t else "") + json.dumps(a.tolist())
-        yield "]"
-    yield "}\n"
-
-
 def _write_manifest(args, outputs, base=None, **record):
     """Write ``<base>.manifest.json`` for the command of the parsed ``args``
     (``base`` defaults to ``--out``).  Its config hash covers every argument
@@ -141,13 +127,8 @@ def _write_manifest(args, outputs, base=None, **record):
     inputs = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     for k in ("model", "config", "data", "init"):
         if inputs.get(k) is not None:
-            # reads under malloc's 128 KiB mmap threshold: larger ones
-            # made the heap of a long-running caller creep
-            h = hashlib.sha256()
             with open(inputs[k], "rb") as f:
-                for chunk in iter(lambda: f.read(1 << 16), b""):
-                    h.update(chunk)
-            inputs[k] = [inputs[k], h.hexdigest()]
+                inputs[k] = [inputs[k], hashlib.sha256(f.read()).hexdigest()]
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, default=str).encode()).hexdigest()[:16]
     manifest = {
@@ -369,8 +350,16 @@ def cmd_lf(args):
         etas, X, Y = simulate_lf(lf, init, args.seed, n_traj=args.trajectories)
     outputs = []
     if args.action in ("build", "both"):
+        payload = {
+            "n": lf.n, "m": lf.m, "N": lf.N,
+            "Xi": lf.Xi.tolist(),
+            "Abar": lf.Abar.tolist(),
+            "Bbar": lf.Bbar.tolist(),
+            "Cbar": lf.Cbar.tolist(),
+            "Dbar": lf.Dbar.tolist(),
+        }
         path = args.out + ".json" if args.action == "both" else args.out
-        _atomic_write(path, _lf_json_chunks(lf))
+        _atomic_write(path, json.dumps(payload) + "\n")
         outputs.append(path)
     if simulate:
         path = args.out + ".csv" if args.action == "both" else args.out
