@@ -22,6 +22,7 @@ arrays beyond the address space), 3 numerical failure or out of memory,
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -440,8 +441,19 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built on its first call: parsing leaves no
+    state in it, so later calls in the same process reuse it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code.  The parser is built once per process, which
+    saves in-process callers, such as tests and benchmarks calling ``main``
+    repeatedly, about a millisecond per call."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ModelError, BenchError, ConfigError) as e:

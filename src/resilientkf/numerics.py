@@ -292,6 +292,10 @@ def _doubling(Ak, G, H):
     entry; a converged H leaves the batch, so it does not depend on the others.
     An H whose step turns non-finite (its iterates overflowed, or I + G H
     was singular) leaves the batch as NaN instead of failing the others.
+    The batches are stacks of small matrices, so a doubling costs numpy
+    calls, not flops: while every equation still moves the batch is carried
+    forward as it is, and only a doubling at which some leave writes those
+    to the output and compacts the rest.
     From (A^T, C^T R^{-1} C, Q) H converges to the stabilising solution of
     the filter DARE; G = None stands for G = 0, W = I, Smith's doubling for
     the Lyapunov equation X = A^T X A + Q.
@@ -313,9 +317,16 @@ def _doubling(Ak, G, H):
             Hn = H + AkT @ H @ Z[..., :n]
             Ak = Ak @ Z[..., :n]
         Hn = 0.5 * (Hn + np.swapaxes(Hn, -1, -2))
-        step = np.abs(Hn - H).max(axis=(-2, -1)) / np.abs(Hn).max(axis=(-2, -1))
-        out[live] = np.where(np.isfinite(step)[:, None, None], Hn, np.nan)
+        k = len(Hn)
+        step = (np.abs(Hn - H).reshape(k, -1).max(axis=1)
+                / np.abs(Hn).reshape(k, -1).max(axis=1))
         more = step > DOUBLING_TOL
+        if more.all():
+            H = Hn
+            continue
+        left = ~more
+        out[live[left]] = np.where(np.isfinite(step[left])[:, None, None],
+                                   Hn[left], np.nan)
         if not more.any():
             return out
         live, Ak, H = live[more], Ak[more], Hn[more]

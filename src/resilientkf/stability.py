@@ -359,38 +359,49 @@ def _sweep(model):
     return beta[np.arange(na), where], where, overflowed, levels
 
 
-def _certificate(model, alpha, j, phik):
-    """The verified certificate at weight alpha: (rho, G*, Sigma, beta,
-    theta_max, verification).
+def _certificates(model, rows, phik):
+    """The verified certificate at each (alpha, j) of ``rows``: a list of
+    (rho, G*, Sigma, beta, theta_max, verification).
 
     rho maximises beta* over RHOS[j] and RHO_REFINE_POINTS log-spaced
     points up to its grid neighbours, G* is the DARE gain there, Sigma and
     beta are ``sigma_beta``'s at (alpha, G*, rho), and theta_max =
-    min(beta, phik).  prop6_guard checks it at theta_max with one
-    fixed-theta step from Sigma, a verdict for every 0 < P0 <= Sigma and
-    every horizon.  The record holds the verdict, its reason and
-    cond(Sigma); a rejected certificate raises StabilityError.
+    min(beta, phik).  The refinements of all rows are one batch of Riccati
+    solves; a pair's beta* does not depend on its batch, because a
+    converged equation leaves the doubling batch.  prop6_guard checks each
+    certificate at its theta_max with one fixed-theta step from Sigma, a
+    verdict for every 0 < P0 <= Sigma and every horizon, in the order of
+    ``rows``.  The record holds the verdict, its reason and cond(Sigma); the
+    first rejected certificate raises StabilityError.
     """
-    lo = _RHO_EXPONENTS[j - 1] if j else 0.0
-    hi = _RHO_EXPONENTS[min(j + 1, len(RHOS) - 1)]
-    rhos = np.append(RHO_HI ** np.linspace(lo, hi, RHO_REFINE_POINTS)[1:],
-                     RHOS[j])
-    beta, Sig = _beta_star(model, np.full(rhos.size, alpha), rhos)
-    b = int(np.argmax(beta))
-    rho, S, C = float(rhos[b]), Sig[b], model.C
-    # G* = rho^2 alpha A Sigma* C^T (rho^2 alpha^2 C Sigma* C^T + R)^{-1}
-    W = sym(rho ** 2 * alpha ** 2 * C @ S @ C.T + model.R)
-    G = rho ** 2 * alpha * chol_solve(W, C @ S @ model.A.T).T
-    Sigma, beta = sigma_beta(model, G, alpha, rho)
-    theta = float(min(beta, phik))
-    ok, cert = prop6_guard(model, theta, Sigma, G, alpha, rho)
-    if not ok:
-        raise StabilityError(
-            f"theta_max certificate (alpha={alpha:.6g}, rho={rho:.6g}) fails "
-            f"verification at theta={theta:.6g}: {cert['reason']}")
-    w = np.linalg.eigvalsh(Sigma)
-    return rho, G, Sigma, beta, theta, {
-        "ok": ok, "reason": cert["reason"], "sigma_cond": float(w[-1] / w[0])}
+    rhos = []
+    for _, j in rows:
+        lo = _RHO_EXPONENTS[j - 1] if j else 0.0
+        hi = _RHO_EXPONENTS[min(j + 1, len(RHOS) - 1)]
+        rhos.append(np.append(
+            RHO_HI ** np.linspace(lo, hi, RHO_REFINE_POINTS)[1:], RHOS[j]))
+    alphas = np.repeat([alpha for alpha, _ in rows], RHO_REFINE_POINTS)
+    betas, Sigs = _beta_star(model, alphas, np.concatenate(rhos))
+    certificates = []
+    for (alpha, _), refined, beta, Sig in zip(
+            rows, rhos, np.split(betas, len(rows)), np.split(Sigs, len(rows))):
+        b = int(np.argmax(beta))
+        rho, S, C = float(refined[b]), Sig[b], model.C
+        # G* = rho^2 alpha A Sigma* C^T (rho^2 alpha^2 C Sigma* C^T + R)^{-1}
+        W = sym(rho ** 2 * alpha ** 2 * C @ S @ C.T + model.R)
+        G = rho ** 2 * alpha * chol_solve(W, C @ S @ model.A.T).T
+        Sigma, beta = sigma_beta(model, G, alpha, rho)
+        theta = float(min(beta, phik))
+        ok, cert = prop6_guard(model, theta, Sigma, G, alpha, rho)
+        if not ok:
+            raise StabilityError(
+                f"theta_max certificate (alpha={alpha:.6g}, rho={rho:.6g}) "
+                f"fails verification at theta={theta:.6g}: {cert['reason']}")
+        w = np.linalg.eigvalsh(Sigma)
+        certificates.append((rho, G, Sigma, beta, theta, {
+            "ok": ok, "reason": cert["reason"],
+            "sigma_cond": float(w[-1] / w[0])}))
+    return certificates
 
 
 def theta_max(model, k=10):
@@ -410,9 +421,11 @@ def theta_max(model, k=10):
     to fine over the nested grids of steps LEVELS, skipping every box and
     then every pair whose monotone upper bound falls below the best beta*
     solved so far (``_sweep``); the winner is the full grid's, bit for bit.
-    ``_certificate`` refines rho and verifies the result at the best alpha
+    ``_certificates`` refines rho and verifies the result at the best alpha
     and, for ``search["alpha1"]``, at alpha = 1, the restriction that
-    corresponds to robustifying the prediction instead of the update; their
+    corresponds to robustifying the prediction instead of the update; both
+    refinements are one batch of Riccati solves, also when the best alpha
+    is 1, and the best alpha's certificate is verified first.  Their
     records are ``search["verification"]`` and
     ``search["alpha1"]["verification"]``.
     ``search["rho_hi_limits_beta"]`` is true when the winner sits at
@@ -431,15 +444,18 @@ def theta_max(model, k=10):
     if not np.isfinite(best[i]):
         raise StabilityError("empty admissible search set for theta_max")
     alpha = float(ALPHAS[i])
-    rho, G, Sigma, beta, tmax, verification = _certificate(
-        model, alpha, where[i], phik)
-    solves = (sum(n for _, n in levels)
-              + RHO_REFINE_POINTS * (1 + bool(np.isfinite(best[-1]))))
+    rows = [(alpha, where[i])]
+    if np.isfinite(best[-1]):
+        # refined again when it is the best row too, so the report does
+        # not depend on which row wins
+        rows.append((1.0, where[-1]))
+    certificates = _certificates(model, rows, phik)
+    rho, G, Sigma, beta, tmax, verification = certificates[0]
+    solves = sum(n for _, n in levels) + RHO_REFINE_POINTS * len(rows)
     alpha1 = {"beta": -np.inf, "theta_max": None, "alpha": 1.0, "G": None,
               "rho": None}
-    if np.isfinite(best[-1]):
-        rho1, G1, _, beta1, tmax1, verification1 = _certificate(
-            model, 1.0, where[-1], phik)
+    if len(certificates) > 1:
+        rho1, G1, _, beta1, tmax1, verification1 = certificates[1]
         alpha1.update(beta=beta1, theta_max=tmax1, G=G1.tolist(), rho=rho1,
                       verification=verification1)
     search = {

@@ -689,6 +689,47 @@ def test_budget_solve_at_extreme_noise(tmp_path):
         assert all(0.0 < th < math.inf for th in thetas)
 
 
+@pytest.mark.parametrize("first, second", [
+    (["bounds", "--mode", "cmax", "--k", "12"], ["bounds", "--mode", "cmax"]),
+    (["worstcase", "--c", "0.01", "--c", "0.05", "--horizon", "20"],
+     ["worstcase", "--theta", "0.05", "--horizon", "20"]),
+    (["bounds", "--mode", "cmaxx"], ["bounds", "--mode", "cmax"]),
+])
+def test_reused_parser_leaks_no_state(first, second, model_file, tmp_path,
+                                      capsys):
+    # main builds its parser once per process; each call of a sequence
+    # gives the exit code, messages and output it gives alone
+    def run(argv, name):
+        out = tmp_path / name
+        try:
+            code = main([argv[0], "--model", model_file, *argv[1:],
+                         "--out", str(out)])
+        except SystemExit as e:
+            code = e.code
+        return code, capsys.readouterr().err, (
+            out.read_text() if out.exists() else None)
+
+    alone = []
+    for i, argv in enumerate((first, second)):
+        cli._parser.cache_clear()
+        alone.append(run(argv, f"alone{i}"))
+    cli._parser.cache_clear()
+    in_sequence = [run(first, "first"), run(second, "second")]
+    assert cli._parser.cache_info().misses == 1
+    assert in_sequence == alone
+    code, err, text = in_sequence[1]
+    assert code == 0 and err == ""
+    if first[0] == "bounds":
+        assert json.loads(text)["search"]["k"] == 10
+    else:
+        # --c appends to a list that a later call must not see again
+        rows = csv.DictReader(io.StringIO(text))
+        assert {row["budget_kind"] for row in rows} == {"theta"}
+    if "cmaxx" in first:
+        assert in_sequence[0][0] == 2
+        assert "invalid choice" in in_sequence[0][1]
+
+
 def test_bounds_thetamax_singular_doubling_step(tmp_path, capsys):
     # the pair whose doubling meets a singular system counts as
     # beta* = -inf like an overflowed one; here no pair is left, as the

@@ -17,7 +17,7 @@ from resilientkf.numerics import (
     spectral_extrema,
     sym,
 )
-from resilientkf.stability import c_max
+from resilientkf.stability import c_max, theta_max
 
 
 def test_gamma_scalar_oracle():
@@ -244,6 +244,123 @@ def test_doubling_overflow_is_nan_per_equation():
     assert np.isnan(X[1]).all()
     ref = solve_discrete_lyapunov(F[0].T, np.eye(2))
     assert np.abs(X[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _doubling_reference(Ak, G, H):
+    """``numerics._doubling`` as a plain loop that writes every live
+    equation's iterate and compacts the batch on every doubling: the
+    reference its leaner bookkeeping must match bit for bit."""
+    n = Ak.shape[-1]
+    eye = np.eye(n)
+    out = np.array(np.broadcast_to(H, Ak.shape))
+    H = out
+    live = np.arange(len(out))
+    for _ in range(numerics.MAX_DOUBLINGS):
+        AkT = np.swapaxes(Ak, -1, -2)
+        if G is None:
+            Hn = H + AkT @ H @ Ak
+            Ak = Ak @ Ak
+        else:
+            Z = numerics._solve_stack(eye + G @ H,
+                                      np.concatenate([Ak, G], axis=-1))
+            G = G + Ak @ Z[..., n:] @ AkT
+            G = 0.5 * (G + np.swapaxes(G, -1, -2))
+            Hn = H + AkT @ H @ Z[..., :n]
+            Ak = Ak @ Z[..., :n]
+        Hn = 0.5 * (Hn + np.swapaxes(Hn, -1, -2))
+        step = np.abs(Hn - H).max(axis=(-2, -1)) / np.abs(Hn).max(axis=(-2, -1))
+        out[live] = np.where(np.isfinite(step)[:, None, None], Hn, np.nan)
+        more = step > numerics.DOUBLING_TOL
+        if not more.any():
+            return out
+        live, Ak, H = live[more], Ak[more], Hn[more]
+        if G is not None:
+            G = G[more]
+    raise NumericsError(
+        f"doubling did not converge in {numerics.MAX_DOUBLINGS} doublings: "
+        f"{len(live)} of {len(out)} equations left, largest relative step "
+        f"{np.max(step):.3g}")
+
+
+def _theta_max_doubling_batches(model, monkeypatch):
+    """The (Ak, G, H) of every ``_doubling`` call theta_max makes."""
+    batches = []
+    doubling = numerics._doubling
+
+    def recording(Ak, G, H):
+        batches.append((Ak.copy(), None if G is None else G.copy(),
+                        np.array(H)))
+        return doubling(Ak, G, H)
+
+    monkeypatch.setattr(numerics, "_doubling", recording)
+    theta_max(model)
+    monkeypatch.setattr(numerics, "_doubling", doubling)
+    return batches
+
+
+def _dare_batch(model, scales):
+    """_doubling's (A^T, C^T R^{-1} C, Q) for the DAREs of (s A, C, Q, R)."""
+    AT = np.stack([s * model.A.T for s in scales])
+    G = model.C.T @ np.linalg.solve(model.R, model.C)
+    return AT, np.repeat(G[None], len(scales), axis=0), model.Q
+
+
+@pytest.mark.parametrize("name", ["model_a", "model_b"])
+def test_doubling_matches_reference_on_theta_max_batches(name, request,
+                                                         monkeypatch):
+    batches = _theta_max_doubling_batches(request.getfixturevalue(name),
+                                          monkeypatch)
+    # a Riccati and a Smith (Newton step) batch per Riccati solve
+    assert len(batches) >= 12
+    assert sum(G is None for _, G, _ in batches) == len(batches) // 2
+    for Ak, G, H in batches:
+        X = numerics._doubling(Ak, G, H)
+        assert np.array_equal(X, _doubling_reference(Ak, G, H),
+                              equal_nan=True)
+
+
+def test_doubling_matches_reference_smith_mode():
+    # Smith doubling of X = F^T X F + V for stable F of different radii,
+    # so the equations leave the batch at different doublings
+    rng = np.random.default_rng(11)
+    F = rng.standard_normal((9, 3, 3))
+    F *= (np.linspace(0.05, 0.97, 9)
+          / np.abs(np.linalg.eigvals(F)).max(axis=1))[:, None, None]
+    V = np.diag([1.0, 2.0, 0.5])
+    X = numerics._doubling(F, None, V)
+    assert np.isfinite(X).all()
+    assert np.array_equal(X, _doubling_reference(F, None, V))
+
+
+def test_doubling_non_finite_member_is_nan_alone(model_a):
+    # the second equation's I + G H is singular at the first doubling, the
+    # fourth's iterates overflow; both leave as NaN, and the others are
+    # what they are when solved without them
+    AT, G, Q = _dare_batch(model_a, [1.0, 1.0, 2.0, 1e200, 0.5])
+    H = np.repeat(Q[None], 5, axis=0)
+    G[1], H[1] = np.diag([1.0, 0.0]), np.diag([-1.0, 1.0])
+    X = numerics._doubling(AT, G, H)
+    assert np.array_equal(X, _doubling_reference(AT, G, H), equal_nan=True)
+    assert np.isnan(X[[1, 3]]).all()
+    keep = [0, 2, 4]
+    assert np.isfinite(X[keep]).all()
+    assert np.array_equal(X[keep], numerics._doubling(AT[keep], G[keep],
+                                                      H[keep]))
+
+
+@pytest.mark.parametrize("smith", [False, True])
+def test_doubling_non_convergence_message_matches_reference(model_b, smith,
+                                                            monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_DOUBLINGS", 2)
+    AT, G, Q = _dare_batch(model_b, [0.5, 1.0, 3.0])
+    if smith:
+        G = None
+    with pytest.raises(NumericsError) as reference:
+        _doubling_reference(AT, G, Q)
+    with pytest.raises(NumericsError, match="did not converge") as got:
+        numerics._doubling(AT, G, Q)
+    assert str(got.value) == str(reference.value)
 
 
 def test_lyapunov_doubling_overflow_raises():

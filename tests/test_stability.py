@@ -347,12 +347,20 @@ def test_theta_max_records_verification(model_b):
 
 
 def test_theta_max_raises_on_failed_verification(model_b, monkeypatch):
+    # the best alpha's certificate is verified first, and its failure raises
     import resilientkf.stability as stab
 
-    monkeypatch.setattr(stab, "prop6_guard",
-                        lambda *a, **k: (False, {"reason": "rejected"}))
-    with pytest.raises(StabilityError, match="fails verification"):
+    verified = []
+
+    def rejecting(model, theta, P0, G, alpha, rho):
+        verified.append(alpha)
+        return False, {"reason": "rejected"}
+
+    monkeypatch.setattr(stab, "prop6_guard", rejecting)
+    with pytest.raises(StabilityError,
+                       match=r"alpha=0\.01, .* fails verification"):
         theta_max(model_b, k=10)
+    assert verified == [0.01]
 
 
 def test_theta_max_raises_on_empty_sweep(model_b, monkeypatch):
@@ -362,6 +370,74 @@ def test_theta_max_raises_on_empty_sweep(model_b, monkeypatch):
     monkeypatch.setattr(stab, "SIGMA_COND_MAX", 0.5)
     with pytest.raises(StabilityError, match="empty admissible"):
         theta_max(model_b, k=10)
+
+
+def _record_beta_star(monkeypatch):
+    """Patch ``_beta_star`` to record the size of each batch it solves."""
+    import resilientkf.stability as stab
+
+    sizes = []
+    beta_star = stab._beta_star
+
+    def recording(model, alphas, rhos):
+        sizes.append(len(alphas))
+        return beta_star(model, alphas, rhos)
+
+    monkeypatch.setattr(stab, "_beta_star", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["model_a", "model_b", "weak_sensor_b"])
+def test_theta_max_refines_both_rows_in_one_batch(name, request,
+                                                  monkeypatch):
+    # one Riccati batch per sweep stage and one for both refinements; each
+    # certificate is the one its refinement gives alone.  Behind a weak
+    # sensor model B's best row is alpha = 1, and both refinements are of it
+    import resilientkf.stability as stab
+
+    if name == "weak_sensor_b":
+        b = request.getfixturevalue("model_b")
+        model = LinearGaussianModel(A=b.A, C=b.C, Q=b.Q, R=[[1e3]])
+    else:
+        model = request.getfixturevalue(name)
+    sizes = _record_beta_star(monkeypatch)
+    rep = theta_max(model, k=10)
+    search = rep.search
+    assert len(sizes) == len(search["sweep_levels"]) + 1
+    assert sizes[-1] == 2 * stab.RHO_REFINE_POINTS
+    assert (rep.alpha == 1.0) == (name == "weak_sensor_b")
+    best, where, _, _ = stab._sweep(model)
+    i = int(np.argmax(best))
+    [(rho, G, Sigma, beta, tmax, verification)] = stab._certificates(
+        model, [(float(stab.ALPHAS[i]), where[i])], rep.phi_k)
+    [(rho1, G1, _, beta1, tmax1, verification1)] = stab._certificates(
+        model, [(1.0, where[-1])], rep.phi_k)
+    assert (rep.rho, rep.beta, rep.theta_max) == (rho, beta, tmax)
+    assert np.array_equal(rep.G, G) and np.array_equal(rep.sigma, Sigma)
+    assert search["verification"] == verification
+    assert search["alpha1"] == {"beta": beta1, "theta_max": tmax1,
+                                "alpha": 1.0, "G": G1.tolist(), "rho": rho1,
+                                "verification": verification1}
+
+
+def test_theta_max_without_an_alpha_one_row(model_b, monkeypatch):
+    # when no alpha = 1 pair is admissible only the best row is refined
+    import resilientkf.stability as stab
+
+    full = theta_max(model_b, k=10)
+    best, where, overflowed, levels = stab._sweep(model_b)
+    best[-1] = -np.inf
+    monkeypatch.setattr(stab, "_sweep",
+                        lambda model: (best, where, overflowed, levels))
+    sizes = _record_beta_star(monkeypatch)
+    rep = theta_max(model_b, k=10)
+    assert sizes == [stab.RHO_REFINE_POINTS]
+    assert (rep.rho, rep.beta, rep.theta_max) == (full.rho, full.beta,
+                                                  full.theta_max)
+    assert rep.search["alpha1"] == {"beta": -np.inf, "theta_max": None,
+                                    "alpha": 1.0, "G": None, "rho": None}
+    assert rep.search["riccati_solves"] == (sum(n for _, n in levels)
+                                            + stab.RHO_REFINE_POINTS)
 
 
 @pytest.mark.parametrize("seed, bound", [(8, 5.5571e-6), (10, 2.8770e-6)])
@@ -598,8 +674,8 @@ def test_batch_beta_matches_full_grid(name, fix_alpha, chunk, request,
     # and random_2x1 the winner of the former 21^(n m) gain grid search
     i = len(best) - 1 if fix_alpha else int(np.argmax(best))
     phik = phi_max(model, 10)
-    _, _, _, final, _, _ = stab._certificate(model, stab.ALPHAS[i], where[i],
-                                             phik)
+    [(_, _, _, final, _, _)] = stab._certificates(
+        model, [(stab.ALPHAS[i], where[i])], phik)
     assert final >= beta.max()
     if name in GRID_SEARCH_BETA:
         assert final >= GRID_SEARCH_BETA[name][fix_alpha is not None]

@@ -19,7 +19,7 @@ max|a - b| / max|a| over its numeric CSV columns and JSON arrays (``a``
 from ``OLD_DIR``), with the column or JSON path where it is reached.  A
 text or shape change is reported as such.
 
-The command set, 48 commands:
+The command set, 49 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
   model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
@@ -33,9 +33,10 @@ The command set, 48 commands:
   x 200 steps (outputs under ``bench_blocks``);
 - ``bounds``: cmax and thetamax on models A and B, cmax on model B with
   ``--k 40``, a window on which phi_k sits just below the pole of S_k,
-  cmax on model A with ``--k 80``, a long window, and thetamax on the
+  cmax on model A with ``--k 80``, a long window, thetamax on the
   9-state model, whose fixed-theta recursion from the certificate's Sigma
-  does not repeat within 1000 steps.
+  does not repeat within 1000 steps, and thetamax on model B with R = 1000,
+  whose best alpha row is alpha = 1.
 """
 
 import csv
@@ -153,6 +154,11 @@ def commands(inp, out):
                  "--out", os.path.join(out, "bounds_cmax_a_k80.json")])
     cmds.append(["bounds", "--model", paths["r9"], "--mode", "thetamax",
                  "--out", os.path.join(out, "bounds_thetamax_r9.json")])
+    # behind a weak sensor model B's best theta_max row is alpha = 1, so
+    # both rho refinements are of that row
+    weak = write("model_b_weak.json", json.dumps({**MODEL_B, "R": [[1e3]]}))
+    cmds.append(["bounds", "--model", weak, "--mode", "thetamax",
+                 "--out", os.path.join(out, "bounds_thetamax_b_weak.json")])
     return cmds
 
 
