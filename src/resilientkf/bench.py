@@ -6,6 +6,8 @@ configured filters designed on the simpler nominal model, and reports the
 average displacement mean-squared error over trials.
 """
 
+import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -60,22 +62,62 @@ def sample_measurement(scenario, p, rng):
     """Draw sensor readings for displacement(s) p under the scenario.
 
     Vectorized: p may be a scalar or an array; the output has p's shape.
+    The law is its draw half, _draw_noise, followed by its reading half,
+    _read_sensor; run_monte_carlo calls the two halves apart.
     """
     p = np.asarray(p, dtype=float)
-    sd = np.sqrt(BASE_R)
-    if scenario.kind == "drift":
-        return p + DRIFT_MEAN + sd * rng.standard_normal(p.shape)
+    noise = _draw_noise(scenario, p.shape, rng,
+                        _noise_buffers(scenario, p.shape))
+    # [()] turns the 0-d result of a scalar p into a scalar
+    return _read_sensor(scenario, p, noise, np.empty(p.shape))[()]
+
+
+def _noise_buffers(scenario, shape):
+    """The arrays _draw_noise fills for one reading of the given shape: a
+    uniform and a standard normal for outlier, none for uniform (whose
+    Generator.uniform has no ``out=``), one standard normal otherwise."""
+    count = {"uniform": 0, "outlier": 2}.get(scenario.kind, 1)
+    return [np.empty(shape) for _ in range(count)]
+
+
+def _draw_noise(scenario, shape, rng, out):
+    """The draw half of sample_measurement: the scenario's raw draws for
+    readings of the given shape, made from ``rng`` into ``out`` (from
+    _noise_buffers); returns them.  It reads no state, only the
+    generator."""
     if scenario.kind == "uniform":
-        return p + rng.uniform(UNIFORM_LO, UNIFORM_HI, p.shape)
-    if scenario.kind == "deadzone":
-        z = p + sd * rng.standard_normal(p.shape)
-        return np.where(np.abs(z) < DEAD_ZONE, 0.0, z)
+        return [rng.uniform(UNIFORM_LO, UNIFORM_HI, shape)]
     if scenario.kind == "outlier":
-        var = np.where(rng.random(p.shape) < MIXTURE_WEIGHT, BASE_R,
-                       OUTLIER_FACTOR * BASE_R)
-        return p + np.sqrt(var) * rng.standard_normal(p.shape)
-    # nominal
-    return p + sd * rng.standard_normal(p.shape)
+        rng.random(out=out[0])
+    rng.standard_normal(out=out[-1])
+    return out
+
+
+def _read_sensor(scenario, p, noise, out):
+    """The reading half of sample_measurement: writes the readings of the
+    displacements p from the draws ``noise`` of _draw_noise to ``out`` and
+    returns it; the draws are overwritten.  Each reading is computed with
+    the operations, in the order, of p + DRIFT_MEAN + sd * g (drift),
+    p + U (uniform), where(|p + sd * g| < DEAD_ZONE, 0, p + sd * g)
+    (deadzone), p + sqrt(var) * g (outlier) and p + sd * g (nominal)."""
+    kind, g = scenario.kind, noise[-1]
+    if kind == "uniform":
+        return np.add(p, g, out=out)
+    if kind == "outlier":
+        # var, then sqrt(var), in place of the uniforms that picked it
+        var, pick = noise[0], noise[0] < MIXTURE_WEIGHT
+        var.fill(OUTLIER_FACTOR * BASE_R)
+        var[pick] = BASE_R
+        np.multiply(np.sqrt(var, out=var), g, out=g)
+    else:
+        np.multiply(np.sqrt(BASE_R), g, out=g)
+    if kind == "drift":
+        np.add(p, DRIFT_MEAN, out=out)
+        return np.add(out, g, out=out)
+    np.add(p, g, out=out)
+    if kind == "deadzone":
+        out[np.abs(out, out=g) < DEAD_ZONE] = 0.0
+    return out
 
 
 @dataclass
@@ -135,6 +177,27 @@ class MseReport:
         }
 
 
+# From this many trials run_monte_carlo makes its draws on a worker thread,
+# one step ahead of the arithmetic; below it both threads are bound by
+# Python overhead and the handoff costs more than the overlap saves.
+DRAW_AHEAD_TRIALS = 2000
+
+
+@contextlib.contextmanager
+def _draws_ahead(trials):
+    """Yield ``ahead(fn, *args)``, which returns a function that waits for
+    and returns fn(*args).  From DRAW_AHEAD_TRIALS trials on, fn starts at
+    once on one worker thread, which the context joins on exit; below,
+    fn runs in the caller when its value is asked for."""
+    if trials < DRAW_AHEAD_TRIALS:
+        yield functools.partial
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield lambda fn, *args: pool.submit(fn, *args).result
+
+
 def run_monte_carlo(cfg, scenarios):
     """Run the benchmark for each scenario; one MseReport each, in order.
 
@@ -153,6 +216,15 @@ def run_monte_carlo(cfg, scenarios):
     own generator, seeded with ``cfg.seed`` and spawn key
     ``SCENARIO_KINDS.index(kind)``, so its report does not depend on the
     order or subset of ``scenarios``.
+
+    No draw depends on a state, so from DRAW_AHEAD_TRIALS trials on a
+    worker thread draws each step's plant noise and raw sensor noise
+    (_draw_noise) one step ahead, into the other of two slots of buffers,
+    while this thread computes the current step's readings (_read_sensor),
+    filter steps and MSE.  The worker starts after the initial states are
+    drawn and is then the only user of every generator; it makes the same
+    calls in the same order, so the reports do not depend on whether it
+    runs, on the core count or on the thread scheduling.
     """
     nominal, Qw = msd_discretize(MSD)
     n = nominal.n
@@ -174,27 +246,45 @@ def run_monte_carlo(cfg, scenarios):
     # state-major (n, trials) plants, from (trials, n) draws
     x0 = np.linalg.cholesky(P0) @ rng.standard_normal((M, n)).T
     x = dict.fromkeys(chol, x0)
+
+    def draw(t, slot):
+        """Step t's draws into one of the two slots: the plants' (trials, n)
+        noise (at t > 0) and each scenario's raw sensor noise."""
+        plant, buffers = slot
+        if t:
+            rng.standard_normal(out=plant)
+        return plant, [_draw_noise(s, (M,), stream, out) for s, stream, out
+                       in zip(scenarios, streams, buffers)]
+
+    slots = [(np.empty((M, n)), [_noise_buffers(s, (M,)) for s in scenarios])
+             for _ in range(2)]
     # the scenarios' mean passes share one zero prior (each keeps its prior
     # for the whole pass) and read each step's readings from their row,
-    # refilled before the step; a step's squared errors of every scenario
-    # are reduced to its MSE row at once
+    # rewritten before the step; each scenario's squared errors are reduced
+    # to its MSE entries in turn
     prior = np.zeros((F, n, M))
     rows = np.empty((S, 1, M))
     passes = [mean_pass(nominal, gains, prior, itertools.repeat(row))
               for row in rows]
-    err = np.empty((S, F, M))
+    err = np.empty((F, M))
     mse = np.empty((N, S, F))
-    for t in range(N):
-        if t:
-            z = rng.standard_normal((M, n)).T
-            x = {c: nominal.A @ xc + chol[c] @ z for c, xc in x.items()}
-        for i, (c, scenario, stream, means) in enumerate(
-                zip(control, scenarios, streams, passes)):
-            p = x[c][0]     # the displacement, the one state measured
-            rows[i] = sample_measurement(scenario, p, stream)
-            x_f, _ = next(means)
-            np.subtract(x_f[:, 0], p, out=err[i])
-        mse[t] = np.square(err, out=err).sum(axis=-1) / M
+    with _draws_ahead(M) as ahead:
+        pending = ahead(draw, 0, slots[0])
+        for t in range(N):
+            plant, noise = pending()
+            if t + 1 < N:
+                pending = ahead(draw, t + 1, slots[(t + 1) % 2])
+            if t:
+                z = plant.T
+                x = {c: nominal.A @ xc + chol[c] @ z for c, xc in x.items()}
+            for i, (c, scenario, means, drawn) in enumerate(
+                    zip(control, scenarios, passes, noise)):
+                p = x[c][0]     # the displacement, the one state measured
+                _read_sensor(scenario, p, drawn, rows[i, 0])
+                x_f, _ = next(means)
+                np.subtract(x_f[:, 0], p, out=err)
+                np.square(err, out=err).sum(axis=-1, out=mse[t, i])
+    mse /= M
     reports = []
     for i, scenario in enumerate(scenarios):
         mse_t = dict(zip(cfg.filters, mse[:, i].T.copy()))

@@ -256,29 +256,11 @@ def cmd_filter(args):
     model = load_model(args.model)
     fc = FilterConfig.from_dict(load_json(args.config))
     init = _load_init(args, model)
-    ys = []
-    try:
-        with open(args.data, encoding="utf-8") as f:
-            for i, row in enumerate(csv.reader(f)):
-                if not row or (i == 0 and any(not _is_number(v) for v in row)):
-                    continue  # skip blank lines and a header row
-                if len(row) != model.m:
-                    raise ModelError(f"data line {i + 1}: expected {model.m} "
-                                     f"columns, got {len(row)}")
-                try:
-                    y = [float(v) for v in row]
-                except ValueError:
-                    raise ModelError(f"data line {i + 1}: non-numeric value")
-                if not all(map(math.isfinite, y)):
-                    raise ModelError(f"data line {i + 1}: non-finite value")
-                ys.append(y)
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise ModelError(f"data file {args.data}: {e}")
+    ys = _read_data(args.data, model.m)
     T, n, m = len(ys), model.n, model.m
     sched = covariance_schedule(model, fc, init.cov, T - 1)
     means = np.empty((T, 2, n))
-    for t, x in enumerate(mean_pass(model, sched.gains, init.mean,
-                                    np.asarray(ys))):
+    for t, x in enumerate(mean_pass(model, sched.gains, init.mean, ys)):
         means[t] = x
     header = (["t", "theta"]
               + [f"gain_{i}_{j}" for i in range(n) for j in range(m)]
@@ -292,6 +274,35 @@ def cmd_filter(args):
                 np.reshape(sched.cov_filt, (T, n * n))])
     _write_manifest(args, [args.out], cycle=sched.cycle)
     return EXIT_OK
+
+
+def _read_data(path, m):
+    """The rows of a ``filter --data`` CSV file as a (T, m) float array.
+
+    Blank lines and a header row are skipped.  Each row is parsed as it is
+    read and appended to one flat ``array('d')``, so the parse holds 8
+    bytes a value, not a list of Python floats a row."""
+    from array import array     # not at import: only filter reads data
+
+    ys = array("d")
+    try:
+        with open(path, encoding="utf-8") as f:
+            for i, row in enumerate(csv.reader(f)):
+                if not row or (i == 0 and any(not _is_number(v) for v in row)):
+                    continue  # skip blank lines and a header row
+                if len(row) != m:
+                    raise ModelError(f"data line {i + 1}: expected {m} "
+                                     f"columns, got {len(row)}")
+                try:
+                    y = [float(v) for v in row]
+                except ValueError:
+                    raise ModelError(f"data line {i + 1}: non-numeric value")
+                if not all(map(math.isfinite, y)):
+                    raise ModelError(f"data line {i + 1}: non-finite value")
+                ys.extend(y)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ModelError(f"data file {path}: {e}")
+    return np.frombuffer(ys).reshape(-1, m)
 
 
 def _is_number(s):

@@ -266,5 +266,6 @@ def mean_pass(model, gains, x0, ys):
         # 14 us, against 106-119 us for matmul at (2, 2, 1) @ (2, 1, 10000)
         x_f = x + (L * v if v.ndim > 1 and v.shape[-2] == 1 else L @ v)
         x = A @ x_f
+        del v   # not held across the yield: a paused pass keeps x, x_f only
         yield x_f, x
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from resilientkf.bench import (
     run_monte_carlo,
     sample_measurement,
 )
+from resilientkf.cli import main
 from resilientkf.filters import ConfigError, covariance_schedule
 from resilientkf.model import msd_discretize
 
@@ -135,8 +138,11 @@ def _ref_run_monte_carlo(cfg, scenario):
     )
 
 
-def _assert_matches_reference(cfg, kinds):
-    reports = run_monte_carlo(cfg, [Scenario(kind=k) for k in kinds])
+def _assert_matches_reference(cfg, kinds, reports=None):
+    """run_monte_carlo's reports (or the given ones, from its run of cfg
+    and kinds) equal the reference's, byte for byte."""
+    if reports is None:
+        reports = run_monte_carlo(cfg, [Scenario(kind=k) for k in kinds])
     assert [r.scenario for r in reports] == list(kinds)
     for kind, rep in zip(kinds, reports):
         ref = _ref_run_monte_carlo(cfg, Scenario(kind=kind))
@@ -162,40 +168,55 @@ def test_mc_ragged_shapes_match_reference(trials, horizon):
         McConfig(trials=trials, horizon=horizon, seed=11), SCENARIO_KINDS)
 
 
-def _recorded_calls(monkeypatch):
-    """Record each sample_measurement call's displacements and the state
-    of its generator before the draw."""
-    calls = []
+def _recorded_readings(monkeypatch):
+    """Record the displacements of each reading made by run_monte_carlo,
+    per scenario kind, at its reading seam."""
+    seen = {}
 
-    def recording(scenario, p, rng):
-        calls.append((scenario.kind, np.array(p, copy=True),
-                      rng.bit_generator.state))
-        return sample_measurement(scenario, p, rng)
+    def recording(scenario, p, noise, out):
+        seen.setdefault(scenario.kind, []).append(np.array(p, copy=True))
+        return read_sensor(scenario, p, noise, out)
 
-    monkeypatch.setattr(bench, "sample_measurement", recording)
-    return calls
+    read_sensor = bench._read_sensor
+    monkeypatch.setattr(bench, "_read_sensor", recording)
+    return seen
+
+
+def _recorded_draws(monkeypatch):
+    """Record, per scenario kind, the state of its generator before each of
+    run_monte_carlo's draws at its draw seam, with the drawing thread."""
+    seen = {}
+
+    def recording(scenario, shape, rng, out):
+        seen.setdefault(scenario.kind, []).append(
+            (rng.bit_generator.state, threading.current_thread()))
+        return draw_noise(scenario, shape, rng, out)
+
+    draw_noise = bench._draw_noise
+    monkeypatch.setattr(bench, "_draw_noise", recording)
+    return seen
 
 
 def test_mc_plants_match_parent_simulation(monkeypatch):
-    calls = _recorded_calls(monkeypatch)
+    seen = _recorded_readings(monkeypatch)
     cfg = McConfig(trials=37, horizon=23, seed=8)
     run_monte_carlo(cfg, [Scenario(kind=k) for k in SCENARIO_KINDS])
     for kind in SCENARIO_KINDS:
-        seen = np.vstack([p for k, p, _ in calls if k == kind])
+        got = np.vstack(seen[kind])
         want = _parent_plant(cfg, Scenario(kind=kind)).T
-        assert seen.shape == want.shape
-        assert seen.tobytes() == want.tobytes()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mc_sensor_streams_do_not_replay_the_plant(monkeypatch):
     # SeedSequence pads short entropy with zeros, so a stream seeded
     # [seed, 0] would draw what the plant's default_rng(seed) draws
-    calls = _recorded_calls(monkeypatch)
+    seen = _recorded_draws(monkeypatch)
     seed = 5
     run_monte_carlo(McConfig(trials=4, horizon=1, seed=seed),
                     [Scenario(kind=k) for k in SCENARIO_KINDS])
     first = {}
-    for kind, _, state in calls:
+    for kind, [(state, _)] in seen.items():
         rng = np.random.default_rng()
         rng.bit_generator.state = state
         first[kind] = rng.random(8)
@@ -204,6 +225,101 @@ def test_mc_sensor_streams_do_not_replay_the_plant(monkeypatch):
     for i, a in enumerate(draws):
         for b in draws[i + 1:]:
             assert not np.isin(a, b).any()
+
+
+@pytest.mark.parametrize("trials, horizon, ahead_from", [
+    (bench.DRAW_AHEAD_TRIALS - 1, 3, None),
+    (bench.DRAW_AHEAD_TRIALS, 3, None),
+    (bench.DRAW_AHEAD_TRIALS, 1, None),
+    (1, 25, 1),
+    (40, 1, 1),
+], ids=["below_threshold", "at_threshold", "at_threshold_one_step",
+        "ahead_one_trial", "ahead_one_step"])
+def test_mc_draw_ahead_matches_reference(monkeypatch, trials, horizon,
+                                         ahead_from):
+    # the worker thread draws exactly what the caller would, in order
+    if ahead_from is not None:
+        monkeypatch.setattr(bench, "DRAW_AHEAD_TRIALS", ahead_from)
+    seen = _recorded_draws(monkeypatch)
+    cfg = McConfig(trials=trials, horizon=horizon, seed=11)
+    threads = threading.active_count()
+    reports = run_monte_carlo(cfg, [Scenario(kind=k) for k in SCENARIO_KINDS])
+    assert threading.active_count() == threads
+    ahead = trials >= bench.DRAW_AHEAD_TRIALS
+    for kind in SCENARIO_KINDS:
+        assert len(seen[kind]) == horizon
+        assert all((thread is threading.main_thread()) != ahead
+                   for _, thread in seen[kind])
+    _assert_matches_reference(cfg, SCENARIO_KINDS, reports)
+
+
+def test_mc_draw_ahead_holds_under_thread_switching():
+    # the worker refills one slot of draws while the caller reads the
+    # other; three passes at once (six threads on the cores there are),
+    # switching threads every microsecond, must still each draw and read
+    # exactly what the reference does
+    cfg = McConfig(trials=bench.DRAW_AHEAD_TRIALS, horizon=6, seed=13)
+    results = [None] * 3
+
+    def run(k):
+        results[k] = run_monte_carlo(
+            cfg, [Scenario(kind=kind) for kind in SCENARIO_KINDS])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for th in runs:
+            th.start()
+        for th in runs:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in runs)
+    assert all(reports is not None for reports in results)
+    for reports in results:
+        _assert_matches_reference(cfg, SCENARIO_KINDS, reports)
+
+
+def test_mc_draw_ahead_failure_in_the_arithmetic_propagates(monkeypatch):
+    mean_pass = bench.mean_pass
+
+    def failing(*args):
+        for t, step in enumerate(mean_pass(*args)):
+            if t == 3:
+                raise RuntimeError("mean pass failed at t = 3")
+            yield step
+
+    monkeypatch.setattr(bench, "mean_pass", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="failed at t = 3"):
+        run_monte_carlo(McConfig(trials=bench.DRAW_AHEAD_TRIALS, horizon=10),
+                        [Scenario(kind=k) for k in SCENARIO_KINDS])
+    assert threading.active_count() == threads
+
+
+def test_mc_draw_ahead_out_of_memory_writes_nothing(monkeypatch, tmp_path,
+                                                    capsys):
+    draw_noise, workers, calls = bench._draw_noise, set(), []
+
+    def exhausted(scenario, shape, rng, out):
+        # the third step's outlier draw fails
+        workers.add(threading.current_thread())
+        calls.append(scenario.kind)
+        if calls.count("outlier") == 3:
+            raise MemoryError
+        return draw_noise(scenario, shape, rng, out)
+
+    monkeypatch.setattr(bench, "_draw_noise", exhausted)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    rc = main(["bench", "--trials", str(bench.DRAW_AHEAD_TRIALS),
+               "--horizon", "10", "--out", str(out)])
+    assert rc == 3
+    assert "out of memory" in capsys.readouterr().err
+    assert not out.exists()
+    assert threading.active_count() == threads
+    assert threading.main_thread() not in workers
 
 
 def test_mc_memory_does_not_grow_with_horizon():
