@@ -18,7 +18,9 @@ where the inflation acts and where theta comes from:
 thetas and covariances.  The gains do not depend on the data, so
 ``mean_pass`` then folds them over the observations, vectorised over runs
 (e.g. trials) held as columns.  The inflation is computed from one
-eigendecomposition of the covariance, with no explicit inverse.
+eigendecomposition of the covariance, with no explicit inverse; for the
+budgeted kinds the same eigendecomposition feeds the budget solve, so a
+step decomposes its covariance once.
 """
 
 import math
@@ -99,17 +101,18 @@ class FilterConfig:
         return cls(**d)
 
 
-def _inflate(P, theta):
+def _inflate(P, theta, eig=None):
     """Distorted covariance (P^{-1} - theta I)^{-1} of an exactly symmetric P.
 
-    From one eigendecomposition P = U diag(lambda) U^T as
+    From one eigendecomposition P = U diag(lambda) U^T (``eig``, the caller's
+    ``eigh(P)``, or else taken here) as
     U diag(lambda / (1 - theta lambda)) U^T, symmetrized, with no explicit
     inverse; the smallest eigenvalue guards that P is positive definite, and
     a Cholesky factorisation that the result is.
     """
     if theta == 0.0:
         return P
-    lams, U = np.linalg.eigh(P)
+    lams, U = np.linalg.eigh(P) if eig is None else eig
     if lams[0] <= 0.0:
         raise NumericsError("matrix is not positive definite")
     smax = lams[-1]
@@ -203,16 +206,17 @@ def covariance_schedule(model, config, P0, N):
     pre = config.kind in ("prkf", "prsf")
 
     def inflate(P):
+        eig = None
         if config.c is not None:
             # P is exactly symmetric here (from sym or check_sympd), so one
-            # eigvalsh both guards it and feeds the budget solve
-            lams = np.linalg.eigvalsh(P)
+            # eigh guards it, feeds the budget solve and then the inflation
+            lams, _ = eig = np.linalg.eigh(P)
             if lams[0] <= 0.0:
                 raise NumericsError("matrix is not positive definite")
             theta = _solve_budget(lams.tolist(), config.c).theta
         else:
             theta = 0.0 if config.theta is None else config.theta
-        return theta, _inflate(P, theta)
+        return theta, _inflate(P, theta, eig)
 
     n, m = model.n, model.m
     # gains[t] is the transpose of a C-ordered solve, as from _gain; this
@@ -234,8 +238,9 @@ def covariance_schedule(model, config, P0, N):
         try:
             if pre:
                 theta, P = inflate(P)
-            S = sym(C @ P @ C.T + R)
-            L = _gain(S, C @ P)
+            CP = C @ P
+            S = sym(CP @ C.T + R)
+            L = _gain(S, CP)
             Pf = sym(P - L @ C @ P)
             theta, V = (theta, Pf) if pre else inflate(Pf)
             P = sym(A @ V @ A.T + Q)

@@ -38,8 +38,7 @@ and the injected noise added to the process noise.
 import numpy as np
 from dataclasses import dataclass
 
-from .numerics import (NumericsError, _cholesky, _doubling, check_sympd,
-                       check_symmetric, spd_sqrt, sym)
+from .numerics import NumericsError, _doubling, check_sympd, spd_sqrt, sym
 from .filters import _Steps
 
 
@@ -123,6 +122,11 @@ def backward_pass(fwd, model):
     without inverting W.  A step is feasible exactly when
     I - Lw^T W_{t+1} Lw is positive definite (for W PD this is
     W^{-1} - Lw Lw^T PD); otherwise SynthesisError names the step.
+
+    One Cholesky factorisation per step decides that and gives O and Ups:
+    with J the exchange matrix, J O_t^{-1} J = M M^T, so O_t^{-1} =
+    (J M J)(J M J)^T with J M J upper triangular, and Ups_t = J M^{-T} J is
+    the lower-triangular factor of O_t = Ups_t Ups_t^T.
     """
     n, m = model.n, model.m
     N = fwd.horizon
@@ -133,6 +137,7 @@ def backward_pass(fwd, model):
     Os, Upss = np.empty((2, N + 1, m, m))
     Fs = np.empty((N + 1, m, n))
     out = (omega_inv, Ws, Os, Fs, Upss)
+    eye_n, eye_m = np.eye(n), np.eye(m)
     steps = _Steps()
     for t in range(N, -1, -1):
         s = steps.find(t, omega_inv[t + 1], fwd.gains[t], fwd.thetas[t])
@@ -143,18 +148,22 @@ def backward_pass(fwd, model):
         L = fwd.gains[t]
         Lw = L @ Rh
         theta = fwd.thetas[t]
-        # Oinv comes out of sym exactly symmetric, so its smallest
-        # eigenvalue is the whole feasibility test
-        W = sym(theta * np.eye(n) + omega_inv[t + 1])
-        Oinv = sym(np.eye(m) - Lw.T @ W @ Lw)
-        if np.linalg.eigvalsh(Oinv)[0] <= 0:
+        # Oinv comes out of sym exactly symmetric, so its Cholesky
+        # factorisation is the whole feasibility test
+        W = sym(theta * eye_n + omega_inv[t + 1])
+        Oinv = sym(eye_m - Lw.T @ W @ Lw)
+        try:
+            M = np.linalg.cholesky(Oinv[::-1, ::-1])
+        except np.linalg.LinAlgError:
             raise SynthesisError(
                 f"channel synthesis infeasible at t={t}: "
                 "I - L^T W L is not positive definite (budget too large)"
-            )
-        O = check_symmetric(np.linalg.inv(Oinv))
-        Ups = _cholesky(O)
-        ILC = np.eye(n) - L @ C
+            ) from None
+        # inv's LU does not pivot M^T, which is upper triangular, so Ups is
+        # exactly lower triangular, and Ups @ Ups.T is exactly symmetric
+        Ups = np.linalg.inv(M.T)[::-1, ::-1]
+        O = Ups @ Ups.T
+        ILC = eye_n - L @ C
         F = -O @ Lw.T @ W @ ILC
         FA = F @ A
         Abar = ILC @ A

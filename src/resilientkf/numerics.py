@@ -108,6 +108,12 @@ def spd_sqrt(P):
     return _cholesky(check_symmetric(P))
 
 
+def _eigenvalues(P):
+    """Ascending eigenvalues of a symmetric P as floats, from eigh as in the
+    covariance schedule (eigvalsh's differ in the last bits from n = 3 on)."""
+    return np.linalg.eigh(P)[0].tolist()
+
+
 def _gamma_terms(lams, theta):
     """gamma and its theta-derivative from the eigenvalues ``lams`` (floats).
 
@@ -121,7 +127,8 @@ def _gamma_terms(lams, theta):
     g = dg = 0.0
     for lam in lams:
         x = theta * lam
-        r = x / (1.0 - x)
+        d = 1.0 - x
+        r = x / d
         if abs(x) < _GAMMA_SERIES_X:
             s = 0.0
             for ck in _GAMMA_SERIES_COEFS:
@@ -129,7 +136,7 @@ def _gamma_terms(lams, theta):
             g += s * x * x
         else:
             g += r + math.log1p(-x)
-        dg += lam * r / (1.0 - x)
+        dg += lam * r / d
     return 0.5 * g, 0.5 * dg
 
 
@@ -148,7 +155,7 @@ def gamma(P, theta):
         raise NumericsError("theta must be nonnegative")
     if theta == 0.0:
         return 0.0
-    lams = np.linalg.eigvalsh(P).tolist()
+    lams = _eigenvalues(P)
     if theta * lams[-1] >= 1.0:
         raise NumericsError("theta * sigma_max(P) >= 1: outside the domain of gamma")
     return max(_gamma_terms(lams, theta)[0], 0.0)
@@ -189,7 +196,7 @@ def solve_budget(P, c):
     happens within BUDGET_MAX_ITER iterations.
     """
     P = check_sympd(P)
-    return _solve_budget(np.linalg.eigvalsh(P).tolist(), c)
+    return _solve_budget(_eigenvalues(P), c)
 
 
 def _solve_budget(lams, c):

@@ -111,8 +111,8 @@ def phi_max(model, k):
 
 
 def pbar_filtered(model, q):
-    """Filtered covariance floor after q undistorted Riccati steps from
-    P_bar_0 = Q: the Kalman filter's filtered covariance at step q."""
+    """Filtered covariance floor P_bar_{q|q}: the Kalman filter's filtered
+    covariance at step q from the prediction P_bar_{0|-1} = Q."""
     validate(model)
     if q < 0:
         raise StabilityError("q must be nonnegative")
@@ -155,7 +155,12 @@ def c_max(model, k=10, q=20):
     """Budget bound c_max = gamma(P_bar_{q|q}, phi_k) certifying gain
     convergence of the update-resilient filter for any c in (0, c_max]:
     below phi_k (``phi_max``) S_k is negative definite and R_k positive
-    definite, and theta_t <= phi_k for t >= q."""
+    definite, and theta_t <= phi_k for t >= q + 1, from any P0.
+
+    The floor starts from P_bar_{0|-1} = Q, and a run's prediction dominates
+    Q only from P_{1|0} = A V_0 A^T + Q on, so its filtered covariance
+    dominates P_bar_{t-1|t-1}, and P_bar_{q|q}, from t = q + 1 on; from
+    t = q on only when P0 dominates Q."""
     phik = phi_max(model, k)
     Pq = pbar_filtered(model, q)
     val = gamma(Pq, phik)

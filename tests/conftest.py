@@ -93,3 +93,17 @@ def run_filter(model, config, init, ys):
                             mean_pred=x_p, cov_pred=sched.cov_pred[t + 1])
             for t, (x_f, x_p) in enumerate(
                 mean_pass(model, sched.gains, init.mean, ys))]
+
+
+def record_calls(monkeypatch, namespace, *names):
+    """Wrap each named function of ``namespace`` (e.g. ``np.linalg``) so
+    that its calls append their first argument to a list; returns those
+    lists by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapped(*args, _f=getattr(namespace, name), _seen=calls[name],
+                    **kwargs):
+            _seen.append(args[0])
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(namespace, name, wrapped)
+    return calls

@@ -59,8 +59,10 @@ def _report(num, ok, detail):
 
 
 def test_criterion_01_cmax_reproduction():
-    # c_max certifies theta_t <= phi_k for t >= q along the urkf schedule;
-    # it is gamma(P_bar_{q|q}, phi_k), checked against the closed form
+    # c_max certifies theta_t <= phi_k for t >= q + 1 along the urkf
+    # schedule from any P0 (from t >= q when P0 dominates Q; on model A
+    # from I it holds from t = q, which is checked here); it is
+    # gamma(P_bar_{q|q}, phi_k), checked against the closed form
     # 1/2 sum[x/(1-x) + ln(1-x)], x = phi_k lambda(P_bar), and against that
     # certificate.  The paper's 0.5253 is not asserted: with the paper's own
     # phi_k and P_bar it gives theta_t up to 0.157 > phi_k for t >= q.

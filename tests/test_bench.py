@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -251,6 +252,48 @@ def test_mc_draw_ahead_matches_reference(monkeypatch, trials, horizon,
         assert all((thread is threading.main_thread()) != ahead
                    for _, thread in seen[kind])
     _assert_matches_reference(cfg, SCENARIO_KINDS, reports)
+
+
+def test_mc_draws_x0_before_the_draw_ahead_worker_starts(monkeypatch):
+    # once the draw-ahead context is entered its worker is the only user of
+    # every generator, so the plant generator's initial-state draw (the one
+    # without out=) must be logged before that context is entered
+    log = []
+    default_rng, draws_ahead = np.random.default_rng, bench._draws_ahead
+
+    class Recording:
+        """A generator whose method calls are logged with its role."""
+
+        def __init__(self, rng, role):
+            self.rng, self.role = rng, role
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def call(*args, **kwargs):
+                log.append((self.role, name, "out" in kwargs))
+                return method(*args, **kwargs)
+            return call
+
+    def recording_rng(seed=None):
+        plant = not isinstance(seed, np.random.SeedSequence)
+        return Recording(default_rng(seed), "plant" if plant else "sensor")
+
+    @contextlib.contextmanager
+    def logged(trials):
+        log.append(("draws_ahead", "enter", None))
+        with draws_ahead(trials) as ahead:
+            yield ahead
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(bench, "_draws_ahead", logged)
+    monkeypatch.setattr(bench, "DRAW_AHEAD_TRIALS", 1)
+    run_monte_carlo(McConfig(trials=6, horizon=4, seed=3),
+                    [Scenario(kind=k) for k in SCENARIO_KINDS])
+    plant = [i for i, entry in enumerate(log) if entry[0] == "plant"]
+    assert log[plant[0]] == ("plant", "standard_normal", False)
+    assert len(plant) == 4 and all(log[i][2] for i in plant[1:])
+    assert plant[0] < log.index(("draws_ahead", "enter", None))
 
 
 def test_mc_draw_ahead_holds_under_thread_switching():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (nominal_observations, random_observable_model,
-                      run_filter, seeded_model)
+                      record_calls, run_filter, seeded_model)
 from resilientkf.filters import (
     ConfigError,
     FilterConfig,
@@ -210,6 +210,24 @@ def test_schedule_budget_matches_solve_budget(model_a, model_b):
             covs = getattr(sched, field)
             for t, theta in enumerate(sched.thetas):
                 assert theta == solve_budget(covs[t], 0.1).theta
+
+
+@pytest.mark.parametrize("which", ["a", "r"])
+@pytest.mark.parametrize("config, per_step", [
+    (FilterConfig(kind="urkf", c=0.05), 1), (FilterConfig(kind="prkf", c=0.05), 1),
+    (FilterConfig(kind="ursf", theta=0.001), 1), (FilterConfig(kind="kf"), 0)],
+    ids=["urkf", "prkf", "ursf", "kf"])
+def test_schedule_decomposes_each_covariance_once(which, config, per_step,
+                                                  model_a, monkeypatch):
+    # a budgeted step's one eigh guards the covariance, feeds the budget
+    # solve and the inflation; a computed step is one before the cycle
+    model = model_a if which == "a" else seeded_model(0, 9, 3)
+    calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    sched = covariance_schedule(model, config, np.eye(model.n), 40)
+    computed = 41 if sched.cycle is None else sum(sched.cycle)
+    assert (which == "a") == (computed < 41)
+    assert len(calls["eigh"]) == per_step * computed
+    assert not calls["eigvalsh"]
 
 
 def test_mean_pass_stacked_matches_matmul(model_a, model_b):

@@ -20,7 +20,7 @@ from resilientkf.least_favorable import (
 from resilientkf.model import GaussianBelief
 from resilientkf.numerics import check_sympd, gaussian_kl, spd_sqrt, sym
 
-from conftest import seeded_model
+from conftest import record_calls, seeded_model
 
 
 def test_update_schedule_tiny_budget_is_kf(model_a):
@@ -84,6 +84,105 @@ def test_backward_infeasible_budget(model_b):
     with pytest.raises(FilterError, match="t=1"):
         covariance_schedule(
             model_b, FilterConfig(kind="ursf", theta=0.4), np.eye(2), 200)
+
+
+def _channel_reference(fwd, model):
+    """The channel recursion of ``backward_pass`` with the former formulas:
+    eigvalsh of Oinv decides feasibility, then O = inv(Oinv) and Ups =
+    cholesky(O).  Returns O, Ups, F and omega_inv stacked over the steps,
+    or raises SynthesisError naming the first infeasible step."""
+    n, m, N = model.n, model.m, fwd.horizon
+    Rh = spd_sqrt(model.R)
+    out = {k: np.empty((N + 1,) + shape) for k, shape in (
+        ("O", (m, m)), ("Ups", (m, m)), ("F", (m, n)), ("omega_inv", (n, n)))}
+    omega_inv = np.zeros((n, n))
+    for t in range(N, -1, -1):
+        L = fwd.gains[t]
+        Lw = L @ Rh
+        W = sym(fwd.thetas[t] * np.eye(n) + omega_inv)
+        Oinv = sym(np.eye(m) - Lw.T @ W @ Lw)
+        if np.linalg.eigvalsh(Oinv)[0] <= 0:
+            raise SynthesisError(f"channel synthesis infeasible at t={t}")
+        O = sym(np.linalg.inv(Oinv))
+        ILC = np.eye(n) - L @ model.C
+        F = -O @ Lw.T @ W @ ILC
+        FA, Abar = F @ model.A, ILC @ model.A
+        omega_inv = sym(Abar.T @ W @ Abar + FA.T @ Oinv @ FA)
+        out["O"][t], out["Ups"][t] = O, np.linalg.cholesky(O)
+        out["F"][t], out["omega_inv"][t] = F, omega_inv
+    return out
+
+
+def _failing_step(pass_, fwd, model):
+    """The step at which ``pass_`` raises SynthesisError, else None."""
+    try:
+        pass_(fwd, model)
+    except SynthesisError as e:
+        return int(str(e).split("at t=")[1].split(":")[0])
+    return None
+
+
+def test_backward_pass_matches_the_inverse_then_cholesky_reference():
+    # one Cholesky factor of J Oinv J gives O and Ups by one triangular
+    # inverse; over the seeded grid they and what follows from them match
+    # the former inv-then-cholesky formulas to roundoff, Ups is exactly
+    # lower triangular and O exactly symmetric
+    for s in range(15):
+        for n in range(1, 7):
+            for m in range(1, 4):
+                model = seeded_model(s, n, m)
+                fwd = covariance_schedule(
+                    model, FilterConfig(kind="urkf", c=0.05), np.eye(n), 40)
+                bwd = backward_pass(fwd, model)
+                ref = _channel_reference(fwd, model)
+                for name, want in ref.items():
+                    got = getattr(bwd, name)[:41]
+                    scale = np.abs(want).reshape(41, -1).max(axis=1)
+                    err = np.abs(got - want).reshape(41, -1).max(axis=1)
+                    assert (err <= 1e-13 * scale).all(), ((s, n, m), name)
+                assert np.array_equal(bwd.Ups, np.tril(bwd.Ups))
+                assert np.array_equal(bwd.O, bwd.O.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("which", ["a", (1, 3, 2), (0, 6, 3), (4, 4, 2),
+                                   (2, 5, 3)])
+def test_backward_pass_fails_where_the_reference_does(which, model_a):
+    # scale a feasible urkf schedule's thetas up to where the reference
+    # synthesis first fails, to 1e-10 relative: on both sides of that limit
+    # the pass decides as the reference does, and fails at the same step
+    model = model_a if which == "a" else seeded_model(*which)
+    fwd = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=5e-2), np.eye(model.n), 20)
+    scaled = lambda k: fwd._replace(thetas=k * fwd.thetas)
+    lo, hi = 1.0, 1e4
+    assert _failing_step(_channel_reference, scaled(lo), model) is None
+    assert _failing_step(_channel_reference, scaled(hi), model) is not None
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if _failing_step(_channel_reference, scaled(mid), model) is None:
+            lo = mid
+        else:
+            hi = mid
+    assert _failing_step(backward_pass, scaled(lo), model) is None
+    step = _failing_step(backward_pass, scaled(hi), model)
+    assert step is not None
+    assert step == _failing_step(_channel_reference, scaled(hi), model)
+
+
+def test_backward_pass_factors_once_per_step(monkeypatch):
+    # one Cholesky per computed step (after the one of R^{1/2}) decides
+    # feasibility; the one inverse per step is of its triangular factor,
+    # not of Oinv, and no eigenvalues are taken
+    model = seeded_model(0, 9, 3)
+    fwd = covariance_schedule(
+        model, FilterConfig(kind="urkf", c=0.05), np.eye(9), 40)
+    calls = record_calls(monkeypatch, np.linalg, "cholesky", "inv", "eigh",
+                         "eigvalsh")
+    backward_pass(fwd, model)
+    assert len(calls["cholesky"]) == 1 + 41
+    assert len(calls["inv"]) == 41
+    assert all(np.array_equal(X, np.triu(X)) for X in calls["inv"])
+    assert not calls["eigh"] and not calls["eigvalsh"]
 
 
 @pytest.mark.parametrize("scale, step", [(2, None), (5, None), (10, 19),

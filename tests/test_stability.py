@@ -130,11 +130,19 @@ PAST_POLE_MODELS = [
     (12, 4, 3), (13, 3, 2), (13, 4, 2), (13, 4, 3), (14, 4, 2), (14, 4, 3)]
 
 
-@pytest.mark.parametrize("seed, n, m", PAST_POLE_MODELS)
+# The seeded models on which urkf at c = c_max from 0.01 I or from I
+# exceeds phi_k at t = q exactly: a run's prediction dominates Q, the
+# floor's first one, only from t = 1 on, so its filtered covariance
+# dominates P_bar_{q|q} only from t = q + 1 on, unless P0 dominates Q
+T_EQUALS_Q_MODELS = [(2, 4, 1), (8, 5, 1), (5, 6, 1)]
+
+
+@pytest.mark.parametrize("seed, n, m", PAST_POLE_MODELS + T_EQUALS_Q_MODELS)
 def test_bounds_certify_their_recursions(seed, n, m):
     # each bound is checked against the recursion it certifies: ursf just
     # below phi_k stays feasible, urkf at c_max keeps theta_t <= phi_k from
-    # t = q on, and theta_max does not exceed phi_k
+    # t = q + 1 on, and from t = q on when P0 = Q, and theta_max does not
+    # exceed phi_k
     model, q = seeded_model(seed, n, m), 20
     rep = c_max(model, k=10, q=q)
     _assert_phi_is_window_precision(model, rep.phi_k)
@@ -144,11 +152,22 @@ def test_bounds_certify_their_recursions(seed, n, m):
             kind="ursf", theta=(1.0 - 1e-6) * rep.phi_k), P0, 1500)
     except FilterError as e:
         pytest.fail(f"ursf at (1 - 1e-6) phi_k failed: {e}")
-    for P in (P0, np.eye(n)):
+    for P, start in ((P0, q + 1), (np.eye(n), q + 1), (model.Q, q)):
         thetas = covariance_schedule(
             model, FilterConfig(kind="urkf", c=rep.c_max), P, 300).thetas
-        assert thetas[q:].max() <= rep.phi_k
+        assert thetas[start:].max() <= rep.phi_k
     assert theta_max(model, k=10).theta_max <= rep.phi_k
+
+
+@pytest.mark.parametrize("seed, n, m", T_EQUALS_Q_MODELS)
+def test_c_max_claim_starts_after_q(seed, n, m):
+    # from 0.01 I, whose prediction does not dominate Q, theta_q exceeds
+    # phi_k on these models: the claim cannot start at t = q
+    model, q = seeded_model(seed, n, m), 20
+    rep = c_max(model, k=10, q=q)
+    thetas = covariance_schedule(model, FilterConfig(kind="urkf", c=rep.c_max),
+                                 0.01 * np.eye(n), q).thetas
+    assert thetas[q] > rep.phi_k
 
 
 def test_pbar_filtered_first_step(model_a):
