@@ -26,6 +26,7 @@ from .filters import (
     FilterConfig,
     Schedule,
     covariance_schedule,
+    covariance_schedules,
     mean_pass,
 )
 from .least_favorable import (

@@ -47,6 +47,7 @@ from .filters import (
     FilterConfig,
     FilterError,
     covariance_schedule,
+    covariance_schedules,
     mean_pass,
 )
 from .least_favorable import (
@@ -218,8 +219,10 @@ def cmd_worstcase(args):
     N = args.horizon
     if N < 0:
         raise ModelError(f"--horizon must be nonnegative, got {N}")
-    # every per-step block of the recursions fits in (3n + m)^2 floats
-    _check_addressable(N + 2, (3 * model.n + model.m) ** 2)
+    # every per-step block of the recursions fits in (3n + m)^2 floats a
+    # member, and a stack holds the budgets and kf, or the filters
+    _check_addressable(N + 2, (3 * model.n + model.m) ** 2,
+                       max(len(budgets) + 1, len(filters)))
     # the prediction-side comparator and the adversary's update-side filter
     # per budget; building them validates the budget
     kinds = {"c": ("prkf", "urkf"), "theta": ("prsf", "ursf")}
@@ -227,24 +230,41 @@ def cmd_worstcase(args):
                for kind, val in budgets]
     families = {_WORSTCASE_FAMILY[name] for name in filters}
     P0 = np.eye(model.n)
-    # the kf schedule does not depend on the budget
-    kf = (covariance_schedule(model, FilterConfig(kind="kf"), P0, N)
-          if "kf" in families else None)
+    B = len(budgets)
+    # one schedule stack per side over the budgets; kf, whose schedule does
+    # not depend on the budget, joins the update side as its last member
+    members = [u for _, u in configs]
+    if "kf" in families:
+        members.append(FilterConfig(kind="kf"))
+    update = covariance_schedules(model, members, P0, N)
+    prediction = (covariance_schedules(model, [p for p, _ in configs], P0, N)
+                  if "prediction" in families else None)
+    fwd = update.member(slice(B))
+    try:
+        bwd = backward_pass(fwd, model) if args.channel else None
+    except SynthesisError as e:
+        if e.member is None:
+            raise
+        kind, val = budgets[e.member]
+        raise SynthesisError(f"budget {kind}={val!r}: {e}") from e
+    kf = update.member(B) if "kf" in families else None
     lead, blocks, cycles = [], [], []
-    for (kind, val), (prediction, update) in zip(budgets, configs):
-        fwd = covariance_schedule(model, update, P0, N)
-        schedules = {"kf": kf, "update": fwd}
-        if "prediction" in families:
-            schedules["prediction"] = covariance_schedule(
-                model, prediction, P0, N)
+    for b, (kind, val) in enumerate(budgets):
+        schedules = {"kf": kf, "update": fwd.member(b)}
+        if prediction is not None:
+            schedules["prediction"] = prediction.member(b)
         cycles.append({"budget": [kind, val],
                        **{family: sched.cycle for family, sched
                           in schedules.items() if sched is not None}})
-        bwd = backward_pass(fwd, model) if args.channel else None
-        traces = [np.trace(error_cov_recursion(
-            model, schedules[_WORSTCASE_FAMILY[name]].gains, fwd, bwd)
-            [:, :model.n, :model.n], axis1=1, axis2=2) for name in filters]
-        blocks.append(np.column_stack([fwd.thetas] + traces))
+        # the filters of one budget run as one stack; np.stack keeps the
+        # schedules' gain layout
+        gains = np.stack([schedules[_WORSTCASE_FAMILY[name]].gains
+                          for name in filters])
+        traces = [np.trace(pi[:, :model.n, :model.n], axis1=1, axis2=2)
+                  for pi in error_cov_recursion(
+                      model, gains, schedules["update"],
+                      None if bwd is None else bwd.member(b))]
+        blocks.append(np.column_stack([fwd.thetas[b]] + traces))
         lead += [f"{kind},{val!r},{t}" for t in range(N + 1)]
     _write_csv(args.out, ["budget_kind", "budget", "t", "theta"]
                + [f"var_{f}" for f in filters], lead, [np.vstack(blocks)])

@@ -15,12 +15,13 @@ where the inflation acts and where theta comes from:
   where theta is a constant instead of a per-step budget solve.
 
 ``covariance_schedule`` runs that recursion once and returns its gains,
-thetas and covariances.  The gains do not depend on the data, so
-``mean_pass`` then folds them over the observations, vectorised over runs
-(e.g. trials) held as columns.  The inflation is computed from one
-eigendecomposition of the covariance, with no explicit inverse; for the
-budgeted kinds the same eigendecomposition feeds the budget solve, so a
-step decomposes its covariance once.
+thetas and covariances; ``covariance_schedules`` runs it for several
+filters of one side at once, as one stack.  The gains do not depend on
+the data, so ``mean_pass`` then folds them over the observations,
+vectorised over runs (e.g. trials) held as columns.  The inflation is
+computed from one eigendecomposition of the covariance, with no explicit
+inverse; for the budgeted kinds the same eigendecomposition feeds the
+budget solve, so a step decomposes its covariance once.
 """
 
 import math
@@ -102,35 +103,43 @@ class FilterConfig:
 
 
 def _inflate(P, theta, eig=None):
-    """Distorted covariance (P^{-1} - theta I)^{-1} of an exactly symmetric P.
+    """Distorted covariance (P^{-1} - theta I)^{-1} of an exactly symmetric P,
+    or of each matrix of a stack P (k, n, n) with its own theta (a list).
 
     From one eigendecomposition P = U diag(lambda) U^T (``eig``, the caller's
     ``eigh(P)``, or else taken here) as
     U diag(lambda / (1 - theta lambda)) U^T, symmetrized, with no explicit
     inverse; the smallest eigenvalue guards that P is positive definite, and
-    a Cholesky factorisation that the result is.
+    a Cholesky factorisation that the result is.  A matrix whose theta is 0
+    is returned as it is.
     """
-    if theta == 0.0:
+    thetas = theta if isinstance(theta, list) else [theta]
+    if not any(thetas):
         return P
     lams, U = np.linalg.eigh(P) if eig is None else eig
-    if lams[0] <= 0.0:
-        raise NumericsError("matrix is not positive definite")
-    smax = lams[-1]
-    if theta * smax >= 1.0:
-        raise FilterError(
-            f"distortion infeasible: theta={theta:.6g} with sigma_max(P)={smax:.6g}"
-        )
-    V = sym((U * (lams / (1.0 - theta * lams))) @ U.T)
+    stack = lams.ndim > 1
+    for th, lam in zip(thetas, lams.tolist() if stack else [lams.tolist()]):
+        if lam[0] <= 0.0:
+            raise NumericsError("matrix is not positive definite")
+        if th * lam[-1] >= 1.0:
+            raise FilterError(f"distortion infeasible: theta={th:.6g} "
+                              f"with sigma_max(P)={lam[-1]:.6g}")
+    if stack:
+        theta = np.array(thetas)[:, None]
+    V = sym((U * (lams / (1.0 - theta * lams))[..., None, :])
+            @ U.swapaxes(-1, -2))
+    if 0.0 in thetas:
+        V = np.where(theta[..., None] == 0.0, P, V)
     _cholesky(V)
     return V
 
 
 def _gain(S, CP):
     """The gain P C^T S^{-1}, as the transpose of S^{-1} (C P), for the
-    innovation covariance S; a Cholesky factorisation guards that S is
-    positive definite."""
+    innovation covariance S (or a stack of them); a Cholesky factorisation
+    guards that S is positive definite."""
     _cholesky(S)
-    return np.linalg.solve(S, CP).T
+    return np.linalg.solve(S, CP).swapaxes(-1, -2)
 
 
 class Schedule(NamedTuple):
@@ -148,6 +157,10 @@ class Schedule(NamedTuple):
     from step ``start`` on, every row equals the one ``period`` steps
     later, and is copied from it instead of recomputed.  It is None when no
     predicted covariance repeated.
+
+    A stack of schedules (from ``covariance_schedules``) has the same
+    fields with a leading member axis, and a list of the members' cycles;
+    ``member`` picks one member, or a smaller stack by a slice.
     """
 
     gains: np.ndarray
@@ -159,7 +172,10 @@ class Schedule(NamedTuple):
 
     @property
     def horizon(self):
-        return len(self.gains) - 1
+        return self.thetas.shape[-1] - 1
+
+    def member(self, i):
+        return Schedule(*(a[i] for a in self[:5]), cycle=self.cycle[i])
 
 
 class _Steps:
@@ -187,70 +203,163 @@ class _Steps:
             r.tobytes() for r in first) == key else None
 
 
+class _Members:
+    """Where the members of a schedule stack take theta from.
+
+    ``pre`` is True for a prediction-side stack (prkf, prsf, kf), False for
+    an update-side one (urkf, ursf, kf); kf, with theta = 0, fits either.
+    ``theta`` holds the fixed thetas (0 for kf), ``inflating`` the members
+    with a budget or a nonzero fixed theta, ``fixed`` their fixed thetas,
+    and ``budgets`` the position among them and the budget c of each
+    budgeted member.  A member at theta = 0 takes V = P exactly, with no
+    eigendecomposition.
+    """
+
+    def __init__(self, configs):
+        sides = {c.kind in ("prkf", "prsf") for c in configs if c.kind != "kf"}
+        if len(sides) > 1:
+            raise ConfigError("a schedule stack mixes update-side and "
+                              "prediction-side filters")
+        self.pre = sides == {True}
+        self.theta = [c.theta or 0.0 for c in configs]
+        self.inflating = [i for i, c in enumerate(configs)
+                          if c.c is not None or c.theta]
+        self.fixed = [self.theta[i] for i in self.inflating]
+        self.budgets = [(j, configs[i].c) for j, i in enumerate(self.inflating)
+                        if configs[i].c is not None]
+
+
+def _distort(members, P):
+    """The members' thetas (a list) and distorted covariances of their
+    exactly symmetric P (k, n, n)."""
+    idx = members.inflating
+    if not idx:
+        return members.theta, P
+    Pi = P if len(idx) == len(P) else P[idx]
+    lams, _ = eig = np.linalg.eigh(Pi)
+    theta = members.fixed.copy()
+    if members.budgets:
+        # one eigh guards a budgeted member's P, feeds its budget solve and
+        # then the inflation
+        lams = lams.tolist()
+        if min(lam[0] for lam in lams) <= 0.0:
+            raise NumericsError("matrix is not positive definite")
+        for j, c in members.budgets:
+            theta[j] = _solve_budget(lams[j], c).theta
+    V = _inflate(Pi, theta, eig)
+    if Pi is P:
+        return theta, V
+    thetas, Vs = list(members.theta), P.copy()
+    for j, i in enumerate(idx):
+        thetas[i] = theta[j]
+    Vs[idx] = V
+    return thetas, Vs
+
+
+def _schedule_step(model, members, P):
+    """One update, inflation and prediction of the members from their
+    predicted covariances P (k, n, n): their gains, thetas, filtered,
+    distorted and next predicted covariances, each stacked."""
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    if members.pre:
+        theta, P = _distort(members, P)
+    CP = C @ P
+    S = sym(CP @ C.T + R)
+    L = _gain(S, CP)
+    Pf = sym(P - L @ C @ P)
+    theta, V = (theta, Pf) if members.pre else _distort(members, Pf)
+    return L, theta, Pf, V, sym(A @ V @ A.T + Q)
+
+
+def _describe(config):
+    """A config as error messages name it, e.g. "urkf c=0.05"."""
+    return config.kind + "".join(
+        f" {key}={value!r}" for key, value in (("c", config.c),
+                                                ("theta", config.theta))
+        if value is not None)
+
+
 @np.errstate(over="raise", invalid="raise")
-def covariance_schedule(model, config, P0, N):
-    """Data-free update, inflation and prediction recursion over N + 1 steps.
+def covariance_schedules(model, configs, P0, N):
+    """Data-free update, inflation and prediction recursion over N + 1
+    steps, of several filters at once.
 
     The covariances and gains of these filters do not depend on the data.
     The prediction-side kinds (prkf, prsf) inflate the predicted covariance
-    before the update, the others the filtered covariance after it; theta
-    is the budget solve when ``config.c`` is set, else ``config.theta``
-    (0 for kf).  A failure at step t, including a covariance that
-    overflows or turns NaN, is raised as FilterError naming t.
+    before the update, the others the filtered covariance after it, and one
+    stack holds the filters ``configs`` of one side (kf fits either); each
+    member's theta is its budget solve when its ``c`` is set, else its
+    ``theta`` (0 for kf).  Returns a ``Schedule`` stack with the members in
+    the order of ``configs``.
 
-    A step depends only on the predicted covariance entering it, so once
-    that repeats bit for bit the remaining rows are copied from one period
-    earlier instead of recomputed (see ``Schedule.cycle``).
+    Each step runs stacked eigh, Cholesky, solve and matmul calls over the
+    members, which apply a single matrix's LAPACK or BLAS kernel to each,
+    so every member's rows have the bytes of its own schedule.  A step
+    depends only on the predicted covariance entering it, so once that
+    repeats bit for bit for a member, its remaining rows are copied from
+    one period earlier (see ``Schedule.cycle``); the loop stops once every
+    member has repeated.
+
+    A failure at step t, including a covariance that overflows or turns
+    NaN, is raised as FilterError naming t and the failing member.  The
+    stack fails at the earliest step at which any member does; of several
+    failing there, it names the first, whose step is taken again on its
+    own for its error.
     """
-    A, C, Q, R = model.A, model.C, model.Q, model.R
-    pre = config.kind in ("prkf", "prsf")
-
-    def inflate(P):
-        eig = None
-        if config.c is not None:
-            # P is exactly symmetric here (from sym or check_sympd), so one
-            # eigh guards it, feeds the budget solve and then the inflation
-            lams, _ = eig = np.linalg.eigh(P)
-            if lams[0] <= 0.0:
-                raise NumericsError("matrix is not positive definite")
-            theta = _solve_budget(lams.tolist(), config.c).theta
-        else:
-            theta = 0.0 if config.theta is None else config.theta
-        return theta, _inflate(P, theta, eig)
-
-    n, m = model.n, model.m
-    # gains[t] is the transpose of a C-ordered solve, as from _gain; this
+    k, n, m = len(configs), model.n, model.m
+    members = _Members(configs)
+    # gains[:, t] is the transpose of a C-ordered solve, as from _gain; this
     # layout fixes the order in which BLAS sums mean_pass's L @ innovation
-    gains = np.empty((N + 1, m, n)).transpose(0, 2, 1)
-    thetas = np.empty(N + 1)
-    cov_filt, cov_distorted = np.empty((2, N + 1, n, n))
-    cov_pred = np.empty((N + 2, n, n))
+    gains = np.empty((k, N + 1, m, n)).swapaxes(-1, -2)
+    thetas = np.empty((k, N + 1))
+    cov_filt, cov_distorted = np.empty((2, k, N + 1, n, n))
+    cov_pred = np.empty((k, N + 2, n, n))
     out = (gains, thetas, cov_filt, cov_distorted, cov_pred)
-    P = cov_pred[0] = check_sympd(P0)
-    steps, cycle = _Steps(), None
+    cov_pred[:, 0] = check_sympd(P0)
+    P = cov_pred[:, 0]
+    steps, cycles = [_Steps() for _ in configs], [None] * k
     for t in range(N + 1):
-        s = steps.find(t, cov_pred[t])
-        if s is not None:
-            cycle = (s, t - s)
-            for a in out:
-                a[t:] = a[s + np.arange(len(a) - t) % (t - s)]
+        for i, memo in enumerate(steps):
+            if cycles[i] is None and (
+                    s := memo.find(t, cov_pred[i, t])) is not None:
+                cycles[i] = (s, t - s)
+        if None not in cycles:
             break
         try:
-            if pre:
-                theta, P = inflate(P)
-            CP = C @ P
-            S = sym(CP @ C.T + R)
-            L = _gain(S, CP)
-            Pf = sym(P - L @ C @ P)
-            theta, V = (theta, Pf) if pre else inflate(Pf)
-            P = sym(A @ V @ A.T + Q)
+            L, theta, Pf, V, P = _schedule_step(model, members, P)
         except (FilterError, NumericsError, FloatingPointError) as e:
-            raise FilterError(f"filter step failed at t={t}: {e}") from e
-        gains[t], thetas[t], cov_filt[t], cov_distorted[t] = L, theta, Pf, V
-        cov_pred[t + 1] = P
+            raise _step_failure(model, configs, P, t, e) from e
+        gains[:, t], thetas[:, t], cov_filt[:, t], cov_distorted[:, t] = (
+            L, theta, Pf, V)
+        cov_pred[:, t + 1] = P
     for a in out:
+        for i, cycle in enumerate(cycles):
+            if cycle is not None:
+                s, t = cycle[0], sum(cycle)
+                a[i, t:] = a[i, s + np.arange(a.shape[1] - t) % (t - s)]
         a.flags.writeable = False
-    return Schedule(*out, cycle=cycle)
+    return Schedule(*out, cycle=cycles)
+
+
+def _step_failure(model, configs, P, t, error):
+    """The FilterError of a stack whose step t failed with ``error``: it
+    names the member that failed, the first whose step fails on its own in
+    a stack of several, with that member's error."""
+    member = configs[0] if len(configs) == 1 else None
+    for config, Pi in zip(configs if member is None else (), P):
+        try:
+            _schedule_step(model, _Members([config]), Pi[None])
+        except (FilterError, NumericsError, FloatingPointError) as e:
+            member, error = config, e
+            break
+    where = "" if member is None else f" for {_describe(member)}"
+    return FilterError(f"filter step failed at t={t}{where}: {error}")
+
+
+def covariance_schedule(model, config, P0, N):
+    """The ``Schedule`` of the filter ``config`` from P0 over N + 1 steps:
+    the one-member stack of ``covariance_schedules``."""
+    return covariance_schedules(model, [config], P0, N).member(0)
 
 
 def mean_pass(model, gains, x0, ys):

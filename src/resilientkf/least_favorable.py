@@ -43,7 +43,12 @@ from .filters import _Steps
 
 
 class SynthesisError(RuntimeError):
-    """Raised when the hostile-model synthesis is infeasible."""
+    """Raised when the hostile-model synthesis is infeasible; ``member`` is
+    the index of the failing member of a stacked pass, else None."""
+
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +102,8 @@ class BackwardPass:
     filter's error, ``Ups[t]`` the lower-triangular square root of
     ``O[t]``.  Each is a read-only stack over the steps: ``omega_inv`` has
     N + 2 rows, the last zero, the others N + 1.  ``r_half`` maps whitened
-    outputs back to physical units.
+    outputs back to physical units.  The pass of a schedule stack has a
+    leading member axis on each stack; ``member`` picks one member.
     """
 
     omega_inv: np.ndarray
@@ -106,6 +112,10 @@ class BackwardPass:
     F: np.ndarray
     Ups: np.ndarray
     r_half: np.ndarray  # R^{1/2}, lower triangular
+
+    def member(self, i):
+        return BackwardPass(self.omega_inv[i], self.W[i], self.O[i],
+                            self.F[i], self.Ups[i], self.r_half)
 
 
 def backward_pass(fwd, model):
@@ -127,52 +137,71 @@ def backward_pass(fwd, model):
     with J the exchange matrix, J O_t^{-1} J = M M^T, so O_t^{-1} =
     (J M J)(J M J)^T with J M J upper triangular, and Ups_t = J M^{-T} J is
     the lower-triangular factor of O_t = Ups_t Ups_t^T.
+
+    ``fwd`` may be a schedule stack (``covariance_schedules``): the pass
+    then runs over its members at once, each with the bytes of its own
+    pass, and an infeasible step names its first infeasible member.
     """
     n, m = model.n, model.m
     N = fwd.horizon
+    lead = fwd.thetas.shape[:-1]
     A, C = model.A, model.C
     Rh = spd_sqrt(model.R)
-    omega_inv = np.zeros((N + 2, n, n))
-    Ws = np.empty((N + 1, n, n))
-    Os, Upss = np.empty((2, N + 1, m, m))
-    Fs = np.empty((N + 1, m, n))
+    omega_inv = np.zeros((*lead, N + 2, n, n))
+    Ws = np.empty((*lead, N + 1, n, n))
+    Os, Upss = np.empty((2, *lead, N + 1, m, m))
+    Fs = np.empty((*lead, N + 1, m, n))
     out = (omega_inv, Ws, Os, Fs, Upss)
     eye_n, eye_m = np.eye(n), np.eye(m)
     steps = _Steps()
     for t in range(N, -1, -1):
-        s = steps.find(t, omega_inv[t + 1], fwd.gains[t], fwd.thetas[t])
+        L, theta = fwd.gains[..., t, :, :], fwd.thetas[..., t]
+        s = steps.find(t, omega_inv[..., t + 1, :, :], L, theta)
         if s is not None:
             for a in out:
-                a[t] = a[s]
+                a[..., t, :, :] = a[..., s, :, :]
             continue
-        L = fwd.gains[t]
         Lw = L @ Rh
-        theta = fwd.thetas[t]
         # Oinv comes out of sym exactly symmetric, so its Cholesky
         # factorisation is the whole feasibility test
-        W = sym(theta * eye_n + omega_inv[t + 1])
-        Oinv = sym(eye_m - Lw.T @ W @ Lw)
+        W = sym(theta[..., None, None] * eye_n + omega_inv[..., t + 1, :, :])
+        Oinv = sym(eye_m - Lw.swapaxes(-1, -2) @ W @ Lw)
         try:
-            M = np.linalg.cholesky(Oinv[::-1, ::-1])
+            M = np.linalg.cholesky(Oinv[..., ::-1, ::-1])
         except np.linalg.LinAlgError:
-            raise SynthesisError(
-                f"channel synthesis infeasible at t={t}: "
-                "I - L^T W L is not positive definite (budget too large)"
-            ) from None
+            raise _infeasible(Oinv, t) from None
         # inv's LU does not pivot M^T, which is upper triangular, so Ups is
         # exactly lower triangular, and Ups @ Ups.T is exactly symmetric
-        Ups = np.linalg.inv(M.T)[::-1, ::-1]
-        O = Ups @ Ups.T
+        Ups = np.linalg.inv(M.swapaxes(-1, -2))[..., ::-1, ::-1]
+        O = Ups @ Ups.swapaxes(-1, -2)
         ILC = eye_n - L @ C
-        F = -O @ Lw.T @ W @ ILC
+        F = -O @ Lw.swapaxes(-1, -2) @ W @ ILC
         FA = F @ A
         Abar = ILC @ A
-        omega = sym(Abar.T @ W @ Abar + FA.T @ Oinv @ FA)
-        omega_inv[t], Ws[t], Os[t], Fs[t], Upss[t] = omega, W, O, F, Ups
+        omega = sym(Abar.swapaxes(-1, -2) @ W @ Abar
+                    + FA.swapaxes(-1, -2) @ Oinv @ FA)
+        for a, row in zip(out, (omega, W, O, F, Ups)):
+            a[..., t, :, :] = row
     for a in out:
         a.flags.writeable = False
     return BackwardPass(omega_inv=omega_inv, W=Ws, O=Os, F=Fs, Ups=Upss,
                         r_half=Rh)
+
+
+def _infeasible(Oinv, t):
+    """The SynthesisError of step t, whose Oinv (one, or a stack) is not
+    positive definite, naming the first infeasible member of a stack."""
+    member = None
+    for i in range(len(Oinv)) if Oinv.ndim > 2 else ():
+        try:
+            np.linalg.cholesky(Oinv[i, ::-1, ::-1])
+        except np.linalg.LinAlgError:
+            member = i
+            break
+    where = "" if member is None else f" (member {member})"
+    return SynthesisError(
+        f"channel synthesis infeasible at t={t}{where}: "
+        "I - L^T W L is not positive definite (budget too large)", member)
 
 
 @dataclass
@@ -247,6 +276,11 @@ def simulate_lf(lf, init, seed, n_traj=1):
     return etas, etas[:, :, :n], Y
 
 
+# error_cov_recursion builds its transition and noise matrices for this
+# many steps at a time, from the first step it has to compute
+_BLOCK = 128
+
+
 def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     """Exact error covariance of a gain schedule under either adversary.
 
@@ -269,15 +303,23 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     prior error, consistent with ``simulate_lf``.  Returns the (N+1, 3n, 3n)
     stack; the top-left n x n block of Pi_t is the evaluated estimator's
     filtered error covariance at t.
+
+    ``eval_gains`` may carry a leading member axis, one gain schedule per
+    member (e.g. ``np.stack`` of several schedules' gains, which keeps
+    their layout); the members then run at once, each with the bytes of
+    its own recursion, and the result has the same leading axis.  Gam_t
+    and N_t are built ``_BLOCK`` steps at a time, and only for the steps
+    that are computed, not copied.
     """
     n = model.n
     N = fwd.horizon
-    if len(eval_gains) != N + 1:
+    K = np.asarray(eval_gains, dtype=float)
+    if K.ndim < 3 or K.shape[-3] != N + 1:
         raise SynthesisError("gain schedule length does not match the horizon")
     P0 = check_sympd(P0 if P0 is not None else fwd.cov_pred[0])
     A, C, Q = model.A, model.C, model.Q
     I = np.eye(n)
-    K, L = np.asarray(eval_gains, dtype=float), fwd.gains
+    L = fwd.gains
     # per-step F_t, Ups_t Ups_t^T and Qxi_t, or one matrix for every step
     if bwd is None:
         F = np.zeros((model.m, n))
@@ -289,28 +331,46 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
         UU = Ups @ Ups.transpose(0, 2, 1)
         Qxi = Q
     FC = F + C
-    Gam = np.zeros((N + 1, 3 * n, 3 * n))
-    Gam[:, :n, :n] = (I - K @ C) @ A
-    Gam[:, :n, n:2 * n] = -K @ F @ A
-    Gam[:, :n, 2 * n:] = I - K @ FC
-    Gam[:, n:2 * n, n:2 * n] = (I - L @ C) @ A - L @ F @ A
-    Gam[:, n:2 * n, 2 * n:] = I - L @ FC
-    KL = np.concatenate([K, L], axis=1)
-    Noise = np.zeros((N + 1, 3 * n, 3 * n))
-    Noise[:, :2 * n, :2 * n] = KL @ UU @ KL.transpose(0, 2, 1)
-    Noise[:, 2 * n:, 2 * n:] = Qxi
-    Pi = np.zeros((3 * n, 3 * n))
-    Pi[2 * n:, 2 * n:] = P0
-    out = np.empty((N + 1, 3 * n, 3 * n))
+    lead = K.shape[:-3]
+
+    def transitions(t):
+        """Gam and Noise of the block of steps from t."""
+        b = slice(t, t + _BLOCK)
+        Kb, Lb = K[..., b, :, :], L[b]
+        Fb, FCb, UUb, Qxib = (a if a.ndim == 2 else a[b]
+                              for a in (F, FC, UU, Qxi))
+        Gam = np.zeros((*lead, len(Lb), 3 * n, 3 * n))
+        Gam[..., :n, :n] = (I - Kb @ C) @ A
+        Gam[..., :n, n:2 * n] = -Kb @ Fb @ A
+        Gam[..., :n, 2 * n:] = I - Kb @ FCb
+        Gam[..., n:2 * n, n:2 * n] = (I - Lb @ C) @ A - Lb @ Fb @ A
+        Gam[..., n:2 * n, 2 * n:] = I - Lb @ FCb
+        KL = np.concatenate([Kb, np.broadcast_to(Lb, Kb.shape)], axis=-2)
+        Noise = np.zeros(Gam.shape)
+        Noise[..., :2 * n, :2 * n] = KL @ UUb @ KL.swapaxes(-1, -2)
+        Noise[..., 2 * n:, 2 * n:] = Qxib
+        return Gam, Noise
+
+    Pi = np.zeros((*lead, 3 * n, 3 * n))
+    Pi[..., 2 * n:, 2 * n:] = P0
+    out = np.empty((*lead, N + 1, 3 * n, 3 * n))
     # Gam[t] and Noise[t] are built from the model and these per-step rows
     # alone, so a step is keyed by them, not by the larger matrices
-    inputs = [a for a in (K, L, F, UU, Qxi) if a.ndim == 3]
+    inputs = [a for a in (F, UU, Qxi) if a.ndim == 3]
     steps = _Steps()
+    start = end = 0     # the steps whose Gam and Noise are built
     for t in range(N + 1):
-        s = steps.find(t, Pi, *(a[t] for a in inputs))
-        out[t] = out[s] if s is not None else sym(
-            Gam[t] @ Pi @ Gam[t].T + Noise[t])
-        Pi = out[t]
+        s = steps.find(t, Pi, K[..., t, :, :], L[t], *(a[t] for a in inputs))
+        if s is not None:
+            out[..., t, :, :] = out[..., s, :, :]
+        else:
+            if t >= end:
+                Gam, Noise = transitions(t)
+                start, end = t, t + _BLOCK
+            G = Gam[..., t - start, :, :]
+            out[..., t, :, :] = sym(G @ Pi @ G.swapaxes(-1, -2)
+                                    + Noise[..., t - start, :, :])
+        Pi = out[..., t, :, :]
     return out
 
 

@@ -34,9 +34,10 @@ def _as_matrix(P):
 
 
 def sym(X):
-    """Re-symmetrize a matrix, suppressing floating-point drift."""
+    """Re-symmetrize a matrix, or each of a stack (..., n, n), suppressing
+    floating-point drift."""
     X = np.asarray(X, dtype=float)
-    return 0.5 * (X + X.T)
+    return 0.5 * (X + X.swapaxes(-1, -2))
 
 
 def check_symmetric(S):

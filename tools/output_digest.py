@@ -19,14 +19,17 @@ max|a - b| / max|a| over its numeric CSV columns and JSON arrays (``a``
 from ``OLD_DIR``), with the column or JSON path where it is reached.  A
 text or shape change is reported as such.
 
-The command set, 49 commands:
+The command set, 54 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
   model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
   with ``--init`` on model A;
 - ``worstcase``: two ``--c`` and two ``--theta`` budgets, each with and
-  without ``--channel``, on models A and B and the two seeded models, and
-  ``--theta 0 --theta 0.001 --channel`` on model A and the 4-state model;
+  without ``--channel``, on models A and B and the two seeded models,
+  ``--theta 0 --theta 0.001 --channel`` on model A and the 4-state model,
+  ``--c`` and ``--theta`` budgets mixed in one command on model A and the
+  9-state model, each with and without ``--channel``, and all five
+  ``--filters`` on model A;
 - ``lf both``: model A at a ``--c`` and a ``--theta`` budget and at
   ``--theta 0``, and the two seeded models at a ``--c`` budget;
 - ``bench`` over every scenario: one small run, and one at 2501 trials
@@ -133,6 +136,19 @@ def commands(inp, out):
         cmds.append(["worstcase", "--model", paths[tag], "--horizon", "100",
                      "--theta", "0", "--theta", "0.001", "--channel",
                      "--out", os.path.join(out, f"worstcase_theta0_{tag}.csv")])
+    # budgets of both kinds in one command, so each side's schedule stack
+    # holds budgeted and fixed-theta members
+    for tag in ("a", "r9"):
+        for channel in ((), ("--channel",)):
+            name = f"worstcase_mixed_{tag}{'_channel' if channel else ''}"
+            cmds.append(["worstcase", "--model", paths[tag], "--horizon",
+                         "100", "--c", "0.01", "--theta", str(models[tag][2]),
+                         "--c", "0.05", *channel,
+                         "--out", os.path.join(out, name + ".csv")])
+    cmds.append(["worstcase", "--model", paths["a"], "--horizon", "100",
+                 "--c", "0.05", "--theta", "0.02", "--theta", "0",
+                 "--filters", "kf,urkf,prkf,ursf,prsf", "--channel",
+                 "--out", os.path.join(out, "worstcase_all_filters_a.csv")])
     for tag, kind, value, name in (
             ("a", "c", "0.05", "lf_c_a"), ("a", "theta", "0.05", "lf_theta_a"),
             ("a", "theta", "0", "lf_theta0_a"), ("r4", "c", "0.05", "lf_c_r4"),
