@@ -220,7 +220,9 @@ def cmd_worstcase(args):
     if N < 0:
         raise ModelError(f"--horizon must be nonnegative, got {N}")
     # every per-step block of the recursions fits in (3n + m)^2 floats a
-    # member, and a stack holds the budgets and kf, or the filters
+    # member; the error covariance holds the filters, and the schedule
+    # stack its 2B + 1 members of 3n^2 + nm + 1 floats a step each, fewer
+    # than B + 1 blocks
     _check_addressable(N + 2, (3 * model.n + model.m) ** 2,
                        max(len(budgets) + 1, len(filters)))
     # the prediction-side comparator and the adversary's update-side filter
@@ -229,17 +231,17 @@ def cmd_worstcase(args):
     configs = [[FilterConfig(kind=k, **{kind: val}) for k in kinds[kind]]
                for kind, val in budgets]
     families = {_WORSTCASE_FAMILY[name] for name in filters}
-    P0 = np.eye(model.n)
     B = len(budgets)
-    # one schedule stack per side over the budgets; kf, whose schedule does
-    # not depend on the budget, joins the update side as its last member
+    # one schedule stack: the B adversaries, the B comparators when a
+    # prediction filter is asked for, and kf, whose schedule does not
+    # depend on the budget, last
     members = [u for _, u in configs]
+    if "prediction" in families:
+        members += [p for p, _ in configs]
     if "kf" in families:
         members.append(FilterConfig(kind="kf"))
-    update = covariance_schedules(model, members, P0, N)
-    prediction = (covariance_schedules(model, [p for p, _ in configs], P0, N)
-                  if "prediction" in families else None)
-    fwd = update.member(slice(B))
+    stack = covariance_schedules(model, members, np.eye(model.n), N)
+    fwd = stack.member(slice(B))
     try:
         bwd = backward_pass(fwd, model) if args.channel else None
     except SynthesisError as e:
@@ -247,12 +249,12 @@ def cmd_worstcase(args):
             raise
         kind, val = budgets[e.member]
         raise SynthesisError(f"budget {kind}={val!r}: {e}") from e
-    kf = update.member(B) if "kf" in families else None
     lead, blocks, cycles = [], [], []
     for b, (kind, val) in enumerate(budgets):
-        schedules = {"kf": kf, "update": fwd.member(b)}
-        if prediction is not None:
-            schedules["prediction"] = prediction.member(b)
+        schedules = {"kf": stack.member(-1) if "kf" in families else None,
+                     "update": fwd.member(b)}
+        if "prediction" in families:
+            schedules["prediction"] = stack.member(B + b)
         cycles.append({"budget": [kind, val],
                        **{family: sched.cycle for family, sched
                           in schedules.items() if sched is not None}})

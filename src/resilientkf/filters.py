@@ -16,7 +16,7 @@ where the inflation acts and where theta comes from:
 
 ``covariance_schedule`` runs that recursion once and returns its gains,
 thetas and covariances; ``covariance_schedules`` runs it for several
-filters of one side at once, as one stack.  The gains do not depend on
+filters of either side at once, as one stack.  The gains do not depend on
 the data, so ``mean_pass`` then folds them over the observations,
 vectorised over runs (e.g. trials) held as columns.  The inflation is
 computed from one eigendecomposition of the covariance, with no explicit
@@ -102,38 +102,6 @@ class FilterConfig:
         return cls(**d)
 
 
-def _inflate(P, theta, eig=None):
-    """Distorted covariance (P^{-1} - theta I)^{-1} of an exactly symmetric P,
-    or of each matrix of a stack P (k, n, n) with its own theta (a list).
-
-    From one eigendecomposition P = U diag(lambda) U^T (``eig``, the caller's
-    ``eigh(P)``, or else taken here) as
-    U diag(lambda / (1 - theta lambda)) U^T, symmetrized, with no explicit
-    inverse; the smallest eigenvalue guards that P is positive definite, and
-    a Cholesky factorisation that the result is.  A matrix whose theta is 0
-    is returned as it is.
-    """
-    thetas = theta if isinstance(theta, list) else [theta]
-    if not any(thetas):
-        return P
-    lams, U = np.linalg.eigh(P) if eig is None else eig
-    stack = lams.ndim > 1
-    for th, lam in zip(thetas, lams.tolist() if stack else [lams.tolist()]):
-        if lam[0] <= 0.0:
-            raise NumericsError("matrix is not positive definite")
-        if th * lam[-1] >= 1.0:
-            raise FilterError(f"distortion infeasible: theta={th:.6g} "
-                              f"with sigma_max(P)={lam[-1]:.6g}")
-    if stack:
-        theta = np.array(thetas)[:, None]
-    V = sym((U * (lams / (1.0 - theta * lams))[..., None, :])
-            @ U.swapaxes(-1, -2))
-    if 0.0 in thetas:
-        V = np.where(theta[..., None] == 0.0, P, V)
-    _cholesky(V)
-    return V
-
-
 def _gain(S, CP):
     """The gain P C^T S^{-1}, as the transpose of S^{-1} (C P), for the
     innovation covariance S (or a stack of them); a Cholesky factorisation
@@ -204,56 +172,57 @@ class _Steps:
 
 
 class _Members:
-    """Where the members of a schedule stack take theta from.
+    """Where the members of a schedule stack take theta from, and where
+    they inflate.
 
-    ``pre`` is True for a prediction-side stack (prkf, prsf, kf), False for
-    an update-side one (urkf, ursf, kf); kf, with theta = 0, fits either.
-    ``theta`` holds the fixed thetas (0 for kf), ``inflating`` the members
-    with a budget or a nonzero fixed theta, ``fixed`` their fixed thetas,
-    and ``budgets`` the position among them and the budget c of each
-    budgeted member.  A member at theta = 0 takes V = P exactly, with no
-    eigendecomposition.
+    ``theta`` holds each member's fixed theta (0 for kf) and ``c`` its
+    budget (None for a fixed theta).  ``pre`` and ``post`` index the
+    inflating members (a budget or a nonzero fixed theta): the
+    prediction-side ones (prkf, prsf), which distort the predicted
+    covariance before the update, and the update-side ones (urkf, ursf),
+    which distort the filtered covariance after it.  A member at theta = 0
+    takes V = P exactly, with no eigendecomposition.
     """
 
     def __init__(self, configs):
-        sides = {c.kind in ("prkf", "prsf") for c in configs if c.kind != "kf"}
-        if len(sides) > 1:
-            raise ConfigError("a schedule stack mixes update-side and "
-                              "prediction-side filters")
-        self.pre = sides == {True}
         self.theta = [c.theta or 0.0 for c in configs]
-        self.inflating = [i for i, c in enumerate(configs)
-                          if c.c is not None or c.theta]
-        self.fixed = [self.theta[i] for i in self.inflating]
-        self.budgets = [(j, configs[i].c) for j, i in enumerate(self.inflating)
-                        if configs[i].c is not None]
+        self.c = [c.c for c in configs]
+        self.pre, self.post = ([i for i, c in enumerate(configs)
+                                if (c.c is not None or c.theta)
+                                and (c.kind in ("prkf", "prsf")) == pre]
+                               for pre in (True, False))
 
 
-def _distort(members, P):
-    """The members' thetas (a list) and distorted covariances of their
-    exactly symmetric P (k, n, n)."""
-    idx = members.inflating
-    if not idx:
-        return members.theta, P
+def _inflate(members, idx, P, thetas):
+    """The stack P (k, n, n), exactly symmetric, with its members ``idx``
+    distorted to (P^{-1} - theta I)^{-1}; their thetas go into ``thetas``.
+
+    One eigendecomposition P = U diag(lambda) U^T of each: its smallest
+    eigenvalue guards that P is positive definite, its eigenvalues feed a
+    budgeted member's solve, and the distortion is
+    U diag(lambda / (1 - theta lambda)) U^T, symmetrized, with no explicit
+    inverse; a Cholesky factorisation guards that it is positive definite.
+    """
     Pi = P if len(idx) == len(P) else P[idx]
-    lams, _ = eig = np.linalg.eigh(Pi)
-    theta = members.fixed.copy()
-    if members.budgets:
-        # one eigh guards a budgeted member's P, feeds its budget solve and
-        # then the inflation
-        lams = lams.tolist()
-        if min(lam[0] for lam in lams) <= 0.0:
+    lams, U = np.linalg.eigh(Pi)
+    for i, lam in zip(idx, lams.tolist()):
+        if lam[0] <= 0.0:
             raise NumericsError("matrix is not positive definite")
-        for j, c in members.budgets:
-            theta[j] = _solve_budget(lams[j], c).theta
-    V = _inflate(Pi, theta, eig)
+        c = members.c[i]
+        th = thetas[i] = (members.theta[i] if c is None
+                          else _solve_budget(lam, c).theta)
+        if th * lam[-1] >= 1.0:
+            raise FilterError(f"distortion infeasible: theta={th:.6g} "
+                              f"with sigma_max(P)={lam[-1]:.6g}")
+    theta = np.array([thetas[i] for i in idx])[:, None]
+    V = sym((U * (lams / (1.0 - theta * lams))[..., None, :])
+            @ U.swapaxes(-1, -2))
+    _cholesky(V)
     if Pi is P:
-        return theta, V
-    thetas, Vs = list(members.theta), P.copy()
-    for j, i in enumerate(idx):
-        thetas[i] = theta[j]
+        return V
+    Vs = P.copy()
     Vs[idx] = V
-    return thetas, Vs
+    return Vs
 
 
 def _schedule_step(model, members, P):
@@ -261,13 +230,14 @@ def _schedule_step(model, members, P):
     predicted covariances P (k, n, n): their gains, thetas, filtered,
     distorted and next predicted covariances, each stacked."""
     A, C, Q, R = model.A, model.C, model.Q, model.R
+    theta = list(members.theta)
     if members.pre:
-        theta, P = _distort(members, P)
+        P = _inflate(members, members.pre, P, theta)
     CP = C @ P
     S = sym(CP @ C.T + R)
     L = _gain(S, CP)
     Pf = sym(P - L @ C @ P)
-    theta, V = (theta, Pf) if members.pre else _distort(members, Pf)
+    V = _inflate(members, members.post, Pf, theta) if members.post else Pf
     return L, theta, Pf, V, sym(A @ V @ A.T + Q)
 
 
@@ -286,10 +256,10 @@ def covariance_schedules(model, configs, P0, N):
 
     The covariances and gains of these filters do not depend on the data.
     The prediction-side kinds (prkf, prsf) inflate the predicted covariance
-    before the update, the others the filtered covariance after it, and one
-    stack holds the filters ``configs`` of one side (kf fits either); each
-    member's theta is its budget solve when its ``c`` is set, else its
-    ``theta`` (0 for kf).  Returns a ``Schedule`` stack with the members in
+    before the update, the update-side kinds (urkf, ursf) the filtered
+    covariance after it, and one stack may hold members of both sides and
+    kf; each member's theta is its budget solve when its ``c`` is set, else
+    its ``theta`` (0 for kf).  Returns a ``Schedule`` stack with the members in
     the order of ``configs``.
 
     Each step runs stacked eigh, Cholesky, solve and matmul calls over the

@@ -8,6 +8,7 @@ from resilientkf.filters import (
     FilterConfig,
     FilterError,
     _inflate,
+    _Members,
     covariance_schedule,
     mean_pass,
 )
@@ -168,6 +169,15 @@ def test_run_filter_matches_reference_loop(model_b):
                 mean, P = ref[5], ref[6]
 
 
+def _inflate_one(P, theta):
+    """_inflate of P as the one member of a stack, an ursf at ``theta``."""
+    thetas = [None]
+    V = _inflate(_Members([FilterConfig(kind="ursf", theta=theta)]), [0],
+                 P[None], thetas)
+    assert thetas == [theta]
+    return V[0]
+
+
 @pytest.mark.parametrize("cond", [1.0, 1e6])
 @pytest.mark.parametrize("x", [1e-9, 0.5, 0.999])
 def test_inflate_matches_information_form(cond, x):
@@ -182,7 +192,7 @@ def test_inflate_matches_information_form(cond, x):
     theta = x / np.linalg.eigvalsh(P)[-1]
     ref = np.linalg.solve(np.eye(n) - theta * P, P)
     ref = 0.5 * (ref + ref.T)
-    V = _inflate(P, theta)
+    V = _inflate_one(P, theta)
     assert np.abs(V - ref).max() <= 1e-10 * np.abs(ref).max()
     if cond == 1.0:
         old = np.linalg.inv(np.linalg.inv(P) - theta * np.eye(n))
@@ -192,11 +202,28 @@ def test_inflate_matches_information_form(cond, x):
 def test_inflate_rejects_infeasible_and_indefinite():
     P = np.diag([2.0, 0.5])
     with pytest.raises(FilterError):
-        _inflate(P, 0.5)      # theta * sigma_max = 1
+        _inflate_one(P, 0.5)      # theta * sigma_max = 1
     with pytest.raises(FilterError):
-        _inflate(P, 0.75)
+        _inflate_one(P, 0.75)
     with pytest.raises(NumericsError):
-        _inflate(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.1)
+        _inflate_one(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.1)
+
+
+def test_inflate_distorts_each_listed_member_at_its_own_theta():
+    # members 1 (ursf) and 2 (urkf, its theta the budget solve) of a stack
+    # are distorted, each with the bytes of its own one-member call; the kf
+    # member is left as it is
+    P1, P2 = np.diag([2.0, 0.5]), np.array([[1.0, 0.3], [0.3, 0.8]])
+    configs = [FilterConfig(kind="kf"), FilterConfig(kind="ursf", theta=0.1),
+               FilterConfig(kind="urkf", c=0.05)]
+    thetas = [0.0, None, None]
+    V = _inflate(_Members(configs), [1, 2], np.stack([P1, P1, P2]), thetas)
+    assert thetas == [0.0, 0.1, solve_budget(P2, 0.05).theta]
+    assert V[0].tobytes() == P1.tobytes()
+    for Vi, P, theta in ((V[1], P1, 0.1), (V[2], P2, thetas[2])):
+        assert Vi.tobytes() == _inflate_one(P, theta).tobytes()
+        ref = np.linalg.solve(np.eye(2) - theta * P, P)
+        assert np.abs(Vi - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_schedule_budget_matches_solve_budget(model_a, model_b):

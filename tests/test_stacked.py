@@ -1,7 +1,8 @@
 """The data-free recursions run over a leading member axis: a schedule
-stack of one side, one backward pass over its members, one error-covariance
-recursion over several gain schedules.  Each member's rows must have the
-bytes of its own one-member call, and a failing member must be named."""
+stack of members of either side, one backward pass over its members, one
+error-covariance recursion over several gain schedules.  Each member's
+rows must have the bytes of its own one-member call, and a failing member
+must be named."""
 
 import json
 import math
@@ -15,7 +16,6 @@ import pytest
 from resilientkf import cli
 from resilientkf.cli import main
 from resilientkf.filters import (
-    ConfigError,
     FilterConfig,
     FilterError,
     covariance_schedule,
@@ -47,6 +47,11 @@ def _model(which, model_a):
 
 
 def _configs(side, theta):
+    if side == "mixed":
+        # the members of both sides interleaved, kf among them twice
+        return [c for pair in zip(_configs("update", theta),
+                                  _configs("prediction", theta))
+                for c in pair]
     return [FilterConfig(kind=kind, **{k: theta if v is None else v
                                        for k, v in kw.items()})
             for kind, kw in SIDES[side]]
@@ -57,7 +62,7 @@ def _same(a, b):
         a.tobytes() == b.tobytes())
 
 
-@pytest.mark.parametrize("side", ["update", "prediction"])
+@pytest.mark.parametrize("side", ["update", "prediction", "mixed"])
 @pytest.mark.parametrize("which", ["a", "r"])
 def test_schedule_stack_matches_solo_schedules(which, side, model_a):
     model, theta, N = _model(which, model_a)
@@ -98,13 +103,6 @@ def test_theta_zero_members_take_no_eigh(model_a, monkeypatch):
         model_a, zero + [FilterConfig(kind="urkf", c=0.05)], np.eye(2), 50)
     assert calls["eigh"] and all(P.shape == (1, 2, 2) for P in calls["eigh"])
     assert len(calls["eigh"]) == max(sum(c) for c in stack.cycle)
-
-
-def test_schedule_stack_rejects_mixed_sides(model_a):
-    configs = [FilterConfig(kind="urkf", c=0.05),
-               FilterConfig(kind="prkf", c=0.05)]
-    with pytest.raises(ConfigError, match="mixes"):
-        covariance_schedules(model_a, configs, np.eye(2), 10)
 
 
 @pytest.mark.parametrize("which", ["a", "r"])
@@ -209,7 +207,11 @@ def _outputs(out):
     # the stack reports the earliest failing step
     (["--theta", "0.3", "--theta", "0.5"],
      "filter step failed at t=1 for ursf theta=0.5: distortion infeasible"),
-], ids=["one", "earliest"])
+    # prsf fails alone at t = 3 and ursf at t = 4: the one stack of both
+    # sides reports the prediction side's earlier step
+    (["--theta", "0.2"],
+     "filter step failed at t=3 for prsf theta=0.2: distortion infeasible"),
+], ids=["one", "earliest", "sides"])
 def test_worstcase_failing_budget_writes_nothing(budgets, message, channel,
                                                  model_path, tmp_path,
                                                  capsys):
@@ -263,8 +265,9 @@ def test_worstcase_stack_beyond_the_address_space_fails_fast(model_path,
 
 
 def test_worstcase_runs_each_stack_once(model_path, tmp_path, monkeypatch):
-    # three budgets: one schedule stack per side, one backward pass and one
-    # error-covariance recursion per budget, each over its members
+    # three budgets: one schedule stack of the 2B + 1 members of both sides
+    # and kf, one backward pass and one error-covariance recursion per
+    # budget, each over its members
     calls = {"covariance_schedules": [], "backward_pass": [],
              "error_cov_recursion": [], "covariance_schedule": []}
     for name, seen in calls.items():
@@ -277,7 +280,9 @@ def test_worstcase_runs_each_stack_once(model_path, tmp_path, monkeypatch):
                  "0.05", "--theta", "0.02", "--channel", "--horizon", "30",
                  "--filters", "kf,urkf,prkf,ursf,prsf",
                  "--out", out]) == 0
-    assert [len(c) for c in calls["covariance_schedules"]] == [4, 3]
+    assert [[c.kind for c in configs]
+            for configs in calls["covariance_schedules"]] == [
+        ["urkf", "urkf", "ursf", "prkf", "prkf", "prsf", "kf"]]
     assert len(calls["backward_pass"]) == 1
     assert [len(g) for g in calls["error_cov_recursion"]] == [5, 5, 5]
     assert not calls["covariance_schedule"]

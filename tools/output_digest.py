@@ -19,7 +19,7 @@ max|a - b| / max|a| over its numeric CSV columns and JSON arrays (``a``
 from ``OLD_DIR``), with the column or JSON path where it is reached.  A
 text or shape change is reported as such.
 
-The command set, 54 commands:
+The command set, 56 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
   model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
@@ -28,8 +28,9 @@ The command set, 54 commands:
   without ``--channel``, on models A and B and the two seeded models,
   ``--theta 0 --theta 0.001 --channel`` on model A and the 4-state model,
   ``--c`` and ``--theta`` budgets mixed in one command on model A and the
-  9-state model, each with and without ``--channel``, and all five
-  ``--filters`` on model A;
+  9-state model, each with and without ``--channel``, all five
+  ``--filters`` on model A, and ``--filters prkf,urkf`` and ``kf,urkf``
+  with ``--channel`` on the 9-state model;
 - ``lf both``: model A at a ``--c`` and a ``--theta`` budget and at
   ``--theta 0``, and the two seeded models at a ``--c`` budget;
 - ``bench`` over every scenario: one small run, and one at 2501 trials
@@ -149,6 +150,13 @@ def commands(inp, out):
                  "--c", "0.05", "--theta", "0.02", "--theta", "0",
                  "--filters", "kf,urkf,prkf,ursf,prsf", "--channel",
                  "--out", os.path.join(out, "worstcase_all_filters_a.csv")])
+    # a schedule stack with no kf member, and one with no prediction-side
+    # member
+    for filters in ("prkf,urkf", "kf,urkf"):
+        name = f"worstcase_{filters.replace(',', '_')}_r9"
+        cmds.append(["worstcase", "--model", paths["r9"], "--horizon", "100",
+                     "--c", "0.05", "--theta", "0.001", "--filters", filters,
+                     "--channel", "--out", os.path.join(out, name + ".csv")])
     for tag, kind, value, name in (
             ("a", "c", "0.05", "lf_c_a"), ("a", "theta", "0.05", "lf_theta_a"),
             ("a", "theta", "0", "lf_theta0_a"), ("r4", "c", "0.05", "lf_c_r4"),
