@@ -17,7 +17,6 @@ from .model import (
 from .numerics import (
     gamma,
     solve_budget,
-    gaussian_kl,
     spd_sqrt,
     spectral_extrema,
     solve_discrete_lyapunov,
@@ -36,7 +35,6 @@ from .least_favorable import (
     assemble_lf,
     simulate_lf,
     error_cov_recursion,
-    one_step_joints,
     steady_state_w,
 )
 from .bench import (

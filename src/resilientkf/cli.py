@@ -207,6 +207,10 @@ def cmd_worstcase(args):
         budgets.append(("theta", float(th)))
     if not budgets:
         raise ModelError("worstcase requires at least one --c or --theta")
+    if len(set(budgets)) < len(budgets):
+        raise ModelError("worstcase repeats a budget: " + ", ".join(
+            sorted({f"--{kind} {val!r}" for kind, val in budgets
+                    if budgets.count((kind, val)) > 1})))
     filters = [f.strip() for f in args.filters.split(",") if f.strip()]
     if not filters:
         raise ModelError("--filters names no filter")
@@ -309,9 +313,10 @@ def _read_data(path, m):
     ys = array("d")
     try:
         with open(path, encoding="utf-8") as f:
-            for i, row in enumerate(csv.reader(f)):
-                if not row or (i == 0 and any(not _is_number(v) for v in row)):
-                    continue  # skip blank lines and a header row
+            rows = ((i, row) for i, row in enumerate(csv.reader(f)) if row)
+            for k, (i, row) in enumerate(rows):
+                if k == 0 and any(not _is_number(v) for v in row):
+                    continue  # a header row
                 if len(row) != m:
                     raise ModelError(f"data line {i + 1}: expected {m} "
                                      f"columns, got {len(row)}")

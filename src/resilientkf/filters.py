@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from dataclasses import dataclass
 
-from .numerics import NumericsError, _cholesky, _solve_budget, check_sympd, sym
+from .numerics import NumericsError, _cholesky, check_sympd, solve_budget, sym
 
 FILTER_KINDS = ("kf", "urkf", "prkf", "ursf", "prsf")
 
@@ -210,7 +210,7 @@ def _inflate(members, idx, P, thetas):
             raise NumericsError("matrix is not positive definite")
         c = members.c[i]
         th = thetas[i] = (members.theta[i] if c is None
-                          else _solve_budget(lam, c).theta)
+                          else solve_budget(lam, c).theta)
         if th * lam[-1] >= 1.0:
             raise FilterError(f"distortion infeasible: theta={th:.6g} "
                               f"with sigma_max(P)={lam[-1]:.6g}")

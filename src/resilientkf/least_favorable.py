@@ -62,30 +62,6 @@ def injection_covariances(fwd):
     return 0.5 * (D + D.swapaxes(-1, -2))
 
 
-def one_step_joints(model, fwd, t):
-    """Nominal and worst-case one-step joint covariances of (x_t, y_t)
-    conditioned on the past.
-
-    The nominal joint has state block P_pred, measurement block
-    K_y = C P_pred C^T + R, and cross block P_pred C^T.  The per-step
-    maximizer keeps the measurement statistics and cross covariance and
-    inflates the conditional state covariance from P_filt to V, so its
-    state block is V + L K_y L^T.  The KL divergence between the two
-    joints equals the budget gamma(P_filt, theta) spent at that step.
-    Returns (K_nominal, K_worst), each (n+m) x (n+m).
-    """
-    n, m = model.n, model.m
-    P = fwd.cov_pred[t]
-    L = fwd.gains[t]
-    V = fwd.cov_distorted[t]
-    Ky = sym(model.C @ P @ model.C.T + model.R)
-    Kxy = P @ model.C.T
-    K = np.block([[P, Kxy], [Kxy.T, Ky]])
-    Kx_tilde = sym(V + L @ Ky @ L.T)
-    Kt = np.block([[Kx_tilde, Kxy], [Kxy.T, Ky]])
-    return sym(K), sym(Kt)
-
-
 # ---------------------------------------------------------------------------
 # Hostile observation-channel model (3n augmented state form)
 

@@ -236,15 +236,6 @@ def msd_discretize(p):
 # File formats
 
 
-def model_to_dict(model):
-    return {
-        "A": model.A.tolist(),
-        "C": model.C.tolist(),
-        "Q": model.Q.tolist(),
-        "R": model.R.tolist(),
-    }
-
-
 def _numbers(value):
     """Whether a parsed JSON value is a number or nested lists of numbers:
     strings, bools and nulls are not."""
@@ -285,11 +276,6 @@ def load_json(path):
 
 def load_model(path):
     return model_from_dict(load_json(path))
-
-
-def save_model(model, path):
-    with open(path, "w") as f:
-        json.dump(model_to_dict(model), f, indent=2)
 
 
 def belief_from_dict(d):

@@ -1,9 +1,8 @@
 """Scalar and matrix kernels shared by the estimation recursions.
 
 Contains the covariance-distortion budget function ``gamma`` and its
-inversion, the closed-form Gaussian Kullback-Leibler divergence, symmetric
-square roots, spectral extrema, a small dense discrete Lyapunov solver,
-and a batched doubling solver for filter Riccati equations.
+inversion, symmetric square roots, spectral extrema, a small dense discrete
+Lyapunov solver, and a batched doubling solver for filter Riccati equations.
 All functions are pure and operate on plain numpy arrays.
 """
 
@@ -109,12 +108,6 @@ def spd_sqrt(P):
     return _cholesky(check_symmetric(P))
 
 
-def _eigenvalues(P):
-    """Ascending eigenvalues of a symmetric P as floats, from eigh as in the
-    covariance schedule (eigvalsh's differ in the last bits from n = 3 on)."""
-    return np.linalg.eigh(P)[0].tolist()
-
-
 def _gamma_terms(lams, theta):
     """gamma and its theta-derivative from the eigenvalues ``lams`` (floats).
 
@@ -156,7 +149,9 @@ def gamma(P, theta):
         raise NumericsError("theta must be nonnegative")
     if theta == 0.0:
         return 0.0
-    lams = _eigenvalues(P)
+    # eigh, not eigvalsh, as in the covariance schedule: eigvalsh's
+    # eigenvalues differ in the last bits from n = 3 on
+    lams = np.linalg.eigh(P)[0].tolist()
     if theta * lams[-1] >= 1.0:
         raise NumericsError("theta * sigma_max(P) >= 1: outside the domain of gamma")
     return max(_gamma_terms(lams, theta)[0], 0.0)
@@ -177,8 +172,11 @@ BUDGET_TOL = 1e-12
 BUDGET_MAX_ITER = 200
 
 
-def solve_budget(P, c):
+def solve_budget(lams, c):
     """Find theta with gamma(P, theta) = c by a safeguarded Newton solve.
+
+    ``lams`` are the ascending eigenvalues (floats) of a positive-definite
+    P, which the caller has validated.
 
     One eigendecomposition of P serves every iteration, each of which is
     O(n) scalar work.  gamma is increasing and convex in theta and blows up
@@ -196,13 +194,6 @@ def solve_budget(P, c):
     NumericsError when c is unreachable inside the bracket, or when neither
     happens within BUDGET_MAX_ITER iterations.
     """
-    P = check_sympd(P)
-    return _solve_budget(_eigenvalues(P), c)
-
-
-def _solve_budget(lams, c):
-    """``solve_budget`` from the ascending eigenvalues ``lams`` (floats) of
-    a positive-definite P, which the caller has validated."""
     c = float(c)
     if not 0 < c < math.inf:
         raise NumericsError("budget c must be positive and finite")
@@ -243,26 +234,6 @@ def _solve_budget(lams, c):
     raise NumericsError(
         f"budget solve did not converge in {BUDGET_MAX_ITER} iterations: "
         f"c={c:.6g}, sigma_max={smax:.6g}, |gamma - c|/c={abs(g - c) / c:.3g}")
-
-
-def gaussian_kl(mean0, cov0, mean1, cov1):
-    """KL divergence between Gaussians N(mean0, cov0) and N(mean1, cov1)."""
-    mean0 = np.atleast_1d(np.asarray(mean0, dtype=float))
-    mean1 = np.atleast_1d(np.asarray(mean1, dtype=float))
-    cov0 = check_sympd(cov0)
-    cov1 = check_sympd(cov1)
-    if mean0.shape != mean1.shape or cov0.shape != cov1.shape:
-        raise NumericsError("dimension mismatch between the two Gaussians")
-    if mean0.shape[0] != cov0.shape[0]:
-        raise NumericsError("mean/covariance dimension mismatch")
-    n = mean0.shape[0]
-    diff = mean1 - mean0
-    sol = chol_solve(cov1, cov0)
-    maha = float(diff @ chol_solve(cov1, diff))
-    _, ld0 = np.linalg.slogdet(cov0)
-    _, ld1 = np.linalg.slogdet(cov1)
-    val = 0.5 * (np.trace(sol) + maha - n + ld1 - ld0)
-    return max(float(val), 0.0)
 
 
 # Doubling, for filter DAREs and Lyapunov equations, stops once every

@@ -19,14 +19,11 @@ from resilientkf.least_favorable import (
     assemble_lf,
     backward_pass,
     error_cov_recursion,
-    one_step_joints,
     simulate_lf,
     steady_state_w,
 )
 from resilientkf.numerics import (
     gamma,
-    gaussian_kl,
-    solve_budget,
     solve_discrete_lyapunov,
     spectral_extrema,
     sym,
@@ -39,6 +36,7 @@ from resilientkf.stability import (
 )
 
 from conftest import random_observable_model, run_filter
+from oracles import gaussian_kl, one_step_joints, solve_budget_of
 
 
 def _model_a():
@@ -354,7 +352,7 @@ def test_criterion_10_numerics_property_suite():
         tt = rng.uniform(1e-8, 0.999 / smax2)
         mono_ok &= gamma(P, tt) <= gamma(P2, tt) + 1e-12
         cc = float(10.0 ** rng.uniform(-6, 0.3))
-        res = solve_budget(P, cc)
+        res = solve_budget_of(P, cc)
         worst_rt = max(worst_rt, abs(gamma(P, res.theta) - cc))
         F = rng.standard_normal((n, n))
         F *= rng.uniform(0.1, 0.95) / max(1e-9, max(abs(np.linalg.eigvals(F))))

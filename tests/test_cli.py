@@ -13,10 +13,11 @@ from resilientkf import cli
 from resilientkf.cli import _CSV_ROWS, _write_csv, main
 from resilientkf.filters import FilterConfig, covariance_schedule
 from resilientkf.least_favorable import assemble_lf, backward_pass
-from resilientkf.model import LinearGaussianModel, save_model, validate
+from resilientkf.model import LinearGaussianModel, validate
 from resilientkf.stability import prop6_guard
 
 from conftest import seeded_model
+from oracles import save_model
 
 MODEL_A = {
     "A": [[0.1, 1.0], [0.0, 0.6]],
@@ -250,6 +251,19 @@ def test_filter_bad_column_count(model_file, tmp_path):
     assert rc == 2
 
 
+def test_filter_data_header_after_blank_line(model_file, tmp_path):
+    # the header is the first non-blank row, wherever blank lines put it
+    cfg = tmp_path / "fc.json"
+    cfg.write_text(json.dumps({"kind": "kf"}))
+    data = tmp_path / "data.csv"
+    data.write_text("\ny0\n1.0\n\n2.0\n")
+    assert cli._read_data(str(data), 1).tolist() == [[1.0], [2.0]]
+    out = str(tmp_path / "steps.csv")
+    assert main(["filter", "--model", model_file, "--config", str(cfg),
+                 "--data", str(data), "--out", out]) == 0
+    assert len(open(out).read().splitlines()) == 3
+
+
 def test_filter_data_parse_memory_stays_flat(tmp_path):
     # 200 000 one-output rows are 1.6 MB as floats; kept as a list of Python
     # float lists until the last row, as before, they took 24 MB traced
@@ -431,6 +445,7 @@ BAD_INPUTS = {
     "worstcase_no_filters": "worstcase --model {model} --c 0.1 --filters ,",
     "worstcase_repeated_filter":
         "worstcase --model {model} --c 0.1 --filters kf,kf",
+    "worstcase_repeated_budget": "worstcase --model {model} --c 0.05 --c 0.05",
     "worstcase_negative_c": "worstcase --model {model} --c -1",
     "worstcase_negative_theta": "worstcase --model {model} --theta -0.1",
     "worstcase_infinite_theta": "worstcase --model {model} --theta inf",

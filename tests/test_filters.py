@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (nominal_observations, random_observable_model,
                       record_calls, run_filter, seeded_model)
+from oracles import solve_budget_of
 from resilientkf.filters import (
     ConfigError,
     FilterConfig,
@@ -13,7 +14,7 @@ from resilientkf.filters import (
     mean_pass,
 )
 from resilientkf.model import GaussianBelief
-from resilientkf.numerics import NumericsError, gamma, solve_budget
+from resilientkf.numerics import NumericsError, gamma
 
 
 def _run(model, kind, ys, init, **kw):
@@ -129,7 +130,7 @@ def _reference_step(model, kind, value, mean, P, y):
     n = model.n
 
     def inflate(P):
-        theta = (solve_budget(P, value).theta if kind in ("urkf", "prkf")
+        theta = (solve_budget_of(P, value).theta if kind in ("urkf", "prkf")
                  else value)
         return theta, np.linalg.solve(np.eye(n) - theta * P, P)
 
@@ -218,7 +219,7 @@ def test_inflate_distorts_each_listed_member_at_its_own_theta():
                FilterConfig(kind="urkf", c=0.05)]
     thetas = [0.0, None, None]
     V = _inflate(_Members(configs), [1, 2], np.stack([P1, P1, P2]), thetas)
-    assert thetas == [0.0, 0.1, solve_budget(P2, 0.05).theta]
+    assert thetas == [0.0, 0.1, solve_budget_of(P2, 0.05).theta]
     assert V[0].tobytes() == P1.tobytes()
     for Vi, P, theta in ((V[1], P1, 0.1), (V[2], P2, thetas[2])):
         assert Vi.tobytes() == _inflate_one(P, theta).tobytes()
@@ -236,7 +237,7 @@ def test_schedule_budget_matches_solve_budget(model_a, model_b):
                 model, FilterConfig(kind=kind, c=0.1), P0, 60)
             covs = getattr(sched, field)
             for t, theta in enumerate(sched.thetas):
-                assert theta == solve_budget(covs[t], 0.1).theta
+                assert theta == solve_budget_of(covs[t], 0.1).theta
 
 
 @pytest.mark.parametrize("which", ["a", "r"])

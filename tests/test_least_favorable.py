@@ -13,14 +13,14 @@ from resilientkf.least_favorable import (
     backward_pass,
     error_cov_recursion,
     injection_covariances,
-    one_step_joints,
     simulate_lf,
     steady_state_w,
 )
 from resilientkf.model import GaussianBelief
-from resilientkf.numerics import check_sympd, gaussian_kl, spd_sqrt, sym
+from resilientkf.numerics import check_sympd, spd_sqrt, sym
 
 from conftest import record_calls, seeded_model
+from oracles import gaussian_kl, one_step_joints
 
 
 def test_update_schedule_tiny_budget_is_kf(model_a):

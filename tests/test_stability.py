@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded_model
+from oracles import save_model
 from resilientkf import LinearGaussianModel
 from resilientkf.filters import FilterConfig, FilterError, covariance_schedule
 from resilientkf.numerics import (
@@ -802,7 +803,6 @@ def test_thetamax_winners(name, request, tmp_path):
     import json
 
     from resilientkf.cli import main
-    from resilientkf.model import save_model
     from resilientkf.stability import RHO_REFINE_POINTS
 
     path, out = str(tmp_path / "model.json"), str(tmp_path / "theta.json")
