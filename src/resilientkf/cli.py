@@ -305,15 +305,17 @@ def cmd_filter(args):
 def _read_data(path, m):
     """The rows of a ``filter --data`` CSV file as a (T, m) float array.
 
-    Blank lines and a header row are skipped.  Each row is parsed as it is
-    read and appended to one flat ``array('d')``, so the parse holds 8
-    bytes a value, not a list of Python floats a row."""
+    Blank and whitespace-only lines and a header row are skipped.  Each
+    row is parsed as it is read and appended to one flat ``array('d')``, so
+    the parse holds 8 bytes a value, not a list of Python floats a row."""
     from array import array     # not at import: only filter reads data
 
     ys = array("d")
     try:
         with open(path, encoding="utf-8") as f:
-            rows = ((i, row) for i, row in enumerate(csv.reader(f)) if row)
+            # csv reads a blank line as [] and a whitespace-only one as [" "]
+            rows = ((i, row) for i, row in enumerate(csv.reader(f))
+                    if len(row) > 1 or row and row[0].strip())
             for k, (i, row) in enumerate(rows):
                 if k == 0 and any(not _is_number(v) for v in row):
                     continue  # a header row

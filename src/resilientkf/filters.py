@@ -44,6 +44,16 @@ class ConfigError(FilterError):
     """Raised when a filter configuration is invalid."""
 
 
+# what a failing schedule step raises; without its Cholesky guard, the gain
+# solve raises LinAlgError on a singular S
+_STEP_ERRORS = (FilterError, NumericsError, FloatingPointError,
+                np.linalg.LinAlgError)
+
+# covariance_schedules checks the Cholesky guards of this many steps at a
+# time, in one stacked factorisation per kind of matrix
+_BLOCK = 64
+
+
 @dataclass
 class FilterConfig:
     """Configuration for one estimator.
@@ -104,9 +114,8 @@ class FilterConfig:
 
 def _gain(S, CP):
     """The gain P C^T S^{-1}, as the transpose of S^{-1} (C P), for the
-    innovation covariance S (or a stack of them); a Cholesky factorisation
-    guards that S is positive definite."""
-    _cholesky(S)
+    innovation covariance S (or a stack of them).  The caller guards that
+    S is positive definite."""
     return np.linalg.solve(S, CP).swapaxes(-1, -2)
 
 
@@ -193,7 +202,7 @@ class _Members:
                                for pre in (True, False))
 
 
-def _inflate(members, idx, P, thetas):
+def _inflate(members, idx, P, thetas, guard):
     """The stack P (k, n, n), exactly symmetric, with its members ``idx``
     distorted to (P^{-1} - theta I)^{-1}; their thetas go into ``thetas``.
 
@@ -201,7 +210,8 @@ def _inflate(members, idx, P, thetas):
     eigenvalue guards that P is positive definite, its eigenvalues feed a
     budgeted member's solve, and the distortion is
     U diag(lambda / (1 - theta lambda)) U^T, symmetrized, with no explicit
-    inverse; a Cholesky factorisation guards that it is positive definite.
+    inverse.  The stack of the distorted members goes to ``guard``, which
+    checks that they are positive definite, or collects them to be checked.
     """
     Pi = P if len(idx) == len(P) else P[idx]
     lams, U = np.linalg.eigh(Pi)
@@ -217,7 +227,7 @@ def _inflate(members, idx, P, thetas):
     theta = np.array([thetas[i] for i in idx])[:, None]
     V = sym((U * (lams / (1.0 - theta * lams))[..., None, :])
             @ U.swapaxes(-1, -2))
-    _cholesky(V)
+    guard(V)
     if Pi is P:
         return V
     Vs = P.copy()
@@ -225,19 +235,27 @@ def _inflate(members, idx, P, thetas):
     return Vs
 
 
-def _schedule_step(model, members, P):
+def _schedule_step(model, members, P, checks=None):
     """One update, inflation and prediction of the members from their
     predicted covariances P (k, n, n): their gains, thetas, filtered,
-    distorted and next predicted covariances, each stacked."""
+    distorted and next predicted covariances, each stacked.
+
+    A Cholesky factorisation guards that S and each inflated covariance
+    are positive definite.  With ``checks``, a pair of lists, the step
+    appends these stacks to them instead, to be factored later."""
     A, C, Q, R = model.A, model.C, model.Q, model.R
+    guard_S, guard_V = ((_cholesky, _cholesky) if checks is None
+                        else (checks[0].append, checks[1].append))
     theta = list(members.theta)
     if members.pre:
-        P = _inflate(members, members.pre, P, theta)
+        P = _inflate(members, members.pre, P, theta, guard_V)
     CP = C @ P
     S = sym(CP @ C.T + R)
+    guard_S(S)
     L = _gain(S, CP)
     Pf = sym(P - L @ C @ P)
-    V = _inflate(members, members.post, Pf, theta) if members.post else Pf
+    V = (_inflate(members, members.post, Pf, theta, guard_V)
+         if members.post else Pf)
     return L, theta, Pf, V, sym(A @ V @ A.T + Q)
 
 
@@ -262,9 +280,15 @@ def covariance_schedules(model, configs, P0, N):
     its ``theta`` (0 for kf).  Returns a ``Schedule`` stack with the members in
     the order of ``configs``.
 
-    Each step runs stacked eigh, Cholesky, solve and matmul calls over the
-    members, which apply a single matrix's LAPACK or BLAS kernel to each,
-    so every member's rows have the bytes of its own schedule.  A step
+    Each step runs stacked eigh, solve and matmul calls over the members,
+    which apply a single matrix's LAPACK or BLAS kernel to each, so every
+    member's rows have the bytes of its own schedule.  The Cholesky guards
+    of S and of each inflated covariance are not run in the step: the
+    matrices are collected, and factored as one stack per kind at the end
+    of each ``_BLOCK`` steps, when the loop stops and before a failure is
+    reported.  A block whose check fails is taken again with the guards
+    inline, so a run fails at the step, and with the error, at which
+    guarded steps fail; it computes at most one block past that step.  A step
     depends only on the predicted covariance entering it, so once that
     repeats bit for bit for a member, its remaining rows are copied from
     one period earlier (see ``Schedule.cycle``); the loop stops once every
@@ -288,6 +312,8 @@ def covariance_schedules(model, configs, P0, N):
     cov_pred[:, 0] = check_sympd(P0)
     P = cov_pred[:, 0]
     steps, cycles = [_Steps() for _ in configs], [None] * k
+    # the S and inflated covariances of steps start..t - 1, not yet checked
+    checks, start = ([], []), 0
     for t in range(N + 1):
         for i, memo in enumerate(steps):
             if cycles[i] is None and (
@@ -295,13 +321,21 @@ def covariance_schedules(model, configs, P0, N):
                 cycles[i] = (s, t - s)
         if None not in cycles:
             break
+        if t - start == _BLOCK:
+            _check_guards(model, configs, members, cov_pred, checks, start, t)
+            start = t
         try:
-            L, theta, Pf, V, P = _schedule_step(model, members, P)
-        except (FilterError, NumericsError, FloatingPointError) as e:
+            L, theta, Pf, V, P = _schedule_step(model, members, P, checks)
+        except _STEP_ERRORS as e:
+            _check_guards(model, configs, members, cov_pred, checks, start,
+                          t + 1)
             raise _step_failure(model, configs, P, t, e) from e
         gains[:, t], thetas[:, t], cov_filt[:, t], cov_distorted[:, t] = (
             L, theta, Pf, V)
         cov_pred[:, t + 1] = P
+    else:
+        t = N + 1
+    _check_guards(model, configs, members, cov_pred, checks, start, t)
     for a in out:
         for i, cycle in enumerate(cycles):
             if cycle is not None:
@@ -311,15 +345,40 @@ def covariance_schedules(model, configs, P0, N):
     return Schedule(*out, cycle=cycles)
 
 
+def _check_guards(model, configs, members, cov_pred, checks, start, stop):
+    """Factor the S and inflated covariances that steps start..stop - 1 of
+    a stack collected in ``checks``, one stack per list, and empty the
+    lists.  When one is not positive definite, the steps are taken again
+    from their predicted covariances ``cov_pred[:, start]`` with their
+    guards inline, and the first that fails raises its ``_step_failure``.
+    """
+    try:
+        for matrices in checks:
+            if matrices:
+                _cholesky(np.concatenate(matrices))
+                matrices.clear()
+    except NumericsError as e:
+        P = cov_pred[:, start]
+        for t in range(start, stop):
+            try:
+                P = _schedule_step(model, members, P)[-1]
+            except _STEP_ERRORS as step_error:
+                raise _step_failure(model, configs, P, t,
+                                    step_error) from step_error
+        raise FilterError(f"filter steps {start} to {stop - 1} failed: "
+                          f"{e}") from e
+
+
 def _step_failure(model, configs, P, t, error):
-    """The FilterError of a stack whose step t failed with ``error``: it
-    names the member that failed, the first whose step fails on its own in
-    a stack of several, with that member's error."""
-    member = configs[0] if len(configs) == 1 else None
-    for config, Pi in zip(configs if member is None else (), P):
+    """The FilterError of a stack whose step t failed with ``error``, from
+    the predicted covariances P entering it: each member's step is taken
+    again on its own, with its guards inline, and the error names the
+    first that fails, with that member's error."""
+    member = None
+    for config, Pi in zip(configs, P):
         try:
             _schedule_step(model, _Members([config]), Pi[None])
-        except (FilterError, NumericsError, FloatingPointError) as e:
+        except _STEP_ERRORS as e:
             member, error = config, e
             break
     where = "" if member is None else f" for {_describe(member)}"

@@ -207,7 +207,10 @@ def solve_budget(lams, c):
     v = 2.0 * c + 1.0
     u = v + math.log(2.0 * v)
     theta = min(hi, (1.0 - 1.0 / u) / smax)
-    tr2 = math.fsum(lam * lam for lam in lams)
+    try:
+        tr2 = math.fsum(lam * lam for lam in lams)
+    except OverflowError:   # fsum raises where its sum overflows
+        tr2 = math.inf
     if 0.0 < tr2 < math.inf:  # tr(P^2) under- or overflows at extreme P
         theta = min(theta, 2.0 * math.sqrt(c / tr2))
     g = g_hi

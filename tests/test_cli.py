@@ -264,6 +264,22 @@ def test_filter_data_header_after_blank_line(model_file, tmp_path):
     assert len(open(out).read().splitlines()) == 3
 
 
+@pytest.mark.parametrize("text", ["0.1\n  \n0.2\n", " \t\ny0\n0.1\n \n0.2\n"],
+                         ids=["between_rows", "before_the_header"])
+def test_filter_data_skips_whitespace_only_lines(text, model_file, tmp_path):
+    # csv reads a whitespace-only line as one field of blanks; it is a blank
+    # line, also before the header, which stays the first non-blank row
+    cfg = tmp_path / "fc.json"
+    cfg.write_text(json.dumps({"kind": "kf"}))
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    assert cli._read_data(str(data), 1).tolist() == [[0.1], [0.2]]
+    out = str(tmp_path / "steps.csv")
+    assert main(["filter", "--model", model_file, "--config", str(cfg),
+                 "--data", str(data), "--out", out]) == 0
+    assert len(open(out).read().splitlines()) == 3
+
+
 def test_filter_data_parse_memory_stays_flat(tmp_path):
     # 200 000 one-output rows are 1.6 MB as floats; kept as a list of Python
     # float lists until the last row, as before, they took 24 MB traced

@@ -14,7 +14,7 @@ from resilientkf.filters import (
     mean_pass,
 )
 from resilientkf.model import GaussianBelief
-from resilientkf.numerics import NumericsError, gamma
+from resilientkf.numerics import NumericsError, _cholesky, gamma
 
 
 def _run(model, kind, ys, init, **kw):
@@ -174,7 +174,7 @@ def _inflate_one(P, theta):
     """_inflate of P as the one member of a stack, an ursf at ``theta``."""
     thetas = [None]
     V = _inflate(_Members([FilterConfig(kind="ursf", theta=theta)]), [0],
-                 P[None], thetas)
+                 P[None], thetas, _cholesky)
     assert thetas == [theta]
     return V[0]
 
@@ -218,7 +218,8 @@ def test_inflate_distorts_each_listed_member_at_its_own_theta():
     configs = [FilterConfig(kind="kf"), FilterConfig(kind="ursf", theta=0.1),
                FilterConfig(kind="urkf", c=0.05)]
     thetas = [0.0, None, None]
-    V = _inflate(_Members(configs), [1, 2], np.stack([P1, P1, P2]), thetas)
+    V = _inflate(_Members(configs), [1, 2], np.stack([P1, P1, P2]), thetas,
+                 _cholesky)
     assert thetas == [0.0, 0.1, solve_budget_of(P2, 0.05).theta]
     assert V[0].tobytes() == P1.tobytes()
     for Vi, P, theta in ((V[1], P1, 0.1), (V[2], P2, thetas[2])):

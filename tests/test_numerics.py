@@ -132,15 +132,19 @@ def test_solve_budget_raises_on_non_convergence(model_a, monkeypatch):
 
 
 @pytest.mark.parametrize("lams", [(1e-170, 1e-170), (1e300, 1.0),
-                                  (1e300, 1e300)])
+                                  (1e300, 1e300), (1.2e154, 1.2e154)])
 def test_solve_budget_at_extreme_eigenvalues(lams):
     # tr(P^2) underflows to 0 or overflows to inf, and with it the Newton
-    # start and the derivative gamma' at theta = 0; both bisect instead
+    # start and the derivative gamma' at theta = 0; both bisect instead.
+    # At 1.2e154 each square is finite and only their sum overflows, where
+    # math.fsum raises OverflowError instead of returning inf
     P, c = np.diag(lams), 0.1
     res = solve_budget_of(P, c)
     assert 0 < res.theta * max(lams) < 1
     assert abs(res.achieved_budget - c) <= 1e-12 * c
     assert gamma(P, res.theta) == pytest.approx(c, rel=1e-12)
+    with pytest.raises(NumericsError, match="unreachable"):
+        solve_budget_of(P, 1e12)
 
 
 def test_solve_budget_rejects_bad_budget():

@@ -5,19 +5,23 @@
 
 Writes seeded inputs under ``OUT_DIR/in``, runs a fixed list of commands
 in-process through ``resilientkf.cli.main`` with outputs under
-``OUT_DIR/out``, then prints one ``exit <code>  <command>`` line per command
-and one ``<sha256>  <path>`` line per output file (manifests excluded: they
-hold timestamps), paths relative to ``OUT_DIR/out``.  The same lines go to
-``OUT_DIR/digest.txt``.  The package is the one on ``PYTHONPATH``, so two
-checkouts compare by running this script once against each ``src/`` and
-diffing the two digests.
+``OUT_DIR/out``, then prints one ``exit <code> <stderr hash>  <command>``
+line per command and one ``<sha256>  <path>`` line per output file
+(manifests excluded: they hold timestamps), paths relative to
+``OUT_DIR/out``.  The stderr hash is a short hash of what the command wrote
+to standard error, such as its failure message, with ``OUT_DIR`` standing
+for the directory's path; the text itself is passed on to standard error.
+The same lines go to ``OUT_DIR/digest.txt``.  The package is the one on
+``PYTHONPATH``, so two checkouts compare by running this script once
+against each ``src/`` and diffing the two digests.
 
 ``--compare`` reads two such ``OUT_DIR``s and prints how they differ: each
-exit code that changed, each output present in only one of them, and for
-each output whose digest changed the largest relative difference
-max|a - b| / max|a| over its numeric CSV columns and JSON arrays (``a``
-from ``OLD_DIR``), with the column or JSON path where it is reached.  A
-text or shape change is reported as such.
+exit code that changed, each stderr hash that changed under the same exit
+code, each output present in only one of them, and for each output whose
+digest changed the largest relative difference max|a - b| / max|a| over
+its numeric CSV columns and JSON arrays (``a`` from ``OLD_DIR``), with the
+column or JSON path where it is reached.  A text or shape change is
+reported as such.
 
 The command set, 56 commands:
 
@@ -43,8 +47,10 @@ The command set, 56 commands:
   whose best alpha row is alpha = 1.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -269,14 +275,23 @@ def compare(old_root, new_root):
         with open(os.path.join(root, "digest.txt")) as f:
             for line in f.read().splitlines():
                 value, key = line.split("  ", 1)
-                (exits if value.startswith("exit ") else files)[key] = value
+                if value.startswith("exit "):
+                    _, code, err = value.split()
+                    exits[key] = f"exit {code}", err
+                else:
+                    files[key] = value
         return exits, files
 
     (old_exits, old_files), (new_exits, new_files) = read(old_root), read(
         new_root)
-    lines = [f"{old_exits.get(cmd, 'none')} -> {new_exits.get(cmd, 'none')}"
-             f"  {cmd}" for cmd in sorted(old_exits.keys() | new_exits.keys())
-             if old_exits.get(cmd) != new_exits.get(cmd)]
+    lines = []
+    for cmd in sorted(old_exits.keys() | new_exits.keys()):
+        (old_code, old_err), (new_code, new_err) = (
+            exits.get(cmd, ("none", None)) for exits in (old_exits, new_exits))
+        if old_code != new_code:
+            lines.append(f"{old_code} -> {new_code}  {cmd}")
+        elif old_err != new_err:
+            lines.append(f"stderr {old_err} -> {new_err}  {cmd}")
     for path in sorted(old_files.keys() | new_files.keys()):
         if path not in new_files or path not in old_files:
             side = "old" if path in old_files else "new"
@@ -289,6 +304,21 @@ def compare(old_root, new_root):
     return lines
 
 
+def exit_line(main, argv, root):
+    """Run ``main(argv)``; its ``exit <code> <stderr hash>  <command>``
+    line, the command named by its ``--out`` under ``root/out``.  The hash
+    is of the command's standard error with ``root`` written as OUT_DIR."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    sys.stderr.write(err.getvalue())
+    text = err.getvalue().replace(root, "OUT_DIR")
+    target = os.path.relpath(argv[argv.index("--out") + 1],
+                             os.path.join(root, "out"))
+    return (f"exit {code} {hashlib.sha256(text.encode()).hexdigest()[:12]}"
+            f"  {argv[0]} {target}")
+
+
 def run(root):
     # imported here so that --compare runs without the package
     from resilientkf.cli import main
@@ -298,11 +328,7 @@ def run(root):
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):
         raise SystemExit(f"{out} is not empty")
-    lines = []
-    for argv in commands(inp, out):
-        code = main(argv)
-        target = argv[argv.index("--out") + 1]
-        lines.append(f"exit {code}  {argv[0]} {os.path.relpath(target, out)}")
+    lines = [exit_line(main, argv, root) for argv in commands(inp, out)]
     lines += digest(out)
     with open(os.path.join(root, "digest.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
