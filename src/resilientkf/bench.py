@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .model import MEASUREMENT_VAR, MsdParams, msd_discretize
-from .filters import FilterConfig, covariance_schedule, mean_pass
+from .filters import FilterConfig, covariance_schedules, mean_pass
 
 SCENARIO_KINDS = ("drift", "uniform", "deadzone", "outlier", "nominal")
 
@@ -230,9 +230,10 @@ def run_monte_carlo(cfg, scenarios):
     n = nominal.n
     M, N = cfg.trials, cfg.horizon
     P0 = INIT_COV_SCALE * np.eye(n)
-    # (N, filters, n, m): every filter runs in one state-major mean pass
-    gains = np.stack([covariance_schedule(nominal, fc, P0, N - 1).gains
-                      for fc in cfg.filters.values()], axis=1)
+    # (N, filters, n, m): every filter runs in one state-major mean pass,
+    # with the gains of one schedule stack
+    gains = covariance_schedules(nominal, list(cfg.filters.values()), P0,
+                                 N - 1).gains.swapaxes(0, 1)
     # both plants have the design model's A; the control plant is exactly
     # the design model, the other draws the physical noise Qw
     control = [s.kind == "nominal" for s in scenarios]

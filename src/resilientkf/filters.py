@@ -132,8 +132,10 @@ class Schedule(NamedTuple):
 
     ``cycle`` is (start, period) when the recursion repeated bit for bit:
     from step ``start`` on, every row equals the one ``period`` steps
-    later, and is copied from it instead of recomputed.  It is None when no
-    predicted covariance repeated.
+    later.  The rows from ``start + period`` on are filled by period
+    instead of recomputed, up to the horizon: the schedule has no per-step
+    input that could stop the fill, and the filled rows are byte-identical
+    to the full loop's.  It is None when no predicted covariance repeated.
 
     A stack of schedules (from ``covariance_schedules``) has the same
     fields with a leading member axis, and a list of the members' cycles;
@@ -160,7 +162,9 @@ class _Steps:
 
     A step's outputs depend on nothing but what it reads, so a step that
     reads the bytes an earlier step read has that step's outputs: no
-    tolerance.
+    tolerance.  Once ``find`` reports such a repeat, ``_fill`` copies the
+    following rows by period for as long as the per-step inputs repeat
+    with it, so only the steps a recursion computes ask and are keyed.
     """
 
     def __init__(self):
@@ -178,6 +182,36 @@ class _Steps:
         s, first = self.seen.setdefault(hash(key), (t, reads))
         return s if s != t and b"".join(
             r.tobytes() for r in first) == key else None
+
+
+def _fill(outputs, t, period, inputs=()):
+    """Fill the rows of ``outputs`` from t on with their rows
+    t - period..t - 1, repeated, and return the first row not filled.
+
+    Every array holds its rows on its first axis, and step t read what
+    step t - period read.  The fill runs for as long as each array of
+    ``inputs`` (the per-step inputs) repeats with that period bit for bit,
+    so it stops at the first row whose inputs differ from the row
+    ``period`` before, or at the end of the longest output.  A filled row
+    reads, and so holds, the bytes of the row it copies, as in the full
+    loop.  Bits, not values, are compared: 0.0 and -0.0 differ.
+
+    The period is copied out first and broadcast into a view of the rows
+    to fill: a broadcast from a view of the same array would make numpy
+    allocate a temporary the size of the filled rows.
+    """
+    stop = max(len(a) for a in outputs)
+    for a in inputs:
+        bits = a.view(np.int64)
+        same = bits[t:stop] == bits[t - period:stop - period]
+        same = same.all(axis=tuple(range(1, same.ndim)))
+        stop = t + (len(same) if same.all() else int(same.argmin()))
+    for a in outputs:
+        rows, block = a[t:stop], a[t - period:t].copy()
+        whole = len(rows) - len(rows) % period
+        rows[:whole].reshape(-1, *block.shape, copy=False)[...] = block
+        rows[whole:] = block[:len(rows) - whole]
+    return stop
 
 
 class _Members:
@@ -290,9 +324,9 @@ def covariance_schedules(model, configs, P0, N):
     inline, so a run fails at the step, and with the error, at which
     guarded steps fail; it computes at most one block past that step.  A step
     depends only on the predicted covariance entering it, so once that
-    repeats bit for bit for a member, its remaining rows are copied from
-    one period earlier (see ``Schedule.cycle``); the loop stops once every
-    member has repeated.
+    repeats bit for bit for a member, its remaining rows are filled by
+    period (see ``Schedule.cycle``); the loop stops once every member has
+    repeated.
 
     A failure at step t, including a covariance that overflows or turns
     NaN, is raised as FilterError naming t and the failing member.  The
@@ -336,11 +370,10 @@ def covariance_schedules(model, configs, P0, N):
     else:
         t = N + 1
     _check_guards(model, configs, members, cov_pred, checks, start, t)
+    for i, cycle in enumerate(cycles):
+        if cycle is not None:
+            _fill([a[i] for a in out], sum(cycle), cycle[1])
     for a in out:
-        for i, cycle in enumerate(cycles):
-            if cycle is not None:
-                s, t = cycle[0], sum(cycle)
-                a[i, t:] = a[i, s + np.arange(a.shape[1] - t) % (t - s)]
         a.flags.writeable = False
     return Schedule(*out, cycle=cycles)
 

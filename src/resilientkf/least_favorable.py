@@ -39,7 +39,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .numerics import NumericsError, _doubling, check_sympd, spd_sqrt, sym
-from .filters import _Steps
+from .filters import _Steps, _fill
 
 
 class SynthesisError(RuntimeError):
@@ -117,6 +117,15 @@ def backward_pass(fwd, model):
     ``fwd`` may be a schedule stack (``covariance_schedules``): the pass
     then runs over its members at once, each with the bytes of its own
     pass, and an infeasible step names its first infeasible member.
+
+    A step reads omega_inv[t+1] with its L and theta rows.  Once it reads
+    what a later step read, p steps on, the rows below are filled by
+    period for as long as L and theta repeat with period p, bit for bit
+    and in every member; the fill stops at the first step whose L or theta
+    differ from those p steps later (the schedule's steps before its
+    cycle), which are computed.  Filled rows are byte-identical to the
+    full loop's, and a filled step cannot fail, since the step it copies
+    did not.
     """
     n, m = model.n, model.m
     N = fwd.horizon
@@ -130,12 +139,16 @@ def backward_pass(fwd, model):
     out = (omega_inv, Ws, Os, Fs, Upss)
     eye_n, eye_m = np.eye(n), np.eye(m)
     steps = _Steps()
-    for t in range(N, -1, -1):
+    # the rows of the outputs and of the per-step inputs, from step N down
+    rows = [np.moveaxis(a, -3, 0)[N::-1] for a in out]
+    inputs = (np.moveaxis(fwd.gains, -3, 0)[::-1],
+              np.moveaxis(fwd.thetas, -1, 0)[::-1])
+    t = N
+    while t >= 0:
         L, theta = fwd.gains[..., t, :, :], fwd.thetas[..., t]
         s = steps.find(t, omega_inv[..., t + 1, :, :], L, theta)
         if s is not None:
-            for a in out:
-                a[..., t, :, :] = a[..., s, :, :]
+            t = N - _fill(rows, N - t, s - t, inputs)
             continue
         Lw = L @ Rh
         # Oinv comes out of sym exactly symmetric, so its Cholesky
@@ -158,6 +171,7 @@ def backward_pass(fwd, model):
                     + FA.swapaxes(-1, -2) @ Oinv @ FA)
         for a, row in zip(out, (omega, W, O, F, Ups)):
             a[..., t, :, :] = row
+        t -= 1
     for a in out:
         a.flags.writeable = False
     return BackwardPass(omega_inv=omega_inv, W=Ws, O=Os, F=Fs, Ups=Upss,
@@ -283,9 +297,18 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     ``eval_gains`` may carry a leading member axis, one gain schedule per
     member (e.g. ``np.stack`` of several schedules' gains, which keeps
     their layout); the members then run at once, each with the bytes of
-    its own recursion, and the result has the same leading axis.  Gam_t
-    and N_t are built ``_BLOCK`` steps at a time, and only for the steps
-    that are computed, not copied.
+    its own recursion, and the result has the same leading axis.
+
+    A step reads Pi_{t-1} with its rows of K and L and, where they vary
+    by step, of F_t, Ups_t Ups_t^T and Qxi_t.  Once it reads what an
+    earlier step read, p steps before, the following rows are filled by
+    period for as long as every one of those inputs repeats with period p,
+    bit for bit; the fill stops at the first step whose inputs differ from
+    those p steps before (for the channel adversary, the steps near N,
+    where F_t and Ups_t leave their cycle), and stepping resumes there.
+    Filled rows are byte-identical to the full loop's.  Gam_t and N_t are
+    built ``_BLOCK`` steps at a time, and only for the steps that are
+    computed, not filled.
     """
     n = model.n
     N = fwd.horizon
@@ -305,16 +328,16 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
         F = bwd.r_half @ bwd.F
         Ups = bwd.r_half @ bwd.Ups
         UU = Ups @ Ups.transpose(0, 2, 1)
+        del Ups     # the steps read UU; F + C is built a block at a time
         Qxi = Q
-    FC = F + C
     lead = K.shape[:-3]
 
     def transitions(t):
         """Gam and Noise of the block of steps from t."""
         b = slice(t, t + _BLOCK)
         Kb, Lb = K[..., b, :, :], L[b]
-        Fb, FCb, UUb, Qxib = (a if a.ndim == 2 else a[b]
-                              for a in (F, FC, UU, Qxi))
+        Fb, UUb, Qxib = (a if a.ndim == 2 else a[b] for a in (F, UU, Qxi))
+        FCb = Fb + C
         Gam = np.zeros((*lead, len(Lb), 3 * n, 3 * n))
         Gam[..., :n, :n] = (I - Kb @ C) @ A
         Gam[..., :n, n:2 * n] = -Kb @ Fb @ A
@@ -333,12 +356,16 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
     # Gam[t] and Noise[t] are built from the model and these per-step rows
     # alone, so a step is keyed by them, not by the larger matrices
     inputs = [a for a in (F, UU, Qxi) if a.ndim == 3]
+    # the rows of the output and of every per-step input
+    rows = np.moveaxis(out, -3, 0)
+    per_step = [np.moveaxis(K, -3, 0), L, *inputs]
     steps = _Steps()
     start = end = 0     # the steps whose Gam and Noise are built
-    for t in range(N + 1):
+    t = 0
+    while t <= N:
         s = steps.find(t, Pi, K[..., t, :, :], L[t], *(a[t] for a in inputs))
         if s is not None:
-            out[..., t, :, :] = out[..., s, :, :]
+            t = _fill([rows], t, t - s, per_step)
         else:
             if t >= end:
                 Gam, Noise = transitions(t)
@@ -346,7 +373,8 @@ def error_cov_recursion(model, eval_gains, fwd, bwd=None, P0=None):
             G = Gam[..., t - start, :, :]
             out[..., t, :, :] = sym(G @ Pi @ G.swapaxes(-1, -2)
                                     + Noise[..., t - start, :, :])
-        Pi = out[..., t, :, :]
+            t += 1
+        Pi = out[..., t - 1, :, :]
     return out
 
 

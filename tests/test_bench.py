@@ -385,7 +385,7 @@ def test_mc_memory_does_not_grow_with_horizon():
 
 
 def test_mc_shares_schedules_and_discretization(monkeypatch):
-    calls = {"covariance_schedule": 0, "msd_discretize": 0}
+    calls = {"covariance_schedules": 0, "msd_discretize": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -393,12 +393,12 @@ def test_mc_shares_schedules_and_discretization(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(bench, name, wrapper)
 
-    counted("covariance_schedule", bench.covariance_schedule)
+    counted("covariance_schedules", bench.covariance_schedules)
     counted("msd_discretize", bench.msd_discretize)
     cfg = McConfig(trials=5, horizon=10, seed=0)
     run_monte_carlo(cfg, [Scenario(kind=k) for k in SCENARIO_KINDS])
-    assert calls == {"covariance_schedule": len(cfg.filters),
-                     "msd_discretize": 1}
+    # every filter's gains come from one schedule stack
+    assert calls == {"covariance_schedules": 1, "msd_discretize": 1}
 
 
 def test_mc_config_validation():

@@ -669,6 +669,22 @@ def test_overflowing_covariance_is_numerical_failure(command, model, message,
     assert not any(os.path.exists(out + ext) for ext in ("", ".manifest.json"))
 
 
+def test_worstcase_infeasible_channel_exits_3(tmp_path, capsys):
+    # just below the scalar model's forward theta limit the forward
+    # recursion succeeds, but the channel synthesis fails at t = 18
+    model = tmp_path / "m.json"
+    model.write_text('{"A": [[2]], "C": [[1]], "Q": [[1]], "R": [[1]]}')
+    out = str(tmp_path / "out.csv")
+    assert main(["worstcase", "--model", str(model), "--theta",
+                 "0.999999999991", "--channel", "--filters", "kf,urkf",
+                 "--horizon", "20", "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: budget theta=0.999999999991: channel synthesis "
+        "infeasible at t=18 (member 0): I - L^T W L is not positive definite "
+        "(budget too large)\n")
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
 @pytest.mark.parametrize("command, target, error, message", [
     ("bench --trials 5 --horizon 5 --scenarios drift", "run_monte_carlo",
      MemoryError(), "allocation failed"),

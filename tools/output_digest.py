@@ -23,7 +23,7 @@ its numeric CSV columns and JSON arrays (``a`` from ``OLD_DIR``), with the
 column or JSON path where it is reached.  A text or shape change is
 reported as such.
 
-The command set, 56 commands:
+The command set, 57 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
   model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
@@ -34,7 +34,9 @@ The command set, 56 commands:
   ``--c`` and ``--theta`` budgets mixed in one command on model A and the
   9-state model, each with and without ``--channel``, all five
   ``--filters`` on model A, and ``--filters prkf,urkf`` and ``kf,urkf``
-  with ``--channel`` on the 9-state model;
+  with ``--channel`` on the 9-state model, and ``--channel`` on a scalar
+  model just below its forward theta limit, whose channel synthesis is
+  infeasible at t = 18 (exit 3, nothing written);
 - ``lf both``: model A at a ``--c`` and a ``--theta`` budget and at
   ``--theta 0``, and the two seeded models at a ``--c`` budget;
 - ``bench`` over every scenario: one small run, and one at 2501 trials
@@ -163,6 +165,11 @@ def commands(inp, out):
         cmds.append(["worstcase", "--model", paths["r9"], "--horizon", "100",
                      "--c", "0.05", "--theta", "0.001", "--filters", filters,
                      "--channel", "--out", os.path.join(out, name + ".csv")])
+    scalar = write("model_scalar.json", json.dumps(
+        {"A": [[2]], "C": [[1]], "Q": [[1]], "R": [[1]]}))
+    cmds.append(["worstcase", "--model", scalar, "--theta", "0.999999999991",
+                 "--channel", "--filters", "kf,urkf", "--horizon", "20",
+                 "--out", os.path.join(out, "worstcase_infeasible_channel.csv")])
     for tag, kind, value, name in (
             ("a", "c", "0.05", "lf_c_a"), ("a", "theta", "0.05", "lf_theta_a"),
             ("a", "theta", "0", "lf_theta0_a"), ("r4", "c", "0.05", "lf_c_r4"),
