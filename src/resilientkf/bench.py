@@ -210,12 +210,20 @@ def run_monte_carlo(cfg, scenarios):
 
     One pass over time steps the plants, the sensors and the filters
     together, and reduces each step's MSE as it goes, so no array spans
-    trials x horizon.  The plants draw from ``default_rng(cfg.seed)``: the
-    initial states, then one (trials, n) noise draw per step, which both
-    plants share.  Each scenario draws its readings, step by step, from its
-    own generator, seeded with ``cfg.seed`` and spawn key
-    ``SCENARIO_KINDS.index(kind)``, so its report does not depend on the
-    order or subset of ``scenarios``.
+    trials x horizon.  Every step runs in buffers allocated once: each
+    scenario's predicted means, updated in place in its row of one
+    (scenarios, filters, n, trials) array; one filtered-mean
+    (filters, n, trials) and one innovation (filters, m, trials) buffer,
+    which the scenarios' mean_pass steps share through ``out``, each
+    scenario's filtered means being reduced to its MSE before the next
+    scenario's step overwrites them; and each plant's (n, trials) states,
+    stepped through one (2, n, trials) scratch buffer.  The plants draw
+    from ``default_rng(cfg.seed)``: the initial states, then one
+    (trials, n) noise draw per step, which both plants share.  Each
+    scenario draws its readings, step by step, from its own generator,
+    seeded with ``cfg.seed`` and spawn key ``SCENARIO_KINDS.index(kind)``,
+    so its report does not depend on the order or subset of
+    ``scenarios``.
 
     No draw depends on a state, so from DRAW_AHEAD_TRIALS trials on a
     worker thread draws each step's plant noise and raw sensor noise
@@ -246,7 +254,10 @@ def run_monte_carlo(cfg, scenarios):
         for s in scenarios]
     # state-major (n, trials) plants, from (trials, n) draws
     x0 = np.linalg.cholesky(P0) @ rng.standard_normal((M, n)).T
-    x = dict.fromkeys(chol, x0)
+    # each plant steps its own copy of the initial states in place, through
+    # one scratch pair of (n, trials) products
+    x = dict(zip(chol, (x0, x0.copy())))
+    products = np.empty((2, n, M))
 
     def draw(t, slot):
         """Step t's draws into one of the two slots: the plants' (trials, n)
@@ -259,14 +270,15 @@ def run_monte_carlo(cfg, scenarios):
 
     slots = [(np.empty((M, n)), [_noise_buffers(s, (M,)) for s in scenarios])
              for _ in range(2)]
-    # the scenarios' mean passes share one zero prior (each keeps its prior
-    # for the whole pass) and read each step's readings from their row,
-    # rewritten before the step; each scenario's squared errors are reduced
-    # to its MSE entries in turn
-    prior = np.zeros((F, n, M))
+    # each scenario's mean pass updates its row of pred in place, from the
+    # zero prior, and reads each step's readings from its row of rows,
+    # rewritten before the step; the passes share one innovation and one
+    # filtered-mean buffer, so each step's x_f is reduced at once
+    pred = np.zeros((S, F, n, M))
     rows = np.empty((S, 1, M))
-    passes = [mean_pass(nominal, gains, prior, itertools.repeat(row))
-              for row in rows]
+    shared = np.empty((F, nominal.m, M)), np.empty((F, n, M))
+    passes = [mean_pass(nominal, gains, x_p, itertools.repeat(row),
+                        out=(*shared, x_p)) for x_p, row in zip(pred, rows)]
     err = np.empty((F, M))
     mse = np.empty((N, S, F))
     with _draws_ahead(M) as ahead:
@@ -277,7 +289,10 @@ def run_monte_carlo(cfg, scenarios):
                 pending = ahead(draw, t + 1, slots[(t + 1) % 2])
             if t:
                 z = plant.T
-                x = {c: nominal.A @ xc + chol[c] @ z for c, xc in x.items()}
+                for c, xc in x.items():
+                    # xc = A @ xc + chol[c] @ z
+                    np.add(np.matmul(nominal.A, xc, out=products[0]),
+                           np.matmul(chol[c], z, out=products[1]), out=xc)
             for i, (c, scenario, means, drawn) in enumerate(
                     zip(control, scenarios, passes, noise)):
                 p = x[c][0]     # the displacement, the one state measured

@@ -352,8 +352,11 @@ def cmd_bench(args):
     if len(set(scenarios)) < len(scenarios):
         raise BenchError(f"--scenarios repeats a scenario: {args.scenarios!r}")
     runs = [Scenario(kind=kind) for kind in scenarios]
-    # the means are scenarios x filters x 2 x trials, and each filter's
-    # schedule holds under 16 floats a step
+    # the pass's largest buffer, allocated once, holds each scenario's
+    # predicted means, scenarios x filters x 2 states x trials (the shared
+    # filtered means and innovations, the plants' states and their scratch
+    # buffer are smaller), and each filter's schedule holds under 16
+    # floats a step
     _check_addressable(len(runs), len(cfg.filters), 2, args.trials)
     _check_addressable(len(cfg.filters), 16, args.horizon + 2)
     reports = run_monte_carlo(cfg, runs)

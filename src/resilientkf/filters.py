@@ -424,7 +424,7 @@ def covariance_schedule(model, config, P0, N):
     return covariance_schedules(model, [config], P0, N).member(0)
 
 
-def mean_pass(model, gains, x0, ys):
+def mean_pass(model, gains, x0, ys, out=None):
     """Yield the filtered and predicted means (x_f, x_p) of each step.
 
     Folds the gain schedule over the observations ``ys`` from the prior
@@ -432,16 +432,32 @@ def mean_pass(model, gains, x0, ys):
     one column per run (e.g. per trial), and each ``ys[t]`` shape (m,) or
     (..., m, k).  Each ``gains[t]`` is (n, m) or may carry leading axes
     too (e.g. one filter each); all of them broadcast.
+
+    Each step yields new arrays.  With ``out=(v, x_f, x_p)``, buffers
+    of the step's innovation, filtered and predicted means, each step
+    writes them in place, with the same operations in the same order, and
+    yields x_f and x_p themselves, which the next step overwrites; x_p may
+    be ``x0`` itself.
     """
     A, C = model.A, model.C
     x = x0
     for L, y in zip(gains, ys):
-        v = y - C @ x
         # with one output and stacked means, matmul's inner dimension is 1;
         # the broadcast product does the same single multiply per entry in
         # 14 us, against 106-119 us for matmul at (2, 2, 1) @ (2, 1, 10000)
-        x_f = x + (L * v if v.ndim > 1 and v.shape[-2] == 1 else L @ v)
-        x = A @ x_f
-        del v   # not held across the yield: a paused pass keeps x, x_f only
+        if out is None:
+            v = y - C @ x
+            x_f = x + (L * v if v.ndim > 1 and v.shape[-2] == 1 else L @ v)
+            x = A @ x_f
+        else:
+            v, x_f, x_p = out
+            np.subtract(y, np.matmul(C, x, out=v), out=v)
+            product = (np.multiply if v.ndim > 1 and v.shape[-2] == 1
+                       else np.matmul)
+            np.add(x, product(L, v, out=x_f), out=x_f)
+            x = np.matmul(A, x_f, out=x_p)
+        # not held across the yield: a paused pass keeps x and x_f only,
+        # and with ``out`` it allocates nothing, since v, x_f and x_p are
+        # the caller's buffers, allocated once for the whole pass
+        del v
         yield x_f, x
-

@@ -327,8 +327,8 @@ def test_mc_draw_ahead_holds_under_thread_switching():
 def test_mc_draw_ahead_failure_in_the_arithmetic_propagates(monkeypatch):
     mean_pass = bench.mean_pass
 
-    def failing(*args):
-        for t, step in enumerate(mean_pass(*args)):
+    def failing(*args, **kwargs):
+        for t, step in enumerate(mean_pass(*args, **kwargs)):
             if t == 3:
                 raise RuntimeError("mean pass failed at t = 3")
             yield step
@@ -367,11 +367,13 @@ def test_mc_draw_ahead_out_of_memory_writes_nothing(monkeypatch, tmp_path,
 
 def test_mc_memory_does_not_grow_with_horizon():
     # the pass holds (trials x n)-sized arrays per scenario and filter, and
-    # horizon-sized MSE rows: no (trials x horizon) array.  A small first
-    # run keeps the first call's lazy imports out of the peaks.
+    # horizon-sized MSE rows: no (trials x horizon) array.  A short first
+    # run at the draw-ahead threshold keeps the first call's lazy imports,
+    # concurrent.futures among them, out of the peaks.
     M = 10000
     scenarios = [Scenario(kind=k) for k in SCENARIO_KINDS]
-    run_monte_carlo(McConfig(trials=2, horizon=2), scenarios)
+    run_monte_carlo(McConfig(trials=bench.DRAW_AHEAD_TRIALS, horizon=2),
+                    scenarios)
     peaks = []
     for N in (100, 400):
         tracemalloc.start()
@@ -382,6 +384,12 @@ def test_mc_memory_does_not_grow_with_horizon():
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 0.5e6
     assert max(peaks) < 8 * M * 100
+    # every step runs in buffers allocated once: the scenarios' predicted
+    # means, one filtered-mean and one innovation buffer that they share,
+    # the plants' states and their scratch pair, the readings and two
+    # slots of draws; a pass that allocates its means and plant states
+    # anew each step peaks at 6.4-6.6 MB
+    assert peaks[0] < 5.5e6
 
 
 def test_mc_shares_schedules_and_discretization(monkeypatch):

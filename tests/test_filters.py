@@ -11,6 +11,7 @@ from resilientkf.filters import (
     _inflate,
     _Members,
     covariance_schedule,
+    covariance_schedules,
     mean_pass,
 )
 from resilientkf.model import GaussianBelief
@@ -275,3 +276,54 @@ def test_mean_pass_stacked_matches_matmul(model_a, model_b):
             ref = x + L @ (y - model.C @ x)
             x = model.A @ ref
             assert np.array_equal(x_f, ref) and np.array_equal(x_p, x)
+
+
+@pytest.mark.parametrize("alias", [False, True], ids=["own_x_p", "x_p_is_x0"])
+@pytest.mark.parametrize("m, stacked", [(1, False), (1, True), (2, True)],
+                         ids=["one_run", "stacked_m1", "stacked_m2"])
+def test_mean_pass_in_place_matches_new_arrays(m, stacked, alias):
+    # out= writes every step into the caller's buffers with the operations
+    # of the operator expressions, in their order, so each yielded mean
+    # keeps its bytes; stacked m = 1 takes the broadcast product, m > 1
+    # the matmul
+    model = seeded_model(4, 3, m)
+    gains = covariance_schedules(
+        model, [FilterConfig(kind="kf"), FilterConfig(kind="urkf", c=0.1)],
+        np.eye(model.n), 30).gains
+    rng = np.random.default_rng(5)
+    if stacked:
+        # (steps, filters, n, m) gains, as bench stacks them
+        gains = gains.swapaxes(0, 1)
+        x0, ys = (rng.standard_normal((2, model.n, 7)),
+                  rng.standard_normal((31, m, 7)))
+    else:
+        gains, x0, ys = (gains[1], rng.standard_normal(model.n),
+                         rng.standard_normal((31, m)))
+    fresh = [(x_f.tobytes(), x_p.tobytes())
+             for x_f, x_p in mean_pass(model, gains, x0, ys)]
+    x = x0.copy()
+    out = (np.empty_like(model.C @ x), np.empty_like(x),
+           x if alias else np.empty_like(x))
+    in_place = [(x_f.tobytes(), x_p.tobytes())
+                for x_f, x_p in mean_pass(model, gains, x, ys, out=out)]
+    assert in_place == fresh
+    # an aliased x0 ends as the last predicted means, any other is unread
+    assert x.tobytes() == (fresh[-1][1] if alias else x0.tobytes())
+
+
+def test_mean_pass_in_place_overwrites_a_held_step(model_a):
+    # each step yields the out buffers themselves: a consumer that keeps
+    # step 0's pair across the next step finds step 1's means in it
+    gains = covariance_schedule(model_a, FilterConfig(kind="kf"),
+                                np.eye(2), 3).gains
+    ys = np.array([[0.5], [-1.0], [2.0], [0.1]])
+    fresh = list(mean_pass(model_a, gains, np.zeros(2), ys))
+    out = (np.empty(1), np.empty(2), np.empty(2))
+    steps = mean_pass(model_a, gains, np.zeros(2), ys, out=out)
+    held = next(steps)
+    assert held[0] is out[1] and held[1] is out[2]
+    assert np.array_equal(held[0], fresh[0][0])
+    next(steps)
+    assert np.array_equal(held[0], fresh[1][0])
+    assert np.array_equal(held[1], fresh[1][1])
+    assert not np.array_equal(held[0], fresh[0][0])
