@@ -217,7 +217,7 @@ def run_monte_carlo(cfg, scenarios):
     which the scenarios' mean_pass steps share through ``out``, each
     scenario's filtered means being reduced to its MSE before the next
     scenario's step overwrites them; and each plant's (n, trials) states,
-    stepped through one (2, n, trials) scratch buffer.  The plants draw
+    stepped through one (n, trials) scratch buffer.  The plants draw
     from ``default_rng(cfg.seed)``: the initial states, then one
     (trials, n) noise draw per step, which both plants share.  Each
     scenario draws its readings, step by step, from its own generator,
@@ -255,9 +255,9 @@ def run_monte_carlo(cfg, scenarios):
     # state-major (n, trials) plants, from (trials, n) draws
     x0 = np.linalg.cholesky(P0) @ rng.standard_normal((M, n)).T
     # each plant steps its own copy of the initial states in place, through
-    # one scratch pair of (n, trials) products
+    # one (n, trials) scratch buffer
     x = dict(zip(chol, (x0, x0.copy())))
-    products = np.empty((2, n, M))
+    scratch = np.empty((n, M))
 
     def draw(t, slot):
         """Step t's draws into one of the two slots: the plants' (trials, n)
@@ -290,9 +290,10 @@ def run_monte_carlo(cfg, scenarios):
             if t:
                 z = plant.T
                 for c, xc in x.items():
-                    # xc = A @ xc + chol[c] @ z
-                    np.add(np.matmul(nominal.A, xc, out=products[0]),
-                           np.matmul(chol[c], z, out=products[1]), out=xc)
+                    # xc = A @ xc + chol[c] @ z: xc is read before the
+                    # noise term overwrites it
+                    np.add(np.matmul(nominal.A, xc, out=scratch),
+                           np.matmul(chol[c], z, out=xc), out=xc)
             for i, (c, scenario, means, drawn) in enumerate(
                     zip(control, scenarios, passes, noise)):
                 p = x[c][0]     # the displacement, the one state measured

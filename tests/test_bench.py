@@ -386,9 +386,8 @@ def test_mc_memory_does_not_grow_with_horizon():
     assert max(peaks) < 8 * M * 100
     # every step runs in buffers allocated once: the scenarios' predicted
     # means, one filtered-mean and one innovation buffer that they share,
-    # the plants' states and their scratch pair, the readings and two
-    # slots of draws; a pass that allocates its means and plant states
-    # anew each step peaks at 6.4-6.6 MB
+    # the plants' states and their scratch buffer, the readings and two
+    # slots of draws, about 4.5 MB in all
     assert peaks[0] < 5.5e6
 
 
