@@ -246,13 +246,7 @@ def cmd_worstcase(args):
         members.append(FilterConfig(kind="kf"))
     stack = covariance_schedules(model, members, np.eye(model.n), N)
     fwd = stack.member(slice(B))
-    try:
-        bwd = backward_pass(fwd, model) if args.channel else None
-    except SynthesisError as e:
-        if e.member is None:
-            raise
-        kind, val = budgets[e.member]
-        raise SynthesisError(f"budget {kind}={val!r}: {e}") from e
+    bwd = backward_pass(fwd, model) if args.channel else None
     lead, blocks, cycles = [], [], []
     for b, (kind, val) in enumerate(budgets):
         schedules = {"kf": stack.member(-1) if "kf" in families else None,

@@ -136,10 +136,11 @@ class Schedule(NamedTuple):
     instead of recomputed, up to the horizon: the schedule has no per-step
     input that could stop the fill, and the filled rows are byte-identical
     to the full loop's.  It is None when no predicted covariance repeated.
+    ``config`` is the ``FilterConfig`` it ran, which failures name.
 
     A stack of schedules (from ``covariance_schedules``) has the same
-    fields with a leading member axis, and a list of the members' cycles;
-    ``member`` picks one member, or a smaller stack by a slice.
+    fields with a leading member axis, and lists of the members' configs
+    and cycles; ``member`` picks one member, or a smaller stack by a slice.
     """
 
     gains: np.ndarray
@@ -147,6 +148,7 @@ class Schedule(NamedTuple):
     cov_filt: np.ndarray
     cov_distorted: np.ndarray
     cov_pred: np.ndarray
+    config: FilterConfig
     cycle: tuple = None
 
     @property
@@ -154,7 +156,8 @@ class Schedule(NamedTuple):
         return self.thetas.shape[-1] - 1
 
     def member(self, i):
-        return Schedule(*(a[i] for a in self[:5]), cycle=self.cycle[i])
+        return Schedule(*(a[i] for a in self[:5]), config=self.config[i],
+                        cycle=self.cycle[i])
 
 
 class _Steps:
@@ -319,20 +322,18 @@ def covariance_schedules(model, configs, P0, N):
     member's rows have the bytes of its own schedule.  The Cholesky guards
     of S and of each inflated covariance are not run in the step: the
     matrices are collected, and factored as one stack per kind at the end
-    of each ``_BLOCK`` steps, when the loop stops and before a failure is
-    reported.  A block whose check fails is taken again with the guards
-    inline, so a run fails at the step, and with the error, at which
-    guarded steps fail; it computes at most one block past that step.  A step
-    depends only on the predicted covariance entering it, so once that
-    repeats bit for bit for a member, its remaining rows are filled by
-    period (see ``Schedule.cycle``); the loop stops once every member has
-    repeated.
+    of each ``_BLOCK`` steps and when the loop stops.  A step depends only
+    on the predicted covariance entering it, so once that repeats bit for
+    bit for a member, its remaining rows are filled by period (see
+    ``Schedule.cycle``); the loop stops once every member has repeated.
 
     A failure at step t, including a covariance that overflows or turns
-    NaN, is raised as FilterError naming t and the failing member.  The
-    stack fails at the earliest step at which any member does; of several
-    failing there, it names the first, whose step is taken again on its
-    own for its error.
+    NaN, is raised as FilterError naming t and the failing member.  A
+    failed step or block check takes the steps since the last passed check
+    again, one member at a time with the guards inline, so the stack fails
+    as guarded steps would: at its earliest failing step, naming the first
+    member failing there, with its own error, and having computed at most
+    one block past that step.
     """
     k, n, m = len(configs), model.n, model.m
     members = _Members(configs)
@@ -348,74 +349,60 @@ def covariance_schedules(model, configs, P0, N):
     steps, cycles = [_Steps() for _ in configs], [None] * k
     # the S and inflated covariances of steps start..t - 1, not yet checked
     checks, start = ([], []), 0
-    for t in range(N + 1):
-        for i, memo in enumerate(steps):
-            if cycles[i] is None and (
-                    s := memo.find(t, cov_pred[i, t])) is not None:
-                cycles[i] = (s, t - s)
-        if None not in cycles:
-            break
-        if t - start == _BLOCK:
-            _check_guards(model, configs, members, cov_pred, checks, start, t)
-            start = t
-        try:
+    try:
+        for t in range(N + 1):
+            for i, memo in enumerate(steps):
+                if cycles[i] is None and (
+                        s := memo.find(t, cov_pred[i, t])) is not None:
+                    cycles[i] = (s, t - s)
+            if None not in cycles:
+                break
+            if t - start == _BLOCK:
+                _factor(checks)
+                start = t
             L, theta, Pf, V, P = _schedule_step(model, members, P, checks)
-        except _STEP_ERRORS as e:
-            _check_guards(model, configs, members, cov_pred, checks, start,
-                          t + 1)
-            raise _step_failure(model, configs, P, t, e) from e
-        gains[:, t], thetas[:, t], cov_filt[:, t], cov_distorted[:, t] = (
-            L, theta, Pf, V)
-        cov_pred[:, t + 1] = P
-    else:
-        t = N + 1
-    _check_guards(model, configs, members, cov_pred, checks, start, t)
+            gains[:, t], thetas[:, t], cov_filt[:, t], cov_distorted[:, t] = (
+                L, theta, Pf, V)
+            cov_pred[:, t + 1] = P
+        _factor(checks)
+    except _STEP_ERRORS as e:
+        raise _retake(model, configs, cov_pred[:, start], start, t, e) from e
     for i, cycle in enumerate(cycles):
         if cycle is not None:
             _fill([a[i] for a in out], sum(cycle), cycle[1])
     for a in out:
         a.flags.writeable = False
-    return Schedule(*out, cycle=cycles)
+    return Schedule(*out, config=list(configs), cycle=cycles)
 
 
-def _check_guards(model, configs, members, cov_pred, checks, start, stop):
-    """Factor the S and inflated covariances that steps start..stop - 1 of
-    a stack collected in ``checks``, one stack per list, and empty the
-    lists.  When one is not positive definite, the steps are taken again
-    from their predicted covariances ``cov_pred[:, start]`` with their
-    guards inline, and the first that fails raises its ``_step_failure``.
-    """
-    try:
-        for matrices in checks:
-            if matrices:
-                _cholesky(np.concatenate(matrices))
-                matrices.clear()
-    except NumericsError as e:
-        P = cov_pred[:, start]
-        for t in range(start, stop):
-            try:
-                P = _schedule_step(model, members, P)[-1]
-            except _STEP_ERRORS as step_error:
-                raise _step_failure(model, configs, P, t,
-                                    step_error) from step_error
-        raise FilterError(f"filter steps {start} to {stop - 1} failed: "
-                          f"{e}") from e
+def _factor(checks):
+    """Factor the matrices collected in each list of ``checks`` as one
+    stack, and empty the lists."""
+    for matrices in checks:
+        if matrices:
+            _cholesky(np.concatenate(matrices))
+            matrices.clear()
 
 
-def _step_failure(model, configs, P, t, error):
-    """The FilterError of a stack whose step t failed with ``error``, from
-    the predicted covariances P entering it: each member's step is taken
-    again on its own, with its guards inline, and the error names the
-    first that fails, with that member's error."""
-    member = None
+def _retake(model, configs, P, start, t, error):
+    """The FilterError of a stack that failed with ``error`` in steps
+    start..t, from the predicted covariances P entering step start: each
+    member's steps are taken again on its own, with its guards inline, and
+    the error names the earliest failing step and, of the members failing
+    there, the first, with that member's own error."""
+    failure = f"filter steps {start} to {t} failed: {error}"
     for config, Pi in zip(configs, P):
-        try:
-            _schedule_step(model, _Members([config]), Pi[None])
-        except _STEP_ERRORS as e:
-            member, error = config, e
-            break
-    where = "" if member is None else f" for {_describe(member)}"
-    return FilterError(f"filter step failed at t={t}{where}: {error}")
+        member, Pi = _Members([config]), Pi[None]
+        # a later member is named only where it fails earlier
+        for s in range(start, t + 1):
+            try:
+                Pi = _schedule_step(model, member, Pi)[-1]
+            except _STEP_ERRORS as e:
+                failure = (f"filter step failed at t={s} for "
+                           f"{_describe(config)}: {e}")
+                t = s - 1
+                break
+    return FilterError(failure)
 
 
 def covariance_schedule(model, config, P0, N):

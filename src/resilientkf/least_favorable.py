@@ -39,16 +39,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .numerics import NumericsError, _doubling, check_sympd, spd_sqrt, sym
-from .filters import _Steps, _fill
+from .filters import _Steps, _describe, _fill
 
 
 class SynthesisError(RuntimeError):
-    """Raised when the hostile-model synthesis is infeasible; ``member`` is
-    the index of the failing member of a stacked pass, else None."""
-
-    def __init__(self, message, member=None):
-        super().__init__(message)
-        self.member = member
+    """Raised when the hostile-model synthesis is infeasible."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +102,28 @@ def backward_pass(fwd, model):
     forms, equal by Woodbury to Abar^T (W_{t+1}^{-1} - Lw Lw^T)^{-1} Abar
     without inverting W.  A step is feasible exactly when
     I - Lw^T W_{t+1} Lw is positive definite (for W PD this is
-    W^{-1} - Lw Lw^T PD); otherwise SynthesisError names the step.
+    W^{-1} - Lw Lw^T PD).
 
     One Cholesky factorisation per step decides that and gives O and Ups:
     with J the exchange matrix, J O_t^{-1} J = M M^T, so O_t^{-1} =
     (J M J)(J M J)^T with J M J upper triangular, and Ups_t = J M^{-T} J is
     the lower-triangular factor of O_t = Ups_t Ups_t^T.
 
+    For an update-side schedule the last step is feasible where the
+    forward one is: L = P_f C^T R^{-1}, so Lw Lw^T = P_f C^T R^{-1} C P_f
+    <= P_f (as C^T R^{-1} C <= P^{-1} + C^T R^{-1} C = P_f^{-1}), and with
+    W = theta I the forward check theta sigma_max(P_f) < 1 makes
+    I - Lw^T W Lw PD.  The computed lambda_min(P_f - L R L^T) is at least
+    1.2e-9 sigma_max(P_f) on models A, B and 180 seeded ones.  No bound is
+    proved for the earlier steps: in 600 schedules on 300 random models
+    they failed on 11 scalar ones (|A| = 1.3 or 2) only, each within 1e-8
+    relative of its forward theta limit, a roundoff boundary.
+
     ``fwd`` may be a schedule stack (``covariance_schedules``): the pass
     then runs over its members at once, each with the bytes of its own
-    pass, and an infeasible step names its first infeasible member.
+    pass.  An infeasible step raises SynthesisError naming t and, as a
+    failing schedule step does, the config of the schedule or of the
+    stack's first infeasible member.
 
     A step reads omega_inv[t+1] with its L and theta rows.  Once it reads
     what a later step read, p steps on, the rows below are filled by
@@ -158,7 +165,7 @@ def backward_pass(fwd, model):
         try:
             M = np.linalg.cholesky(Oinv[..., ::-1, ::-1])
         except np.linalg.LinAlgError:
-            raise _infeasible(Oinv, t) from None
+            raise _infeasible(Oinv, t, fwd.config) from None
         # inv's LU does not pivot M^T, which is upper triangular, so Ups is
         # exactly lower triangular, and Ups @ Ups.T is exactly symmetric
         Ups = np.linalg.inv(M.swapaxes(-1, -2))[..., ::-1, ::-1]
@@ -178,20 +185,19 @@ def backward_pass(fwd, model):
                         r_half=Rh)
 
 
-def _infeasible(Oinv, t):
+def _infeasible(Oinv, t, config):
     """The SynthesisError of step t, whose Oinv (one, or a stack) is not
-    positive definite, naming the first infeasible member of a stack."""
-    member = None
+    positive definite, naming by its config the schedule, or the first
+    infeasible member of a stack."""
     for i in range(len(Oinv)) if Oinv.ndim > 2 else ():
         try:
             np.linalg.cholesky(Oinv[i, ::-1, ::-1])
         except np.linalg.LinAlgError:
-            member = i
+            config = config[i]
             break
-    where = "" if member is None else f" (member {member})"
     return SynthesisError(
-        f"channel synthesis infeasible at t={t}{where}: "
-        "I - L^T W L is not positive definite (budget too large)", member)
+        f"channel synthesis infeasible at t={t} for {_describe(config)}: "
+        "I - L^T W L is not positive definite (budget too large)")
 
 
 @dataclass

@@ -102,6 +102,35 @@ def test_a_rejected_guard_reports_its_step_and_member(
     assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("which", ["S", "V"])
+@pytest.mark.parametrize("stack", ["solo", "mixed"])
+def test_a_rejected_guard_in_a_later_block_reports_its_step_and_member(
+        stack, which, monkeypatch):
+    # the 9-state model does not repeat within 200 steps, so the guard of
+    # step _BLOCK + 6 is rejected by the check of the second block, whose
+    # steps are taken again from step _BLOCK
+    model, theta = seeded_model(4, 9, 3), 0.001
+    member = FilterConfig(kind="prkf", c=0.05)
+    configs = [member] if stack == "solo" else [
+        FilterConfig(kind="urkf", c=0.05),
+        FilterConfig(kind="ursf", theta=theta), member,
+        FilterConfig(kind="prsf", theta=theta), FilterConfig(kind="kf")]
+    step = filters._BLOCK + 6
+    _reject(monkeypatch, _step_matrices(model, member, step)[which])
+    calls = []
+    schedule_step = filters._schedule_step
+    monkeypatch.setattr(filters, "_schedule_step",
+                        lambda *a, **k: calls.append(1) or schedule_step(
+                            *a, **k))
+    with pytest.raises(FilterError) as e:
+        covariance_schedules(model, configs, np.eye(9), 200)
+    assert str(e.value) == (f"filter step failed at t={step} for prkf "
+                            "c=0.05: matrix is not positive definite")
+    if stack == "solo":
+        # two blocks, then steps _BLOCK.._BLOCK + 6 again
+        assert len(calls) == 2 * filters._BLOCK + 7
+
+
 def test_a_failing_step_computes_at_most_one_block_past_it(model_a,
                                                            monkeypatch):
     # with no cycle to stop at, the run would go on for 10^5 steps; a

@@ -679,8 +679,8 @@ def test_worstcase_infeasible_channel_exits_3(tmp_path, capsys):
                  "0.999999999991", "--channel", "--filters", "kf,urkf",
                  "--horizon", "20", "--out", out]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: budget theta=0.999999999991: channel synthesis "
-        "infeasible at t=18 (member 0): I - L^T W L is not positive definite "
+        "numerical failure: channel synthesis infeasible at t=18 for ursf "
+        "theta=0.999999999991: I - L^T W L is not positive definite "
         "(budget too large)\n")
     assert os.listdir(tmp_path) == ["m.json"]
 

@@ -6,6 +6,7 @@ from resilientkf.filters import (
     FilterConfig,
     FilterError,
     covariance_schedule,
+    covariance_schedules,
 )
 from resilientkf.least_favorable import (
     SynthesisError,
@@ -118,7 +119,8 @@ def _failing_step(pass_, fwd, model):
     try:
         pass_(fwd, model)
     except SynthesisError as e:
-        return int(str(e).split("at t=")[1].split(":")[0])
+        # the step is followed by " for <config>", or ends the message
+        return int(str(e).split("at t=")[1].split(" for ")[0])
     return None
 
 
@@ -197,9 +199,33 @@ def test_backward_pass_rejects_an_infeasible_channel(model_a, scale, step):
         bwd = backward_pass(scaled, model_a)
         assert np.isfinite(bwd.omega_inv).all()
         return
-    msg = f"at t={step}: I - L\\^T W L is not positive definite"
+    msg = (f"at t={step} for urkf c=0\\.05: I - L\\^T W L is not positive "
+           "definite")
     with pytest.raises(SynthesisError, match=msg):
         backward_pass(scaled, model_a)
+
+
+def test_the_forward_check_makes_the_last_channel_step_feasible(model_a,
+                                                                  model_b):
+    # for an update-side schedule L R L^T = P_f C^T R^-1 C P_f <= P_f, so
+    # the forward check theta sigma_max(P_f) < 1 makes the channel step at
+    # t = N, where W = theta I, feasible (backward_pass's docstring).  On
+    # models A, B and seeded models with s < 2 the smallest gap is 1.4e-8
+    # sigma_max(P_f), far above roundoff
+    configs = [FilterConfig(kind="urkf", c=0.01),
+               FilterConfig(kind="urkf", c=0.05),
+               FilterConfig(kind="ursf", theta=0.001), FilterConfig(kind="kf")]
+    models = [model_a, model_b] + [seeded_model(s, n, m) for s in range(2)
+                                   for n in range(1, 7) for m in range(1, 4)]
+    for model in models:
+        stack = covariance_schedules(model, configs, np.eye(model.n), 200)
+        L, Pf = stack.gains, stack.cov_filt
+        gap = sym(Pf - L @ model.R @ L.swapaxes(-1, -2))
+        assert (np.linalg.eigvalsh(gap)[..., 0] >= 0).all()
+        Lw = L[:, -1] @ spd_sqrt(model.R)
+        Oinv = sym(np.eye(model.m) - stack.thetas[:, -1, None, None]
+                   * (Lw.swapaxes(-1, -2) @ Lw))
+        assert (np.linalg.eigvalsh(Oinv)[:, 0] > 0).all()
 
 
 def test_assemble_lf_structure(model_a):

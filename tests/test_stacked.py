@@ -172,19 +172,37 @@ def test_schedule_stack_fails_at_the_earliest_member(model_a):
                                    "theta=0.5: ")
 
 
+@pytest.mark.parametrize("thetas", [(0.5, 0.6), (0.6, 0.5)])
+def test_schedule_stack_names_the_first_of_members_failing_together(
+        thetas, model_a):
+    # alone, theta = 0.5 and theta = 0.6 both fail at t = 1; in either
+    # order the stack names the member listed first, with its own error
+    configs = [FilterConfig(kind="ursf", theta=theta) for theta in thetas]
+    alone = []
+    for config in configs:
+        with pytest.raises(FilterError) as e:
+            covariance_schedule(model_a, config, np.eye(2), 50)
+        alone.append(str(e.value))
+    assert all(m.startswith("filter step failed at t=1 for ursf ")
+               for m in alone) and alone[0] != alone[1]
+    with pytest.raises(FilterError) as e:
+        covariance_schedules(model_a, configs, np.eye(2), 50)
+    assert str(e.value) == alone[0]
+
+
 def test_backward_stack_names_its_infeasible_member(model_a):
     # member 1's thetas scaled tenfold make its channel step 19 infeasible,
-    # as in its own pass; member 0 stays feasible
-    configs = [FilterConfig(kind="urkf", c=0.05)] * 2
+    # as in its own pass; member 0, at another budget, stays feasible
+    configs = [FilterConfig(kind="urkf", c=0.01),
+               FilterConfig(kind="urkf", c=0.05)]
     stack = covariance_schedules(model_a, configs, np.eye(2), 20)
     scaled = stack._replace(thetas=stack.thetas * np.array([[1.0], [10.0]]))
-    with pytest.raises(SynthesisError, match=r"at t=19: I - L\^T W L"):
+    message = r"at t=19 for urkf c=0\.05: I - L\^T W L"
+    with pytest.raises(SynthesisError, match=message):
         backward_pass(scaled.member(1), model_a)
     backward_pass(scaled.member(0), model_a)
-    with pytest.raises(SynthesisError,
-                       match=r"at t=19 \(member 1\): I - L\^T W L") as e:
+    with pytest.raises(SynthesisError, match=message):
         backward_pass(scaled, model_a)
-    assert e.value.member == 1
 
 
 @pytest.fixture
@@ -241,8 +259,8 @@ def test_worstcase_infeasible_channel_names_its_budget(model_path, tmp_path,
     assert main(["worstcase", "--model", model_path, "--c", "0.01", "--c",
                  "0.05", "--channel", "--horizon", "20", "--out", out]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: budget c=0.05: channel "
-                          "synthesis infeasible at t=19 (member 1): ")
+    assert err.startswith("numerical failure: channel synthesis infeasible "
+                          "at t=19 for urkf c=0.05: ")
     assert not _outputs(out)
 
 

@@ -23,11 +23,17 @@ its numeric CSV columns and JSON arrays (``a`` from ``OLD_DIR``), with the
 column or JSON path where it is reached.  A text or shape change is
 reported as such.
 
-The command set, 57 commands:
+The command set, 59 commands:
 
 - ``filter``: every kind on model A (T = 300), a seeded 4-state, 2-output
-  model (T = 200) and a seeded 9-state, 3-output model (T = 100), and urkf
-  with ``--init`` on model A;
+  model (T = 200) and a seeded 9-state, 3-output model (T = 100), urkf
+  with ``--init`` on model A, and two models of the extreme-input grid of
+  ``tests/test_extreme_inputs.py`` on its 30 observations, whose steps
+  fail one step after a Cholesky guard that is collected, not run, so the
+  failure reported is the one the deferred check of the guards finds
+  (exit 3, nothing written): urkf c = 10 behind C = [[1e-150, 1]] and
+  R = [[1e300]] at t = 20, and kf with A and C holding 1e150 and
+  R = [[1e-300]] at t = 1;
 - ``worstcase``: two ``--c`` and two ``--theta`` budgets, each with and
   without ``--channel``, on models A and B and the two seeded models,
   ``--theta 0 --theta 0.001 --channel`` on model A and the 4-state model,
@@ -170,6 +176,20 @@ def commands(inp, out):
     cmds.append(["worstcase", "--model", scalar, "--theta", "0.999999999991",
                  "--channel", "--filters", "kf,urkf", "--horizon", "20",
                  "--out", os.path.join(out, "worstcase_infeasible_channel.csv")])
+    # Q = diag(1e-300, 1); the step after the failing guard fails too, and
+    # the check of the guards collected before it finds the guard
+    data = write("y_extreme.csv", "".join(
+        f"{0.1 * ((7 * t) % 11 - 5)!r}\n" for t in range(30)))
+    for kind, a, c, r in (("urkf", 0.5, 1e-150, 1e300),
+                          ("kf", 1e150, 1e150, 1e-300)):
+        model = write(f"model_extreme_{kind}.json", json.dumps(
+            {"A": [[a, 0.1], [0.0, 0.5]], "C": [[c, 1.0]],
+             "Q": [[1e-300, 0.0], [0.0, 1.0]], "R": [[r]]}))
+        config = write(f"{kind}_extreme.json", json.dumps(
+            {"kind": kind, **({"c": 10.0} if kind == "urkf" else {})}))
+        cmds.append(["filter", "--model", model, "--config", config, "--data",
+                     data, "--out",
+                     os.path.join(out, f"filter_{kind}_extreme.csv")])
     for tag, kind, value, name in (
             ("a", "c", "0.05", "lf_c_a"), ("a", "theta", "0.05", "lf_theta_a"),
             ("a", "theta", "0", "lf_theta0_a"), ("r4", "c", "0.05", "lf_c_r4"),
